@@ -8,26 +8,31 @@ the models ranking best on the original data, searched greedily, or
 filtered by a goodness-of-fit window.
 
 Determinism: each replicate draws from its own generator seeded by
-(seed, replicate index), so results are identical for any worker count.
+(seed, replicate index).  Resamples are drawn in replicate order, then
+grouped by support, and each model is fitted once per group (one IRLS
+run for all of the group's tables); every replicate still gets exactly
+the estimate a fit of that table alone gives.  Jackknife tables are
+grouped the same way.  Replicates run in one thread; the ``workers``
+arguments are accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats
 from scipy.special import ndtr, ndtri
 
-from .core import CountTable, ModelSpec
-from .existence import ExistenceCache, cached_fr_check
+from .core import CountTable, ModelSpec, support_key
+from .existence import ExistenceCache
 from .glm import (
     FitResult,
     FitSettings,
     NoModelFoundError,
+    fit_group,
     fit_or_reject,
     select_by_chisq,
 )
@@ -39,23 +44,12 @@ from .modelspace import (
     rank_order,
 )
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 DEFAULT_LEVELS = (0.8, 0.95)
 DEFAULT_B = 1000
 
 
-def _pmap(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list[U]:
-    """Order-preserving map, threaded when workers > 1."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate, stable across worker counts."""
+    """Independent generator for one replicate."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
@@ -227,22 +221,38 @@ def bca_interval(
 # ---------------------------------------------------------------------------
 
 
+def _support_groups(tables: Sequence[CountTable]) -> list[list[int]]:
+    """Indices of the tables sharing each support, in order of first use."""
+    groups: dict[str, list[int]] = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(support_key(table), []).append(i)
+    return list(groups.values())
+
+
 def _evaluate_models(
     models: Sequence[ModelSpec],
-    table: CountTable,
+    tables: Sequence[CountTable],
     cache: ExistenceCache,
     settings: FitSettings,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-model (BIC, population estimate); inf/nan where not estimable."""
-    bics = np.full(len(models), np.inf)
-    ests = np.full(len(models), np.nan)
-    for j, model in enumerate(models):
-        res = fit_or_reject(
-            model, table, lambda m, t: cached_fr_check(m, t, cache), settings
-        )
-        if res.converged:
-            bics[j] = res.bic
-            ests[j] = res.population_estimate
+    """(BIC, population estimate) arrays of shape (tables, models); inf/nan
+    where not estimable.
+
+    The existence verdict depends only on the support, so it is checked
+    once per (model, support), and each model is fitted to all tables of
+    a support in one grouped IRLS run.
+    """
+    bics = np.full((len(tables), len(models)), np.inf)
+    ests = np.full((len(tables), len(models)), np.nan)
+    for rows in _support_groups(tables):
+        group = [tables[i] for i in rows]
+        for j, model in enumerate(models):
+            if not cache.check(model, group[0]):
+                continue
+            for i, res in zip(rows, fit_group(model, group, settings)):
+                if res.converged:
+                    bics[i, j] = res.bic
+                    ests[i, j] = res.population_estimate
     return bics, ests
 
 
@@ -261,12 +271,7 @@ def original_fits(
     settings: FitSettings,
 ) -> tuple[np.ndarray, np.ndarray, list[FitResult]]:
     """Fit the whole space on the original data, canonically ordered."""
-    fits = [
-        fit_or_reject(
-            m, table, lambda mm, tt: cached_fr_check(mm, tt, cache), settings
-        )
-        for m in space
-    ]
+    fits = [fit_or_reject(m, table, cache.check, settings) for m in space]
     bics = np.array([f.bic for f in fits])
     ests = np.array(
         [f.population_estimate if f.converged else np.nan for f in fits]
@@ -319,15 +324,13 @@ def restricted_bootstrap(
         raise ValueError("n_top must be at least 1")
     top_models = [space.models[i] for i in ordering[:n_top]]
 
-    def one_boot(i: int) -> float | None:
-        rep = resample(table, replicate_rng(seed, i))
-        return _select_from_eval(*_evaluate_models(top_models, rep, cache, settings))
+    def selected(tables: Sequence[CountTable]) -> list[float | None]:
+        bics, ests = _evaluate_models(top_models, tables, cache, settings)
+        return [_select_from_eval(b, e) for b, e in zip(bics, ests)]
 
-    boot = _pmap(one_boot, range(B), workers)
-    jack = [
-        (mask, _select_from_eval(*_evaluate_models(top_models, jt, cache, settings)))
-        for mask, jt in jackknife_tables(table)
-    ]
+    boot = selected([resample(table, replicate_rng(seed, i)) for i in range(B)])
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    jack = list(zip(jack_masks, selected(jack_tables)))
     comps = bca_components(boot, jack, table, m_hat)
     return IntervalResult(
         point_estimate=m_hat,
@@ -407,13 +410,8 @@ def ntop_sweep(
     n_top_high = min(n_top_high, len(space))
     top_models = [space.models[i] for i in ordering[:n_top_high]]
 
-    def eval_boot(i: int) -> tuple[np.ndarray, np.ndarray]:
-        rep = resample(table, replicate_rng(seed, i))
-        return _evaluate_models(top_models, rep, cache, settings)
-
-    boot_evals = _pmap(eval_boot, range(B), workers)
-    bic_array = np.stack([b for b, _ in boot_evals])
-    est_array = np.stack([e for _, e in boot_evals])
+    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
+    bic_array, est_array = _evaluate_models(top_models, reps, cache, settings)
     filled_boot = np.empty_like(est_array)
     records = []
     for i in range(B):
@@ -421,13 +419,11 @@ def ntop_sweep(
         records.append(rec)
         filled_boot[i] = row
 
-    jack_masks, jack_filled = [], []
-    for mask, jt in jackknife_tables(table):
-        jb, je = _evaluate_models(top_models, jt, cache, settings)
-        _, row = _record_fill(jb, je)
-        jack_masks.append(mask)
-        jack_filled.append(row)
-    jack_filled_arr = np.array(jack_filled)
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    jack_bics, jack_ests = _evaluate_models(top_models, jack_tables, cache, settings)
+    jack_filled_arr = np.array(
+        [_record_fill(b, e)[1] for b, e in zip(jack_bics, jack_ests)]
+    )
 
     state = SweepState(bic_array, est_array, tuple(records), filled_boot)
     results: dict[int, IntervalResult] = {}
@@ -474,9 +470,7 @@ def _downhill_estimate(
     fits: dict[frozenset[int], FitResult] = {}
 
     def bic_of(model: ModelSpec) -> float:
-        res = fit_or_reject(
-            model, table, lambda m, t: cached_fr_check(m, t, cache), settings
-        )
+        res = fit_or_reject(model, table, cache.check, settings)
         fits[model.params] = res
         return res.bic
 
@@ -524,7 +518,7 @@ def downhill_bootstrap(
         res = _downhill_estimate(rep, l, starts, cache, settings)
         return None if res is None else res[1].population_estimate
 
-    boot = _pmap(one_boot, range(B), workers)
+    boot = [one_boot(i) for i in range(B)]
     jack = []
     for mask, jt in jackknife_tables(table):
         res = _downhill_estimate(jt, l, starts, cache, settings)
@@ -566,7 +560,7 @@ def chisq_bootstrap(
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
     cache = cache if cache is not None else ExistenceCache()
-    checker = lambda m, t: cached_fr_check(m, t, cache)
+    checker = cache.check
     chosen = select_by_chisq(space.models, table, p_lo, p_hi, checker, settings)
     if chosen is None:
         raise NoModelFoundError(
@@ -580,7 +574,7 @@ def chisq_bootstrap(
         res = select_by_chisq(space.models, rep, p_lo, p_hi, checker, settings)
         return None if res is None else res.fit.population_estimate
 
-    boot = _pmap(one_boot, range(B), workers)
+    boot = [one_boot(i) for i in range(B)]
     jack = []
     for mask, jt in jackknife_tables(table):
         res = select_by_chisq(space.models, jt, p_lo, p_hi, checker, settings)
@@ -647,9 +641,10 @@ def diagnostics(
     pos1 = {j: p + 1 for p, j in enumerate(order1)}
     pos2 = {j: p + 1 for p, j in enumerate(order2)}
 
-    def one(i: int) -> tuple[float | None, int | None]:
-        rep = resample(table, replicate_rng(seed, i))
-        bics, _ = _evaluate_models(space.models, rep, cache, settings)
+    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
+    rep_bics, _ = _evaluate_models(space.models, reps, cache, settings)
+
+    def one(bics: np.ndarray) -> tuple[float | None, int | None]:
         both = np.isfinite(bics0) & np.isfinite(bics)
         rho = None
         if both.sum() >= 3:
@@ -659,7 +654,7 @@ def diagnostics(
             return rho, None
         return rho, j
 
-    outcomes = _pmap(one, range(B), workers)
+    outcomes = [one(bics) for bics in rep_bics]
     rhos = tuple(r for r, _ in outcomes if r is not None)
     winners = [j for _, j in outcomes if j is not None]
     m1 = tuple(pos1[j] for j in winners)

@@ -4,6 +4,10 @@ Fitting uses iteratively reweighted least squares with a log link after
 the sparsity reduction: parameters whose marginal count is zero are
 recorded as -inf and the cells forced to zero by them are dropped before
 the numerical fit.  Estimates therefore live in [-inf, inf).
+
+Tables that share a support share the reduction and the design matrix,
+so ``solve_group`` fits one model to a whole group of them in a single
+IRLS run; ``fit`` is its one-table case.
 """
 
 from __future__ import annotations
@@ -93,10 +97,11 @@ def design_matrix(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:
     )
 
 
-def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Deviance of each row (the last axis holds the cells)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ylogy = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu), 0.0)
-    return 2.0 * float(np.sum(ylogy - (y - mu)))
+    return 2.0 * np.sum(ylogy - (y - mu), axis=-1)
 
 
 def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
@@ -135,67 +140,179 @@ def bic_from_mu(
     return n_params * math.log(size) + 2.0 * dev
 
 
+# the LAPACK routine and tolerance scipy.linalg.lstsq uses for float64
+# input with lapack_driver="gelsd"; calling it directly skips the
+# wrapper's per-call overhead and leaves the arithmetic unchanged
+_GELSD, _GELSD_LWORK = linalg.get_lapack_funcs(
+    ("gelsd", "gelsd_lwork"), dtype=np.float64
+)
+_GELSD_COND = np.finfo(np.float64).eps
+
+
+def _gelsd_workspace(n_rows: int, n_cols: int) -> tuple[int, int]:
+    """LAPACK work array sizes for one right-hand side."""
+    work, iwork, info = _GELSD_LWORK(n_rows, n_cols, 1, _GELSD_COND)
+    if info != 0:
+        raise ValueError(f"internal work array size computation failed: {info}")
+    return int(work.real), int(iwork)
+
+
+def _least_squares_rows(
+    A: np.ndarray, b: np.ndarray, workspace: tuple[int, int]
+) -> np.ndarray:
+    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, iwork = workspace
+    n_cols = A.shape[2]
+    out = np.empty((A.shape[0], n_cols))
+    for k in range(A.shape[0]):
+        x, _, _, info = _GELSD(A[k], b[k], lwork, iwork, _GELSD_COND, False, False)
+        if info > 0:
+            raise linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gelsd")
+        out[k] = x[:n_cols]
+    return out
+
+
+@dataclass(frozen=True)
+class GroupSolution:
+    """IRLS outcome of one model on tables sharing a support; row i is
+    table i.
+
+    ``flags[i]`` is None when the deviance of row i settled, otherwise the
+    reason its iteration stopped.  ``beta``, ``mu`` and ``deviance`` hold
+    the final iterate of the settled rows; ``change`` is each row's last
+    deviance change.
+    """
+
+    reduced: ReducedProblem
+    flags: tuple[str | None, ...]
+    beta: np.ndarray  # (tables, estimable parameters)
+    mu: np.ndarray  # (tables, retained cells)
+    deviance: np.ndarray
+    first_deviance: np.ndarray
+    change: np.ndarray
+
+
+def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
+    """A group none of whose rows can be iterated."""
+    nan = np.full(rows, np.nan)
+    empty = np.empty((rows, 0))
+    return GroupSolution(red, (flag,) * rows, empty, empty, nan, nan, nan)
+
+
+def solve_group(
+    model: ModelSpec,
+    tables: Sequence[CountTable],
+    settings: FitSettings = FitSettings(),
+) -> GroupSolution:
+    """IRLS for one model on every table of a group sharing one support.
+
+    The reduction, design matrix and rank check depend only on the
+    support, so they are computed once.  The elementwise steps run on a
+    (tables, cells) array, and each row's weighted least-squares step is
+    its own LAPACK ``gelsd`` solve, so every row is the result the loop
+    would give on that table alone.  Rows leave the iteration as they
+    converge or diverge.
+    """
+    if not tables:
+        raise ValueError("cannot fit an empty group")
+    support = tables[0].support
+    if any(t.support != support for t in tables):
+        raise ValueError("tables fitted as a group must share one support")
+    if tables[0].n_total == 0:
+        raise ValueError("cannot fit an empty table")
+    red = reduce_for_sparsity(model, tables[0])
+    rows = len(tables)
+    if not red.omega_dagger:
+        return _stopped(red, rows, "no_cells_left")
+    X = design_matrix(red.omega_dagger, red.theta_dagger)
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        return _stopped(red, rows, "parameter_redundant")
+    Y = np.array(
+        [[t.count(w) for w in red.omega_dagger] for t in tables], dtype=float
+    )
+    workspace = _gelsd_workspace(*X.shape)
+
+    # strictly positive working means for the log link; the first solve
+    # lands on an actual model fit and deviance is tracked from there.
+    # y, m, d and prev hold the rows still iterating; idx maps them to tables
+    beta = np.zeros((rows, X.shape[1]))
+    mu = np.zeros((rows, X.shape[0]))
+    dev = np.full(rows, np.inf)
+    first_dev = np.full(rows, np.nan)
+    change = np.full(rows, np.nan)
+    flags: list[str | None] = ["max_iterations"] * rows
+    idx = np.arange(rows)
+    y, m, prev = Y, Y + 0.5, None
+    for _ in range(settings.max_iter):
+        if not idx.size:
+            break
+        z = np.log(m) + (y - m) / m
+        sw = np.sqrt(m)
+        step = _least_squares_rows(X * sw[:, :, None], z * sw, workspace)
+        diverged = step.min(axis=1) < settings.alpha_floor
+        if diverged.any():
+            for r in idx[diverged]:
+                flags[r] = "diverged"
+            keep = ~diverged
+            idx, y, step = idx[keep], y[keep], step[keep]
+            prev = None if prev is None else prev[keep]
+        m = np.exp(np.matmul(X, step[:, :, None])[..., 0])
+        d = _poisson_deviance(y, m)
+        if prev is None:
+            first_dev[idx] = d
+        else:
+            ch = np.abs(d - prev)
+            change[idx] = ch
+            settled = (ch < settings.abs_tol) | (
+                ch < settings.rel_tol * np.maximum(1.0, np.abs(prev))
+            )
+            if settled.any():
+                done = idx[settled]
+                for r in done:
+                    flags[r] = None
+                beta[done], mu[done], dev[done] = step[settled], m[settled], d[settled]
+                keep = ~settled
+                idx, y, m, d = idx[keep], y[keep], m[keep], d[keep]
+        prev = d
+    return GroupSolution(red, tuple(flags), beta, mu, dev, first_dev, change)
+
+
 def fit(
-    model: ModelSpec, table: CountTable, settings: FitSettings = FitSettings()
+    model: ModelSpec,
+    table: CountTable,
+    settings: FitSettings = FitSettings(),
+    solved: tuple[GroupSolution, int] | None = None,
 ) -> FitResult:
     """Extended maximum likelihood fit of one model by IRLS.
+
+    This is the one-table case of ``solve_group``.  ``solved`` passes a
+    group solution that already holds ``table`` at the given row; the
+    result is then read from that row instead of solving again.
 
     Callers normally verify the existence criterion first; without it the
     fit may diverge, which is detected via the coefficient floor and
     reported as non-convergence.
     """
-    if table.n_total == 0:
-        raise ValueError("cannot fit an empty table")
-    red = reduce_for_sparsity(model, table)
-    if not red.omega_dagger:
-        return FitResult(model, STATUS_NOT_CONVERGED, flags=("no_cells_left",))
-    y = np.array([table.count(w) for w in red.omega_dagger], dtype=float)
-    X = design_matrix(red.omega_dagger, red.theta_dagger)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        return FitResult(model, STATUS_NOT_CONVERGED, flags=("parameter_redundant",))
-
-    # strictly positive working means for the log link; the first solve
-    # lands on an actual model fit and deviance is tracked from there
-    mu = y + 0.5
-    beta = np.zeros(X.shape[1])
-    first_dev: float | None = None
-    prev_dev: float | None = None
-    dev = math.inf
-    converged = False
-    diverged = False
-    change = math.nan
-    for _ in range(settings.max_iter):
-        eta = np.log(mu)
-        z = eta + (y - mu) / mu
-        sw = np.sqrt(mu)
-        beta, *_ = linalg.lstsq(X * sw[:, None], z * sw, lapack_driver="gelsd")
-        if np.min(beta) < settings.alpha_floor:
-            diverged = True
-            break
-        mu = np.exp(X @ beta)
-        dev = _poisson_deviance(y, mu)
-        if first_dev is None:
-            first_dev = dev
-        if prev_dev is not None:
-            change = abs(dev - prev_dev)
-            if change < settings.abs_tol or change < settings.rel_tol * max(
-                1.0, abs(prev_dev)
-            ):
-                converged = True
-                break
-        prev_dev = dev
-    if diverged or not converged:
-        flag = "diverged" if diverged else "max_iterations"
+    solution, i = solved if solved is not None else (
+        solve_group(model, [table], settings), 0
+    )
+    change = float(solution.change[i])
+    if solution.flags[i] is not None:
         return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change,
-                         flags=(flag,))
+                         flags=(solution.flags[i],))
 
-    alpha = {th: float(b) for th, b in zip(red.theta_dagger, beta)}
+    red = solution.reduced
+    alpha = {th: float(b) for th, b in zip(red.theta_dagger, solution.beta[i])}
     for th in red.minus_infinity_params:
         alpha[th] = -math.inf
-    mu_map = {w: float(m) for w, m in zip(red.omega_dagger, mu)}
+    mu_map = {w: float(m) for w, m in zip(red.omega_dagger, solution.mu[i])}
     bic = bic_from_mu(model, table, mu_map, settings, n_estimated=len(red.theta_dagger))
     m_hat = math.exp(alpha[0]) + table.n_total
-    if first_dev is not None and first_dev + 1e-8 < dev:
+    if solution.first_deviance[i] + 1e-8 < solution.deviance[i]:
         # deviance must not increase across IRLS iterations
         return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change,
                          flags=("deviance_increase",))
@@ -208,6 +325,18 @@ def fit(
         population_estimate=m_hat,
         deviance_change=change,
     )
+
+
+def fit_group(
+    model: ModelSpec,
+    tables: Sequence[CountTable],
+    settings: FitSettings = FitSettings(),
+) -> list[FitResult]:
+    """``fit`` on every table of a group sharing one support, with a single
+    IRLS run for the whole group.  Each table's result is still made by a
+    call to ``fit``, so anything wrapping ``fit`` sees one call per table."""
+    solution = solve_group(model, tables, settings)
+    return [fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
 
 
 def fit_or_reject(

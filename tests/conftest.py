@@ -3,7 +3,8 @@ import pytest
 
 from mseboot import CountTable, ModelSpec, enumerate_models
 
-# Korea sex-trafficking table: lists B, C, D mapped to bits 1, 2, 4.
+# The bundled Korea table (described under "Bundled data" in README.md):
+# lists B, C, D mapped to bits 1, 2, 4.
 KOREA_COUNTS = {
     0b111: 12,
     0b011: 54,

@@ -134,6 +134,15 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(ModelSpec.null_model(2), table)
 
+    def test_group_must_share_one_support(self, korea):
+        from mseboot.glm import fit_group
+
+        shrunk = CountTable.from_counts(3, {**korea.counts, 0b001: 0})
+        with pytest.raises(ValueError):
+            fit_group(ModelSpec.null_model(3), [korea, shrunk])
+        with pytest.raises(ValueError):
+            fit_group(ModelSpec.null_model(3), [])
+
 
 class TestBic:
     def test_penalty_difference_with_shared_mu(self, korea):

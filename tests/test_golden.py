@@ -1,0 +1,39 @@
+"""CLI JSON output at a fixed seed, byte for byte.
+
+The files under ``data/golden`` were written by the scalar IRLS loop
+before fitting was grouped by support.  Any change to what a command
+prints at a fixed seed, down to the last digit of a float, fails here.
+The bytes depend on the numpy and BLAS build as well as on the code; a
+file is rewritten with ``PYTHONPATH=src python -m mseboot.cli ARGS >
+tests/data/golden/NAME`` only from a commit whose output is known good.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from mseboot import cli
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {
+    "korea_sweep_reps200_seed53.json": [
+        "bootstrap", "--data", "fixture:korea", "--sweep", "--reps", "200", "--seed", "53",
+    ],
+    "table1_n1_ntop10_reps50_seed1.json": [
+        "bootstrap", "--data", "fixture:table1_n1", "--ntop", "10", "--reps", "50", "--seed", "1",
+    ],
+    "korea_diagnose_reps200_seed42.json": [
+        "diagnose", "--data", "fixture:korea", "--reps", "200", "--seed", "42",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(CASES[name]) == 0
+    assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()

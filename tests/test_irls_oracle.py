@@ -1,0 +1,75 @@
+"""The grouped IRLS kernel against the frozen scalar loop, bit for bit.
+
+Every comparison is ``==``: a fit that differs from the scalar loop in the
+last bit can flip a bootstrap count and so change the printed intervals.
+"""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+from mseboot import CountTable, enumerate_models, fit, support_key
+from mseboot.bootstrap import replicate_rng, resample
+from mseboot.glm import fit_group
+
+from conftest import KOREA_COUNTS, TABLE1, random_table
+from irls_oracle import oracle_fit
+
+FIXTURES = {"korea": (3, KOREA_COUNTS)} | {
+    f"table1_{k}": (4, v) for k, v in TABLE1.items()
+}
+
+
+def outcome(res):
+    return (res.status, res.flags, res.bic, res.population_estimate, res.alpha, res.mu)
+
+
+def by_support(tables):
+    groups = defaultdict(list)
+    for t in tables:
+        groups[support_key(t)].append(t)
+    return list(groups.values())
+
+
+def check_against_oracle(table, models, n_resamples, seed):
+    """Compare one table alone, then its resamples grouped by support.
+
+    Returns the number of (model, group) pairs whose rows ended with more
+    than one outcome.
+    """
+    groups = by_support(
+        [resample(table, replicate_rng(seed, i)) for i in range(n_resamples)]
+    )
+    mixed = 0
+    for model in models:
+        assert outcome(fit(model, table)) == outcome(oracle_fit(model, table))
+        for group in groups:
+            got = fit_group(model, group)
+            assert len(got) == len(group)
+            for t, res in zip(group, got):
+                assert outcome(res) == outcome(oracle_fit(model, t))
+            mixed += len({(r.status, r.flags) for r in got}) > 1
+    return mixed
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_fixture_matches_oracle(name):
+    t, counts = FIXTURES[name]
+    table = CountTable.from_counts(t, counts)
+    check_against_oracle(table, enumerate_models(t, t - 1).models, 6, seed=len(name))
+
+
+def test_sparse_random_tables_match_oracle_without_existence_gate():
+    # no existence check: these tables give diverged and redundant fits
+    # next to converged ones, sometimes within one support group
+    rng = np.random.default_rng(2024)
+    models = enumerate_models(4, 3).models[::6]
+    mixed = 0
+    outcomes = set()
+    for k in range(15):
+        table = random_table(rng, 4, zero_prob=0.5)
+        mixed += check_against_oracle(table, models, 4, seed=k)
+        outcomes |= {fit(m, table).flags for m in models}
+    assert mixed > 0
+    assert {(), ("diverged",), ("parameter_redundant",)} <= outcomes
