@@ -1,11 +1,21 @@
 """Existence of the extended maximum likelihood estimate.
 
-The check solves a small linear program in exact rational arithmetic: we
-maximize the slack s over all real cell vectors x with the model's
-marginal constraints, and the estimate exists iff the optimum is
-strictly positive.  Floating point is deliberately avoided because the
-verdict hinges on a strict inequality and the failure pattern is
-combinatorially delicate.
+The estimate exists iff the marginal-matching linear program has a
+strictly positive optimum: some real cell vector x with the model's
+margins is positive in every retained cell.  Writing x = n + z, that
+holds iff some direction z with A^T z = 0 is positive on every retained
+zero cell (Fienberg & Rinaldo 2012, Ann. Statist. 40(2); the program is
+the one of Chan, Silverman & Vincent 2021, JASA).
+
+``fr_check`` solves that question in floating point with HiGHS and
+accepts the answer only after an exact check in integer arithmetic:
+either a direction z as above, or a vector y = A w that vanishes on the
+positive cells and is nonzero and of one sign on the zero cells, which
+rules every such z out.  The float solution is first rounded to small
+rationals; when that does not verify, the vertex its active set names is
+solved exactly.  Only when neither certifies does the exact-rational
+simplex (``lp_max_s``) decide, so a float error can cost time but never
+change a verdict.
 
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
@@ -14,10 +24,14 @@ the support of the table.
 
 from __future__ import annotations
 
-import threading
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
+from scipy import optimize
 
 from .core import CountTable, ModelSpec, marginal_count, support_key
 from .glm import reduce_for_sparsity
@@ -25,6 +39,17 @@ from .glm import reduce_for_sparsity
 INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
+
+# how fr_check reached a verdict
+FAST_PATH = "fast_path"
+CERTIFIED = "certified"
+FALLBACK = "fallback"
+
+# a float this close to a bound is read as on it when the active set is
+# taken from the float solution; a wrong reading costs only the fallback
+ACTIVE_TOL = 1e-9
+# largest denominator tried when rounding a float vector to rationals
+MAX_DENOMINATOR = 10**4
 
 
 @dataclass(frozen=True)
@@ -146,6 +171,8 @@ def lp_max_s(problem: ExistenceProblem) -> tuple[str, Fraction | None]:
     Substituting y = x - s*1 (y >= 0) and splitting the free s gives a
     standard-form LP.  The all-ones parameter column bounds s above, so
     the program is never unbounded; infeasibility is reported distinctly.
+    This is the exact path ``fr_check`` falls back on when the float
+    solve cannot be certified.
     """
     n_cells = len(problem.omega)
     n_params = len(problem.theta)
@@ -169,49 +196,268 @@ def lp_max_s(problem: ExistenceProblem) -> tuple[str, Fraction | None]:
     return OPTIMAL, value
 
 
-def fr_check(model: ModelSpec, table: CountTable) -> bool:
+class FloatSolution(NamedTuple):
+    """HiGHS optimum of the direction LP solved by ``float_solve``."""
+
+    t: float  # the margin: z_i >= t on every zero cell
+    z: np.ndarray  # direction, one entry per retained cell
+    w: np.ndarray  # duals of A^T z = 0, one per parameter
+
+
+def float_solve(incidence: np.ndarray, zero: Sequence[int]) -> FloatSolution | None:
+    """Maximize t subject to A^T z = 0 and z_i >= t on the zero cells,
+    in floating point.
+
+    ``incidence`` is the cells x parameters 0/1 matrix A.  Each zero cell
+    is written z_i = t + s_i with 0 <= s_i <= 1, every other z_i lies in
+    [-1, 1] and t in [0, 1], so HiGHS sees only the parameter rows.  The
+    solve has no time limit and HiGHS runs deterministically, so the same
+    input gives the same solution.  None when HiGHS reports no optimum.
+    """
+    n_cells, n_params = incidence.shape
+    is_zero = np.zeros(n_cells, dtype=bool)
+    is_zero[zero] = True
+    c = np.zeros(n_cells + 1)
+    c[-1] = -1.0
+    a_eq = np.empty((n_params, n_cells + 1))
+    a_eq[:, :n_cells] = incidence.T
+    a_eq[:, -1] = incidence[is_zero].sum(axis=0)
+    bounds = np.ones((n_cells + 1, 2))
+    bounds[:n_cells, 0] = np.where(is_zero, 0.0, -1.0)
+    bounds[-1, 0] = 0.0
+    res = optimize.linprog(
+        c, A_eq=a_eq, b_eq=np.zeros(n_params), bounds=bounds, method="highs"
+    )
+    if res.status != 0:
+        return None
+    t = float(res.x[-1])
+    z = res.x[:-1].copy()
+    z[is_zero] += t
+    return FloatSolution(t, z, res.eqlin.marginals)
+
+
+def _common_scale(values: Sequence[Fraction]) -> list[int]:
+    """The rationals multiplied by the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _rounded(values: np.ndarray) -> list[int]:
+    """Integer multiple of the nearest small-denominator rationals."""
+    return _common_scale(
+        [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in values.tolist()]
+    )
+
+
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """One solution of rows . x = rhs, free unknowns at 0; None if the
+    system is inconsistent.
+
+    Fraction-free Gauss-Jordan elimination on integer rows, each reduced
+    by its gcd after every update.
+    """
+    n = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        found = next((k for k in range(r, len(aug)) if aug[k][col]), None)
+        if found is None:
+            continue
+        aug[r], aug[found] = aug[found], aug[r]
+        lead = aug[r]
+        p = lead[col]
+        for k, row in enumerate(aug):
+            f = row[col]
+            if k != r and f:
+                new = [p * a - f * b for a, b in zip(row, lead)]
+                g = math.gcd(*new)
+                aug[k] = [v // g for v in new] if g > 1 else new
+        pivots.append(col)
+    if any(row[-1] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(aug, pivots):
+        x[col] = Fraction(row[-1], row[col])
+    return x
+
+
+def _primal_vertex(
+    sol: FloatSolution, cells_of_param: list[list[int]], zero: Sequence[int]
+) -> list[int] | None:
+    """Exact direction at the vertex the float solution's active set names.
+
+    A cell on a bound keeps it: z_i = +-1 on a positive cell, z_i = t or
+    t + 1 on a zero cell, with t = 1 when t is on its upper bound.  The
+    other cells and t solve A^T z = 0.
+    """
+    z, t = sol.z.tolist(), sol.t
+    t_fixed = abs(t - 1) <= ACTIVE_TOL
+    # cell -> (a, b) for z_i = a t + b
+    bound: dict[int, tuple[int, int]] = {}
+    for i in zero:
+        for b in (0, 1):
+            if abs(z[i] - t - b) <= ACTIVE_TOL:
+                bound[i] = (0, 1 + b) if t_fixed else (1, b)
+    zero_set = set(zero)
+    for i, v in enumerate(z):
+        if i not in zero_set:
+            for b in (-1, 1):
+                if abs(v - b) <= ACTIVE_TOL:
+                    bound[i] = (0, b)
+    free = [i for i in range(len(z)) if i not in bound]
+    column = {i: k for k, i in enumerate(free)}
+    rows, rhs = [], []
+    for cells in cells_of_param:
+        row = [0] * (len(free) + 1)  # the last unknown is t
+        rest = 0
+        for i in cells:
+            if i in column:
+                row[column[i]] += 1
+            else:
+                a, b = bound[i]
+                row[-1] += a
+                rest -= b
+        rows.append(row)
+        rhs.append(rest)
+    x = _solve_exact(rows, rhs)
+    if x is None:
+        return None
+    exact = [Fraction(0)] * len(z)
+    for i, (a, b) in bound.items():
+        exact[i] = a * x[-1] + b
+    for i, k in column.items():
+        exact[i] = x[k]
+    return _common_scale(exact)
+
+
+def _dual_vertex(
+    incidence: Sequence[Sequence[int]], y: np.ndarray, zero: Sequence[int]
+) -> list[int] | None:
+    """Exact w whose A w is 0 on every cell except the zero cells where the
+    float y = A w is nonzero, and sums to -1 over those."""
+    pushed = {i for i in zero if abs(y[i]) > ACTIVE_TOL}
+    if not pushed:
+        return None
+    total = [sum(col) for col in zip(*(incidence[i] for i in pushed))]
+    kept = [list(row) for i, row in enumerate(incidence) if i not in pushed]
+    w = _solve_exact(kept + [total], [0] * len(kept) + [-1])
+    return None if w is None else _common_scale(w)
+
+
+def _proves_existence(
+    z: list[int] | None, cells_of_param: list[list[int]], zero: Sequence[int]
+) -> bool:
+    """z is positive on every zero cell and A^T z = 0 exactly."""
+    return (
+        z is not None
+        and all(z[i] > 0 for i in zero)
+        and all(sum(z[i] for i in cells) == 0 for cells in cells_of_param)
+    )
+
+
+def _proves_failure(
+    w: list[int] | None, params_of_cell: list[list[int]], zero: Sequence[int]
+) -> bool:
+    """y = A w vanishes on the positive cells and is nonzero and of one
+    sign on the zero cells, so y.z = 0 forbids z > 0 there."""
+    if w is None:
+        return False
+    y = [sum(w[j] for j in params) for params in params_of_cell]
+    zero_set = set(zero)
+    if any(v for i, v in enumerate(y) if i not in zero_set):
+        return False
+    on_zero = [y[i] for i in zero]
+    return any(on_zero) and (min(on_zero) >= 0 or max(on_zero) <= 0)
+
+
+def certify(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
+    """The float solve's verdict once an exact certificate confirms it.
+
+    ``zero`` lists the positions in ``problem.omega`` of the retained
+    cells with a zero count.  Rounding is tried first and the exact
+    vertex of the active set second; None when neither verifies.
+    """
+    incidence = np.array(problem.incidence, dtype=float)
+    sol = float_solve(incidence, zero)
+    if sol is None:
+        return None
+    if sol.t > ACTIVE_TOL:
+        cells_of_param = [
+            [i for i, row in enumerate(problem.incidence) if row[j]]
+            for j in range(len(problem.theta))
+        ]
+        if _proves_existence(_rounded(sol.z), cells_of_param, zero) or (
+            _proves_existence(_primal_vertex(sol, cells_of_param, zero),
+                              cells_of_param, zero)
+        ):
+            return True
+        return None
+    params_of_cell = [
+        [j for j, a in enumerate(row) if a] for row in problem.incidence
+    ]
+    if _proves_failure(_rounded(sol.w), params_of_cell, zero) or (
+        _proves_failure(_dual_vertex(problem.incidence, incidence @ sol.w, zero),
+                        params_of_cell, zero)
+    ):
+        return False
+    return None
+
+
+def fr_check(
+    model: ModelSpec, table: CountTable, tally: Counter | None = None
+) -> bool:
     """Whether the extended maximum likelihood estimate exists.
 
     Fast path: when every retained cell has a positive count the data
     vector itself is a feasible point with positive slack.  A table where
     the reduction removes every cell cannot identify any parameter.
+    Otherwise ``certify`` decides, and ``lp_max_s`` when it cannot.
+    ``tally``, when given, counts the route taken under ``FAST_PATH``,
+    ``CERTIFIED`` or ``FALLBACK``.
     """
     problem = ExistenceProblem.build(model, table)
-    if not problem.omega:
-        return False
-    if all(table.count(w) > 0 for w in problem.omega):
-        return True
-    status, s_star = lp_max_s(problem)
-    if status != OPTIMAL:
-        return False
-    return s_star > 0
+    zero = [i for i, w in enumerate(problem.omega) if table.count(w) == 0]
+    if not problem.omega or not zero:
+        verdict, route = bool(problem.omega), FAST_PATH
+    else:
+        verdict, route = certify(problem, zero), CERTIFIED
+        if verdict is None:
+            status, s_star = lp_max_s(problem)
+            verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
+    if tally is not None:
+        tally[route] += 1
+    return verdict
 
 
 @dataclass
 class ExistenceCache:
-    """Verdict cache keyed by (model, support); thread-safe, idempotent."""
+    """Verdict cache keyed by (model, support).
+
+    ``hits`` and ``misses`` count lookups; ``decided`` counts how the
+    misses were settled, under ``FAST_PATH``, ``CERTIFIED`` and
+    ``FALLBACK``.
+    """
 
     verdicts: dict[tuple[frozenset[int], str], bool] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    decided: Counter = field(default_factory=Counter)
 
     def check(self, model: ModelSpec, table: CountTable) -> bool:
         key = (model.params, support_key(table))
-        with self._lock:
-            cached = self.verdicts.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
+        cached = self.verdicts.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
         # evaluate on the 0/1 indicator of the support: the verdict only
         # depends on which cells are positive
         indicator = CountTable.from_counts(
             table.t, {w: 1 for w in table.support}
         )
-        verdict = fr_check(model, indicator)
-        with self._lock:
-            self.verdicts[key] = verdict
-            self.misses += 1
+        verdict = fr_check(model, indicator, self.decided)
+        self.verdicts[key] = verdict
+        self.misses += 1
         return verdict
 
 

@@ -133,10 +133,11 @@ def bic_from_mu(
         n_params = len(model.params)
     else:
         n_params = n_estimated
+    counts = [table.count(w) for w in mu]
+    log_factorials = special.gammaln(np.array(counts, dtype=float) + 1).tolist()
     dev = 0.0
-    for w, m in mu.items():
-        n = table.count(w)
-        dev += m - (n * math.log(m) if n > 0 else 0.0) + float(special.gammaln(n + 1))
+    for m, n, lf in zip(mu.values(), counts, log_factorials):
+        dev += m - (n * math.log(m) if n > 0 else 0.0) + lf
     return n_params * math.log(size) + 2.0 * dev
 
 

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +18,20 @@ from mseboot import (
     fr_check,
     lp_max_s,
 )
-from mseboot.existence import INFEASIBLE, OPTIMAL, ExistenceProblem, simplex_max
+from mseboot import existence, support_key
+from mseboot.bootstrap import replicate_rng, resample
+from mseboot.existence import (
+    CERTIFIED,
+    FALLBACK,
+    FAST_PATH,
+    INFEASIBLE,
+    OPTIMAL,
+    ExistenceProblem,
+    FloatSolution,
+    simplex_max,
+)
 
-from conftest import random_table
+from conftest import TABLE1, random_table
 
 
 def vertex_enumeration_max(c, A, b):
@@ -254,3 +268,125 @@ class TestCache:
         cache = ExistenceCache()
         for m in korea_space:
             assert cached_fr_check(m, korea, cache) == fr_check(m, korea)
+
+    def test_decided_counts_every_miss(self, korea, korea_space, table1):
+        cache = ExistenceCache()
+        for table in [korea, *table1.values()]:
+            space = korea_space if table.t == 3 else enumerate_models(4, 2)
+            for m in space:
+                cache.check(m, table)
+        assert sum(cache.decided.values()) == cache.misses
+        assert cache.decided[FAST_PATH] > 0 and cache.decided[CERTIFIED] > 0
+        assert cache.decided[FALLBACK] == 0
+
+
+@functools.cache
+def exact_verdict(model, table):
+    """The exact-rational simplex's answer, the oracle for ``fr_check``."""
+    problem = ExistenceProblem.build(model, table)
+    if not problem.omega:
+        return False
+    status, s = lp_max_s(problem)
+    return status == OPTIMAL and s > 0
+
+
+def assert_agrees(models, tables):
+    tally = Counter()
+    for table in tables:
+        for model in models:
+            assert fr_check(model, table, tally) == exact_verdict(model, table), (
+                model.notation(), support_key(table)
+            )
+    assert tally[FALLBACK] == 0
+    return tally
+
+
+def sparse_table(t, n_cells, seed):
+    """n_cells distinct nonempty histories with positive counts."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(np.arange(1, 1 << t), size=n_cells, replace=False)
+    return CountTable.from_counts(
+        t, {int(c): int(rng.poisson(3)) + 1 for c in cells}
+    )
+
+
+def all_pairs(t):
+    return ModelSpec.from_generators(
+        t, [(1 << a) | (1 << b) for a, b in itertools.combinations(range(t), 2)]
+    )
+
+
+class TestCertifiedCheck:
+    """The float solve with its exact certificate against the exact simplex."""
+
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_table1_and_resample_supports(self, name):
+        table = CountTable.from_counts(4, TABLE1[name])
+        supports = {support_key(table): table}
+        for i in range(50):
+            r = resample(table, replicate_rng(len(name) + 3, i))
+            supports.setdefault(support_key(r), r)
+        tally = assert_agrees(enumerate_models(4, 3).models, supports.values())
+        assert tally[CERTIFIED] > 0
+
+    def test_korea_space(self, korea, korea_space):
+        assert_agrees(korea_space.models, [korea])
+
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_sparse_random_tables(self, t):
+        rng = np.random.default_rng(40 + t)
+        models = enumerate_models(t, 2).models
+        tables = [random_table(rng, t, zero_prob=0.5) for _ in range(10)]
+        tally = assert_agrees(models[:: len(models) // 12], tables)
+        assert tally[CERTIFIED] > 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_triples(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        table = random_table(rng, 3, zero_prob=0.5)
+        space = enumerate_models(3, 2)
+        model = space.models[int(rng.integers(len(space)))]
+        assert_agrees([model], [table])
+
+    def test_rounding_failure_recovered_by_the_active_set(self, monkeypatch, table1):
+        # without the rounding shortcut every verdict comes from the exact
+        # vertex of the float solution's active set
+        monkeypatch.setattr(existence, "_rounded", lambda values: None)
+        tally = assert_agrees(enumerate_models(4, 3).models, table1.values())
+        assert tally[CERTIFIED] > 0
+
+    @pytest.mark.parametrize("name, exists", [("n1", True), ("n2", False)])
+    def test_wrong_float_solution_falls_back(self, monkeypatch, table1, abcd_model,
+                                             name, exists):
+        # report the opposite verdict: a non-existence vector for a model
+        # whose estimate exists and a direction for one whose does not
+        def wrong(incidence, zero):
+            n_cells, n_params = incidence.shape
+            if exists:
+                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
+            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
+
+        lp_calls = []
+        exact_lp = existence.lp_max_s
+        monkeypatch.setattr(existence, "float_solve", wrong)
+        monkeypatch.setattr(
+            existence, "lp_max_s", lambda p: lp_calls.append(p) or exact_lp(p)
+        )
+        cache = ExistenceCache()
+        assert cache.check(abcd_model, table1[name]) is exists
+        assert cache.decided == {FALLBACK: 1}
+        assert len(lp_calls) == 1
+
+    def test_width_t8_all_pairs_within_budget(self):
+        # the exact simplex needs minutes on this table
+        table = sparse_table(8, 60, seed=1)
+        tally = Counter()
+        start = time.perf_counter()
+        fr_check(all_pairs(8), table, tally)
+        assert time.perf_counter() - start < 2.0
+        assert tally == {CERTIFIED: 1}
+
+    def test_width_t6_all_pairs_matches_exact(self):
+        table = sparse_table(6, 60, seed=1)
+        tally = assert_agrees([all_pairs(6)], [table])
+        assert tally == {CERTIFIED: 1}

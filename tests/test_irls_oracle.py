@@ -9,12 +9,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mseboot import CountTable, enumerate_models, fit, support_key
+from mseboot import CountTable, ModelSpec, enumerate_models, fit, support_key
 from mseboot.bootstrap import replicate_rng, resample
-from mseboot.glm import fit_group
+from mseboot.glm import FitSettings, bic_from_mu, fit_group
 
 from conftest import KOREA_COUNTS, TABLE1, random_table
-from irls_oracle import oracle_fit
+from irls_oracle import oracle_bic_from_mu, oracle_fit
 
 FIXTURES = {"korea": (3, KOREA_COUNTS)} | {
     f"table1_{k}": (4, v) for k, v in TABLE1.items()
@@ -73,3 +73,22 @@ def test_sparse_random_tables_match_oracle_without_existence_gate():
         outcomes |= {fit(m, table).flags for m in models}
     assert mixed > 0
     assert {(), ("diverged",), ("parameter_redundant",)} <= outcomes
+
+
+@pytest.mark.parametrize("settings", [
+    FitSettings(),
+    FitSettings(sample_size="capture"),
+    FitSettings(count_all_params=False),
+])
+def test_bic_from_mu_matches_oracle(settings):
+    # counts up to 20000 and fitted means that are not the counts
+    rng = np.random.default_rng(7)
+    model = ModelSpec.from_notation("[12,13]", 3)
+    for scale in (1, 30, 1000, 20000):
+        counts = {m: int(rng.integers(0, scale + 1)) for m in range(1, 8)}
+        counts[1] = max(counts[1], 1)
+        table = CountTable.from_counts(3, counts)
+        mu = {m: float(rng.uniform(0.1, 2.0)) * (n + 0.5) for m, n in counts.items()}
+        assert bic_from_mu(model, table, mu, settings, n_estimated=5) == (
+            oracle_bic_from_mu(model, table, mu, settings, n_estimated=5)
+        )
