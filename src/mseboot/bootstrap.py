@@ -12,8 +12,11 @@ Determinism: each replicate draws from its own generator seeded by
 grouped by support, and each model is fitted once per group (one IRLS
 run for all of the group's tables); every replicate still gets exactly
 the estimate a fit of that table alone gives.  Jackknife tables are
-grouped the same way.  Replicates run in one thread; the ``workers``
-arguments are accepted for compatibility and ignored.
+grouped the same way.  The greedy search does the same round by round:
+all replicates' searches take one step together, and the models the
+round needs are checked and fitted once per (model, support).
+Replicates run in one thread; the ``workers`` arguments are accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .modelspace import (
     ModelSpace,
     RankTable,
     bic_ranks,
-    downhill_search,
+    downhill_lockstep,
     rank_order,
 )
 
@@ -459,30 +462,44 @@ def ntop_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _downhill_estimate(
-    table: CountTable,
+def _downhill_selected(
+    tables: Sequence[CountTable],
     l: int,
     starts: Sequence[ModelSpec],
     cache: ExistenceCache,
     settings: FitSettings,
-) -> tuple[ModelSpec, FitResult] | None:
-    """Best local BIC minimum over the given starts, or None."""
-    fits: dict[frozenset[int], FitResult] = {}
+) -> list[tuple[ModelSpec, float, float] | None]:
+    """(model, BIC, estimate) of the best local BIC minimum over the starts,
+    per table, or None.
 
-    def bic_of(model: ModelSpec) -> float:
-        res = fit_or_reject(model, table, cache.check, settings)
-        fits[model.params] = res
-        return res.bic
+    The searches of all tables advance in lockstep.  Each round's models
+    are grouped by (model, support): existence is checked once per group
+    and the group is fitted in one IRLS run.
+    """
+    keys = [support_key(t) for t in tables]
+    estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
 
-    shared: dict[frozenset[int], float] = {}
-    best: tuple[ModelSpec, float] | None = None
-    for start in starts:
-        found = downhill_search(start, l, bic_of, fit_cache=shared)
-        if found is not None and (best is None or found[1] < best[1]):
-            best = found
-    if best is None:
-        return None
-    return best[0], fits[best[0].params]
+    def evaluate(pairs: list[tuple[int, ModelSpec]]) -> list[float]:
+        bics = [math.inf] * len(pairs)
+        groups: dict[tuple[frozenset[int], str], list[int]] = {}
+        for n, (i, model) in enumerate(pairs):
+            groups.setdefault((model.params, keys[i]), []).append(n)
+        for rows in groups.values():
+            model = pairs[rows[0]][1]
+            group = [tables[pairs[n][0]] for n in rows]
+            if not cache.check(model, group[0]):
+                continue
+            for n, res in zip(rows, fit_group(model, group, settings)):
+                if res.converged:
+                    bics[n] = res.bic
+                    estimates[pairs[n][0]][model.params] = res.population_estimate
+        return bics
+
+    found = downhill_lockstep(len(tables), starts, l, evaluate)
+    return [
+        None if f is None else (f[0], f[1], estimates[i][f[0].params])
+        for i, f in enumerate(found)
+    ]
 
 
 def downhill_bootstrap(
@@ -498,6 +515,12 @@ def downhill_bootstrap(
 ) -> IntervalResult:
     """Bootstrap where each replicate's model is found by greedy descent
     from the null model (and any extra starts) instead of full selection.
+
+    The original table, then all B resamples, then all jackknife tables
+    are each searched together: every search takes one step per round,
+    and the models a round needs are fitted once per (model, support)
+    for every table sharing that support.  Raises ``ModelSpaceError``
+    before any fit when ``l`` is outside 1..t-1.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
@@ -506,23 +529,19 @@ def downhill_bootstrap(
     cache = cache if cache is not None else ExistenceCache()
     if starts is None:
         starts = [ModelSpec.null_model(table.t)]
-    found = _downhill_estimate(table, l, starts, cache, settings)
+
+    def selected(tables: Sequence[CountTable]) -> list[float | None]:
+        found = _downhill_selected(tables, l, starts, cache, settings)
+        return [None if f is None else f[2] for f in found]
+
+    (found,) = _downhill_selected([table], l, starts, cache, settings)
     if found is None:
         raise NoModelFoundError("greedy search found no model with finite BIC")
-    best_model, best_fit = found
-    m_hat = best_fit.population_estimate
-    assert m_hat is not None
+    best_model, _, m_hat = found
 
-    def one_boot(i: int) -> float | None:
-        rep = resample(table, replicate_rng(seed, i))
-        res = _downhill_estimate(rep, l, starts, cache, settings)
-        return None if res is None else res[1].population_estimate
-
-    boot = [one_boot(i) for i in range(B)]
-    jack = []
-    for mask, jt in jackknife_tables(table):
-        res = _downhill_estimate(jt, l, starts, cache, settings)
-        jack.append((mask, None if res is None else res[1].population_estimate))
+    boot = selected([resample(table, replicate_rng(seed, i)) for i in range(B)])
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    jack = list(zip(jack_masks, selected(jack_tables)))
     comps = bca_components(boot, jack, table, m_hat)
     return IntervalResult(
         point_estimate=m_hat,

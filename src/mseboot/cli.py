@@ -88,13 +88,13 @@ def _emit(payload: dict, fmt: str, out: str | None, to_text, to_csv=None) -> Non
 def _load_data(args) -> tuple[CountTable, list[str]]:
     if args.data is None:
         raise CliError("--data is required")
-    if args.data.startswith("fixture:"):
-        name = args.data.split(":", 1)[1]
-        if name not in FIXTURES:
-            raise CliError(f"unknown fixture {name!r}", EXIT_DATA)
-        return load_fixture(name)
     lists = args.lists.split(",") if getattr(args, "lists", None) else None
     try:
+        if args.data.startswith("fixture:"):
+            name = args.data.split(":", 1)[1]
+            if name not in FIXTURES:
+                raise CliError(f"unknown fixture {name!r}", EXIT_DATA)
+            return load_fixture(name, lists)
         return load_table(args.data, lists)
     except FileNotFoundError:
         raise CliError(f"data file not found: {args.data}", EXIT_DATA) from None

@@ -114,9 +114,14 @@ def dump_table(table: CountTable, names: list[str] | None = None) -> str:
     return out.getvalue()
 
 
-def load_fixture(name: str) -> tuple[CountTable, list[str]]:
-    """Bundled datasets: 'korea' and the four 'table1_n*' sparse vectors."""
+def load_fixture(
+    name: str, lists: list[str] | None = None
+) -> tuple[CountTable, list[str]]:
+    """Bundled datasets: 'korea' and the four 'table1_n*' sparse vectors.
+
+    ``lists`` selects list columns as in ``parse_table``.
+    """
     if name not in FIXTURES:
         raise ValueError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
     text = resources.files("mseboot.data").joinpath(f"{name}.csv").read_text("utf-8")
-    return parse_table(text)
+    return parse_table(text, lists)

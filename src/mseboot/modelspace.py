@@ -31,6 +31,11 @@ def _higher_terms(t: int, l: int) -> list[int]:
     )
 
 
+def _check_max_order(t: int, l: int) -> None:
+    if not 1 <= l <= t - 1:
+        raise ModelSpaceError(f"maximum order must be in 1..t-1, got l={l}")
+
+
 def _immediate_subs(mask: int) -> list[int]:
     """Order-(k-1) subsets of a mask of order k."""
     return [mask & ~(1 << i) for i in range(mask.bit_length()) if mask >> i & 1]
@@ -96,8 +101,7 @@ def enumerate_models(
         l = t - 1
     if not 2 <= t:
         raise ModelSpaceError(f"need at least 2 lists, got t={t}")
-    if not 1 <= l <= t - 1:
-        raise ModelSpaceError(f"maximum order must be in 1..t-1, got l={l}")
+    _check_max_order(t, l)
     base = frozenset([0] + [1 << i for i in range(t)])
     elems = _higher_terms(t, l)
     models: list[ModelSpec] = []
@@ -201,6 +205,71 @@ def rank_order(space: ModelSpace, rank_table: RankTable, degree: int = 1) -> lis
     return sorted(range(len(space)), key=lambda i: keys[i])
 
 
+def downhill_lockstep(
+    n_tables: int,
+    starts: Sequence[ModelSpec],
+    l: int,
+    evaluate: Callable[[list[tuple[int, ModelSpec]]], Sequence[float]],
+    memos: list[dict[frozenset[int], float]] | None = None,
+) -> list[tuple[ModelSpec, float] | None]:
+    """Greedy descent from every start on each of ``n_tables`` tables at once.
+
+    Every (table, start) search takes one step per round.  A round first
+    gathers, in one call to ``evaluate``, the BIC of each (table index,
+    model) pair that some search needs and that table's memo lacks: the
+    current model and all its neighbours (inf for existence failures or
+    non-convergence).  Each search then moves to its strictly smallest
+    neighbour if that improves on the current BIC, the canonically first
+    one on ties, and stops otherwise.  Per table, the result is the best
+    local minimum over the starts (taken in start order, strictly
+    smaller wins), or None when no start reached a finite BIC.  ``memos``
+    holds each table's BICs by model and is shared by its starts.
+    """
+    for t in {s.t for s in starts}:
+        _check_max_order(t, l)
+    memos = memos if memos is not None else [{} for _ in range(n_tables)]
+    moves: dict[frozenset[int], list[ModelSpec]] = {}
+    # [table, start index, current model]; a search leaves when it stops
+    active = [[i, k, s] for i in range(n_tables) for k, s in enumerate(starts)]
+    ends: dict[tuple[int, int], tuple[ModelSpec, float]] = {}
+    while active:
+        pending: dict[tuple[int, frozenset[int]], ModelSpec] = {}
+        for i, _, model in active:
+            if model.params not in moves:
+                moves[model.params] = neighbors(model, l)
+            for cand in (model, *moves[model.params]):
+                if cand.params not in memos[i]:
+                    pending.setdefault((i, cand.params), cand)
+        if pending:
+            pairs = [(i, cand) for (i, _), cand in pending.items()]
+            for (i, cand), bic in zip(pairs, evaluate(pairs)):
+                memos[i][cand.params] = bic
+        still = []
+        for search in active:
+            i, k, model = search
+            memo = memos[i]
+            best_n, best_bic = None, math.inf
+            for cand in moves[model.params]:
+                b = memo[cand.params]
+                if b < best_bic:
+                    best_n, best_bic = cand, b
+            if best_n is not None and best_bic < memo[model.params]:
+                search[2] = best_n
+                still.append(search)
+            else:
+                ends[i, k] = model, memo[model.params]
+        active = still
+    out: list[tuple[ModelSpec, float] | None] = []
+    for i in range(n_tables):
+        best = None
+        for k in range(len(starts)):
+            model, bic = ends[i, k]
+            if not math.isinf(bic) and (best is None or bic < best[1]):
+                best = model, bic
+        out.append(best)
+    return out
+
+
 def downhill_search(
     start: ModelSpec,
     l: int,
@@ -213,36 +282,22 @@ def downhill_search(
     non-convergence).  At each step all neighbours are evaluated and the
     move goes to the strictly smallest BIC if it improves, canonically
     first model on ties.  Returns None when neither the start nor any
-    model reached has a finite BIC.
+    model reached has a finite BIC.  This is the one-table, one-start
+    case of ``downhill_lockstep``.
     """
-    cache = fit_cache if fit_cache is not None else {}
-
-    def evaluate(model: ModelSpec) -> float:
-        key = model.params
-        if key not in cache:
-            cache[key] = fitter(model)
-        return cache[key]
-
-    current, current_bic = start, evaluate(start)
-    while True:
-        best_n, best_bic = None, math.inf
-        for cand in neighbors(current, l):
-            b = evaluate(cand)
-            if b < best_bic:
-                best_n, best_bic = cand, b
-        if best_n is not None and best_bic < current_bic:
-            current, current_bic = best_n, best_bic
-        else:
-            break
-    if math.isinf(current_bic):
-        return None
-    return current, current_bic
+    memo = fit_cache if fit_cache is not None else {}
+    return downhill_lockstep(
+        1, [start], l, lambda pairs: [fitter(m) for _, m in pairs], [memo]
+    )[0]
 
 
 def random_order2_starts(
     t: int, n_pairs: int, count: int, rng: np.random.Generator
 ) -> list[ModelSpec]:
     """Random order-2 starting models, each from distinct uniform pairs."""
+    if t < 3:
+        # the only pair of two lists makes the saturated model
+        raise ModelSpaceError(f"random order-2 starts need at least 3 lists, got t={t}")
     pairs = [m for m in range(1 << t) if order(m) == 2]
     if n_pairs > len(pairs):
         raise ModelSpaceError(f"requested {n_pairs} pairs but only {len(pairs)} exist")

@@ -20,12 +20,14 @@ from mseboot import (
     restricted_bootstrap,
     select_best_bic,
 )
+from mseboot import glm
 from mseboot.bootstrap import (
     _evaluate_models,
     _record_fill,
     adjusted_level,
     replicate_rng,
 )
+from mseboot.modelspace import ModelSpaceError
 
 from conftest import random_table
 
@@ -241,6 +243,19 @@ class TestDownhillBootstrap:
         model, fit_res = select_best_bic(korea_space.models, table)
         assert res.selected_model == model.notation()
         assert res.point_estimate == pytest.approx(fit_res.population_estimate)
+
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_max_order_outside_range_rejected_before_any_fit(self, l, monkeypatch):
+        # on this table a search with l=3 reaches [12,13,23] and would
+        # propose the saturated model
+        table = CountTable.from_counts(
+            3, {1: 300, 2: 300, 4: 300, 3: 20, 5: 20, 6: 20, 7: 200}
+        )
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        with pytest.raises(ModelSpaceError, match=f"1..t-1, got l={l}"):
+            downhill_bootstrap(table, l=l, B=2, seed=1)
+        assert calls == []
 
     def test_extra_starts_never_worse_on_original(self, korea):
         from mseboot import random_order2_starts

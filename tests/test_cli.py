@@ -1,8 +1,9 @@
 import json
+from importlib import resources
 
 import pytest
 
-from mseboot import load_fixture, parse_table
+from mseboot import glm, load_fixture, parse_table
 from mseboot.cli import main
 from mseboot.io import DataFormatError, dump_table, load_table
 
@@ -177,3 +178,49 @@ class TestCli:
         assert code == 0
         table, _ = parse_table(out)
         assert table == load_fixture("korea")[0]
+
+    @pytest.mark.parametrize("max_order", ["0", "3"])
+    def test_downhill_max_order_outside_range_exits_2_up_front(
+        self, capsys, tmp_path, monkeypatch, max_order
+    ):
+        path = tmp_path / "three.csv"
+        path.write_text(
+            "X,Y,Z,count\n1,0,0,300\n0,1,0,300\n0,0,1,300\n1,1,0,20\n"
+            "1,0,1,20\n0,1,1,20\n1,1,1,200\n"
+        )
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            capsys, "bootstrap", "--data", str(path), "--method", "downhill",
+            "--max-order", max_order, "--reps", "5",
+        )
+        assert code == 2 and out == "" and calls == []
+        assert json.loads(err)["message"] == (
+            f"maximum order must be in 1..t-1, got l={max_order}"
+        )
+
+    def test_downhill_starts_on_two_lists_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("L1,L2,count\n1,1,10\n1,0,20\n0,1,30\n")
+        code, _, err = run_cli(
+            capsys, "bootstrap", "--data", str(path), "--method", "downhill",
+            "--starts", "2", "--reps", "5",
+        )
+        assert code == 2
+        assert "at least 3 lists" in json.loads(err)["message"]
+
+    def test_lists_selects_columns_of_a_fixture_as_of_a_file(self, capsys, tmp_path):
+        path = tmp_path / "korea.csv"
+        path.write_text(
+            resources.files("mseboot.data").joinpath("korea.csv").read_text("utf-8")
+        )
+        args = ["bootstrap", "--lists", "B,C", "--reps", "20", "--seed", "1"]
+        # histories that differ only on list D merge
+        with pytest.warns(UserWarning, match="duplicate"):
+            code, from_fixture, _ = run_cli(capsys, *args, "--data", "fixture:korea")
+        assert code == 0
+        with pytest.warns(UserWarning, match="duplicate"):
+            code, from_file, _ = run_cli(capsys, *args, "--data", str(path))
+        assert code == 0
+        assert from_fixture == from_file
+        assert json.loads(from_fixture)["lists"] == ["B", "C"]

@@ -1,8 +1,11 @@
 """CLI JSON output at a fixed seed, byte for byte.
 
-The files under ``data/golden`` were written by the scalar IRLS loop
-before fitting was grouped by support.  Any change to what a command
-prints at a fixed seed, down to the last digit of a float, fails here.
+The first three files under ``data/golden`` were written by the scalar
+IRLS loop before fitting was grouped by support; the two downhill files
+were written by the one-table-at-a-time greedy search before the
+searches of all replicates ran in lockstep.  Any change to what a
+command prints at a fixed seed, down to the last digit of a float,
+fails here.
 The bytes depend on the numpy and BLAS build as well as on the code; a
 file is rewritten with ``PYTHONPATH=src python -m mseboot.cli ARGS >
 tests/data/golden/NAME`` only from a commit whose output is known good.
@@ -27,6 +30,14 @@ CASES = {
     ],
     "korea_diagnose_reps200_seed42.json": [
         "diagnose", "--data", "fixture:korea", "--reps", "200", "--seed", "42",
+    ],
+    "korea_downhill_reps200_seed42_starts2.json": [
+        "bootstrap", "--data", "fixture:korea", "--method", "downhill",
+        "--reps", "200", "--seed", "42", "--starts", "2",
+    ],
+    "table1_n2_downhill_reps50_seed2.json": [
+        "bootstrap", "--data", "fixture:table1_n2", "--method", "downhill",
+        "--reps", "50", "--seed", "2",
     ],
 }
 

@@ -214,6 +214,13 @@ class TestDownhill:
         )
         assert found is None
 
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_max_order_outside_range_rejected_before_any_fit(self, l):
+        calls = []
+        with pytest.raises(ModelSpaceError, match=f"1..t-1, got l={l}"):
+            downhill_search(ModelSpec.null_model(3), l, calls.append)
+        assert calls == []
+
 
 class TestRandomStarts:
     def test_t3_all_pairs_unique(self):
@@ -233,6 +240,11 @@ class TestRandomStarts:
         a = random_order2_starts(5, 5, 5, np.random.default_rng(10))
         b = random_order2_starts(5, 5, 5, np.random.default_rng(10))
         assert a == b
+
+    def test_two_lists_rejected(self):
+        # the only pair of two lists is the saturated model
+        with pytest.raises(ModelSpaceError, match="at least 3 lists"):
+            random_order2_starts(2, 1, 1, np.random.default_rng(0))
 
     def test_too_many_pairs_rejected(self):
         with pytest.raises(ModelSpaceError):
