@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 from scipy.special import ndtr, ndtri
 
 from .core import CountTable, ModelSpec, support_key
 from .existence import ExistenceCache
 from .glm import (
+    ChisqResult,
     FitResult,
     FitSettings,
     NoModelFoundError,
@@ -242,15 +242,19 @@ def _evaluate_models(
     where not estimable.
 
     The existence verdict depends only on the support, so it is checked
-    once per (model, support), and each model is fitted to all tables of
-    a support in one grouped IRLS run.
+    once per (model, support), all in one ``check_many`` call, and each
+    model is fitted to all tables of a support in one grouped IRLS run.
     """
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
-    for rows in _support_groups(tables):
+    groups = _support_groups(tables)
+    exists = iter(cache.check_many(
+        [(model, tables[rows[0]]) for rows in groups for model in models]
+    ))
+    for rows in groups:
         group = [tables[i] for i in rows]
         for j, model in enumerate(models):
-            if not cache.check(model, group[0]):
+            if not next(exists):
                 continue
             for i, res in zip(rows, fit_group(model, group, settings)):
                 if res.converged:
@@ -274,7 +278,8 @@ def original_fits(
     settings: FitSettings,
 ) -> tuple[np.ndarray, np.ndarray, list[FitResult]]:
     """Fit the whole space on the original data, canonically ordered."""
-    fits = [fit_or_reject(m, table, cache.check, settings) for m in space]
+    exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
+    fits = [fit_or_reject(m, table, lambda m, _: exists[m], settings) for m in space]
     bics = np.array([f.bic for f in fits])
     ests = np.array(
         [f.population_estimate if f.converged else np.nan for f in fits]
@@ -473,8 +478,9 @@ def _downhill_selected(
     per table, or None.
 
     The searches of all tables advance in lockstep.  Each round's models
-    are grouped by (model, support): existence is checked once per group
-    and the group is fitted in one IRLS run.
+    are grouped by (model, support): existence is checked once per group,
+    for all of the round's groups in one ``check_many`` call, and the
+    group is fitted in one IRLS run.
     """
     keys = [support_key(t) for t in tables]
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
@@ -484,11 +490,14 @@ def _downhill_selected(
         groups: dict[tuple[frozenset[int], str], list[int]] = {}
         for n, (i, model) in enumerate(pairs):
             groups.setdefault((model.params, keys[i]), []).append(n)
-        for rows in groups.values():
+        exists = cache.check_many(
+            [(pairs[rows[0]][1], tables[pairs[rows[0]][0]]) for rows in groups.values()]
+        )
+        for rows, ok in zip(groups.values(), exists):
+            if not ok:
+                continue
             model = pairs[rows[0]][1]
             group = [tables[pairs[n][0]] for n in rows]
-            if not cache.check(model, group[0]):
-                continue
             for n, res in zip(rows, fit_group(model, group, settings)):
                 if res.converged:
                     bics[n] = res.bic
@@ -574,13 +583,24 @@ def chisq_bootstrap(
 
     Replicates where no model falls in the p-value window are excluded
     and counted; the resulting interval therefore carries a validity
-    caveat (the exclusions are reported, not imputed).
+    caveat (the exclusions are reported, not imputed).  Existence over
+    the space is checked for each table in one ``check_many`` call.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
     cache = cache if cache is not None else ExistenceCache()
-    checker = cache.check
-    chosen = select_by_chisq(space.models, table, p_lo, p_hi, checker, settings)
+
+    def select(t: CountTable) -> ChisqResult | None:
+        exists = dict(zip(space.models, cache.check_many([(m, t) for m in space])))
+        return select_by_chisq(
+            space.models, t, p_lo, p_hi, lambda m, _: exists[m], settings
+        )
+
+    def estimate(t: CountTable) -> float | None:
+        res = select(t)
+        return None if res is None else res.fit.population_estimate
+
+    chosen = select(table)
     if chosen is None:
         raise NoModelFoundError(
             "no model falls in the requested p-value window on the original data"
@@ -588,16 +608,8 @@ def chisq_bootstrap(
     m_hat = chosen.fit.population_estimate
     assert m_hat is not None
 
-    def one_boot(i: int) -> float | None:
-        rep = resample(table, replicate_rng(seed, i))
-        res = select_by_chisq(space.models, rep, p_lo, p_hi, checker, settings)
-        return None if res is None else res.fit.population_estimate
-
-    boot = [one_boot(i) for i in range(B)]
-    jack = []
-    for mask, jt in jackknife_tables(table):
-        res = select_by_chisq(space.models, jt, p_lo, p_hi, checker, settings)
-        jack.append((mask, None if res is None else res.fit.population_estimate))
+    boot = [estimate(resample(table, replicate_rng(seed, i))) for i in range(B)]
+    jack = [(mask, estimate(jt)) for mask, jt in jackknife_tables(table)]
     comps = bca_components(boot, jack, table, m_hat)
     flags = comps.flags + (("replicates_excluded",) if comps.excluded_boot else ())
     return IntervalResult(
@@ -650,6 +662,10 @@ def diagnostics(
     fits exist, and the position of the replicate's best model in the
     degree-1 and degree-2 orderings of the original data.
     """
+    # imported here: scipy.stats is a large share of the package's import
+    # time and memory, and nothing else needs it
+    from scipy import stats
+
     cache = cache if cache is not None else ExistenceCache()
     bics0, _, _ = original_fits(table, space, cache, settings)
     if not np.isfinite(bics0).any():

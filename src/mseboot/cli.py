@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import CountTable, ModelSpec, history_to_str
-from .existence import ExistenceCache, cached_fr_check
+from .existence import ExistenceCache
 from .glm import FitSettings, NoModelFoundError, fit_or_reject, select_best_bic
 from .io import FIXTURES, DataFormatError, dump_table, load_fixture, load_table
 from .modelspace import ModelSpaceError, enumerate_models, random_order2_starts
@@ -152,14 +152,16 @@ def cmd_fit(args) -> int:
     settings = _settings(args)
     l = args.max_order if args.max_order is not None else table.t - 1
     cache = ExistenceCache()
-    checker = lambda m, t: cached_fr_check(m, t, cache)
     space = enumerate_models(table.t, l)
-    fr_failures = [m.notation() for m in space if not checker(m, table)]
+    exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
+    fr_failures = [m.notation() for m in space if not exists[m]]
     if args.model == "best":
-        model, res = select_best_bic(space.models, table, checker, settings)
+        model, res = select_best_bic(
+            space.models, table, lambda m, _: exists[m], settings
+        )
     else:
         model = ModelSpec.from_notation(args.model, table.t)
-        res = fit_or_reject(model, table, checker, settings)
+        res = fit_or_reject(model, table, cache.check, settings)
     payload = {
         "lists": names,
         "n_total": table.n_total,

@@ -19,7 +19,12 @@ change a verdict.
 
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
-the support of the table.
+the support of the table.  ``ExistenceCache.check_many`` answers a list
+of pairs at once: the programs of all its misses are independent, so
+``float_solve`` stacks them as the blocks of one block-diagonal program
+and solves up to ``CHUNK`` of them per HiGHS call.  Each block is still
+certified on its own; a block that does not certify is solved again
+alone before ``lp_max_s`` is tried.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from .core import CountTable, ModelSpec, marginal_count, support_key
 from .glm import reduce_for_sparsity
@@ -50,6 +56,10 @@ FALLBACK = "fallback"
 ACTIVE_TOL = 1e-9
 # largest denominator tried when rounding a float vector to rationals
 MAX_DENOMINATOR = 10**4
+# most programs stacked into one HiGHS solve: from a few dozen on, a
+# stack costs a third or less per program of solving them one by one,
+# while stacks of many hundreds cost more per program and hold more memory
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,17 @@ class ExistenceProblem:
         )
         nu = tuple(marginal_count(table, th) for th in red.theta_dagger)
         return ExistenceProblem(red.omega_dagger, red.theta_dagger, incidence, nu)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``incidence`` as a float cells x parameters array."""
+        return np.array(self.incidence, dtype=float).reshape(
+            len(self.omega), len(self.theta)
+        )
+
+    def zero_cells(self, table: CountTable) -> list[int]:
+        """Positions in ``omega`` of the retained cells ``table`` leaves at 0."""
+        return [i for i, w in enumerate(self.omega) if table.count(w) == 0]
 
 
 def simplex_max(
@@ -204,36 +225,61 @@ class FloatSolution(NamedTuple):
     w: np.ndarray  # duals of A^T z = 0, one per parameter
 
 
-def float_solve(incidence: np.ndarray, zero: Sequence[int]) -> FloatSolution | None:
-    """Maximize t subject to A^T z = 0 and z_i >= t on the zero cells,
-    in floating point.
+def float_solve(
+    blocks: Sequence[tuple[np.ndarray, Sequence[int]]],
+) -> list[FloatSolution | None]:
+    """For every block (A, zero): maximize t subject to A^T z = 0 and
+    z_i >= t on the zero cells, in floating point.
 
-    ``incidence`` is the cells x parameters 0/1 matrix A.  Each zero cell
-    is written z_i = t + s_i with 0 <= s_i <= 1, every other z_i lies in
-    [-1, 1] and t in [0, 1], so HiGHS sees only the parameter rows.  The
-    solve has no time limit and HiGHS runs deterministically, so the same
-    input gives the same solution.  None when HiGHS reports no optimum.
+    ``A`` is the cells x parameters 0/1 incidence matrix and ``zero`` the
+    positions of the zero cells.  Each zero cell is written z_i = t + s_i
+    with 0 <= s_i <= 1, every other z_i lies in [-1, 1] and t in [0, 1],
+    so HiGHS sees only the parameter rows.  The blocks share no variable,
+    so up to ``CHUNK`` of them are stacked into one block-diagonal program
+    that maximizes the sum of their margins; any optimum of the stack is
+    an optimum of every block, and so are the blocks' slices of the
+    equality duals.  The solve has no time limit and HiGHS runs
+    deterministically, so the same input gives the same solutions.  An
+    entry is None when HiGHS reports no optimum for its chunk.
     """
-    n_cells, n_params = incidence.shape
-    is_zero = np.zeros(n_cells, dtype=bool)
-    is_zero[zero] = True
-    c = np.zeros(n_cells + 1)
-    c[-1] = -1.0
-    a_eq = np.empty((n_params, n_cells + 1))
-    a_eq[:, :n_cells] = incidence.T
-    a_eq[:, -1] = incidence[is_zero].sum(axis=0)
-    bounds = np.ones((n_cells + 1, 2))
-    bounds[:n_cells, 0] = np.where(is_zero, 0.0, -1.0)
-    bounds[-1, 0] = 0.0
-    res = optimize.linprog(
-        c, A_eq=a_eq, b_eq=np.zeros(n_params), bounds=bounds, method="highs"
-    )
-    if res.status != 0:
-        return None
-    t = float(res.x[-1])
-    z = res.x[:-1].copy()
-    z[is_zero] += t
-    return FloatSolution(t, z, res.eqlin.marginals)
+    out: list[FloatSolution | None] = []
+    for first in range(0, len(blocks), CHUNK):
+        chunk = blocks[first:first + CHUNK]
+        a_eq, cost, bounds, is_zero = [], [], [], []
+        for incidence, zero in chunk:
+            n_cells = incidence.shape[0]
+            cells = np.zeros(n_cells, dtype=bool)
+            cells[zero] = True
+            is_zero.append(cells)
+            a_eq.append(np.column_stack([incidence.T, incidence[cells].sum(axis=0)]))
+            c = np.zeros(n_cells + 1)
+            c[-1] = -1.0
+            cost.append(c)
+            b = np.ones((n_cells + 1, 2))
+            b[:n_cells, 0] = np.where(cells, 0.0, -1.0)
+            b[-1, 0] = 0.0
+            bounds.append(b)
+        n_rows = sum(a.shape[0] for a in a_eq)
+        res = optimize.linprog(
+            np.concatenate(cost),
+            A_eq=sparse.block_diag(a_eq, format="csr"),
+            b_eq=np.zeros(n_rows),
+            bounds=np.vstack(bounds),
+            method="highs",
+        )
+        if res.status != 0:
+            out += [None] * len(chunk)
+            continue
+        col = row = 0
+        for a, cells in zip(a_eq, is_zero):
+            n_params, width = a.shape
+            x = res.x[col:col + width]
+            t = float(x[-1])
+            z = x[:-1].copy()
+            z[cells] += t
+            out.append(FloatSolution(t, z, res.eqlin.marginals[row:row + n_params]))
+            col, row = col + width, row + n_params
+    return out
 
 
 def _common_scale(values: Sequence[Fraction]) -> list[int]:
@@ -371,15 +417,16 @@ def _proves_failure(
     return any(on_zero) and (min(on_zero) >= 0 or max(on_zero) <= 0)
 
 
-def certify(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
-    """The float solve's verdict once an exact certificate confirms it.
+def certify(
+    problem: ExistenceProblem, zero: Sequence[int], sol: FloatSolution | None
+) -> bool | None:
+    """The float solution's verdict once an exact certificate confirms it.
 
     ``zero`` lists the positions in ``problem.omega`` of the retained
-    cells with a zero count.  Rounding is tried first and the exact
-    vertex of the active set second; None when neither verifies.
+    cells with a zero count, and ``sol`` is ``float_solve``'s answer for
+    them.  Rounding is tried first and the exact vertex of the active set
+    second; None when neither verifies or there is no float solution.
     """
-    incidence = np.array(problem.incidence, dtype=float)
-    sol = float_solve(incidence, zero)
     if sol is None:
         return None
     if sol.t > ACTIVE_TOL:
@@ -397,7 +444,7 @@ def certify(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
         [j for j, a in enumerate(row) if a] for row in problem.incidence
     ]
     if _proves_failure(_rounded(sol.w), params_of_cell, zero) or (
-        _proves_failure(_dual_vertex(problem.incidence, incidence @ sol.w, zero),
+        _proves_failure(_dual_vertex(problem.incidence, problem.matrix @ sol.w, zero),
                         params_of_cell, zero)
     ):
         return False
@@ -405,7 +452,10 @@ def certify(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
 
 
 def fr_check(
-    model: ModelSpec, table: CountTable, tally: Counter | None = None
+    model: ModelSpec,
+    table: CountTable,
+    tally: Counter | None = None,
+    solved: tuple[ExistenceProblem, FloatSolution | None] | None = None,
 ) -> bool:
     """Whether the extended maximum likelihood estimate exists.
 
@@ -413,15 +463,25 @@ def fr_check(
     vector itself is a feasible point with positive slack.  A table where
     the reduction removes every cell cannot identify any parameter.
     Otherwise ``certify`` decides, and ``lp_max_s`` when it cannot.
-    ``tally``, when given, counts the route taken under ``FAST_PATH``,
-    ``CERTIFIED`` or ``FALLBACK``.
+
+    ``solved`` passes the problem already built for this pair and its
+    float solution from a batched ``float_solve`` (None when it was not
+    solved); when that solution does not certify, the problem is solved
+    again on its own before ``lp_max_s`` runs.  ``tally``, when given,
+    counts the route taken under ``FAST_PATH``, ``CERTIFIED`` or
+    ``FALLBACK``.
     """
-    problem = ExistenceProblem.build(model, table)
-    zero = [i for i, w in enumerate(problem.omega) if table.count(w) == 0]
+    problem, batched = solved if solved is not None else (
+        ExistenceProblem.build(model, table), None
+    )
+    zero = problem.zero_cells(table)
     if not problem.omega or not zero:
         verdict, route = bool(problem.omega), FAST_PATH
     else:
-        verdict, route = certify(problem, zero), CERTIFIED
+        verdict, route = certify(problem, zero, batched), CERTIFIED
+        if verdict is None:
+            (alone,) = float_solve([(problem.matrix, zero)])
+            verdict = certify(problem, zero, alone)
         if verdict is None:
             status, s_star = lp_max_s(problem)
             verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
@@ -430,13 +490,19 @@ def fr_check(
     return verdict
 
 
+def _indicator(table: CountTable) -> CountTable:
+    """The 0/1 table of ``table``'s support."""
+    return CountTable.from_counts(table.t, {w: 1 for w in table.support})
+
+
 @dataclass
 class ExistenceCache:
     """Verdict cache keyed by (model, support).
 
     ``hits`` and ``misses`` count lookups; ``decided`` counts how the
     misses were settled, under ``FAST_PATH``, ``CERTIFIED`` and
-    ``FALLBACK``.
+    ``FALLBACK``.  Verdicts are computed on the 0/1 indicator of the
+    support, since they depend only on which cells are positive.
     """
 
     verdicts: dict[tuple[frozenset[int], str], bool] = field(default_factory=dict)
@@ -444,21 +510,54 @@ class ExistenceCache:
     misses: int = 0
     decided: Counter = field(default_factory=Counter)
 
-    def check(self, model: ModelSpec, table: CountTable) -> bool:
+    def check(
+        self,
+        model: ModelSpec,
+        table: CountTable,
+        solved: tuple[ExistenceProblem, FloatSolution | None] | None = None,
+    ) -> bool:
+        """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
+        ``fr_check``, holds the problem built on the indicator of
+        ``table``'s support and its batched float solution."""
         key = (model.params, support_key(table))
         cached = self.verdicts.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        # evaluate on the 0/1 indicator of the support: the verdict only
-        # depends on which cells are positive
-        indicator = CountTable.from_counts(
-            table.t, {w: 1 for w in table.support}
-        )
-        verdict = fr_check(model, indicator, self.decided)
+        if solved is None:
+            verdict = fr_check(model, _indicator(table), self.decided)
+        else:
+            verdict = fr_check(model, table, self.decided, solved)
         self.verdicts[key] = verdict
         self.misses += 1
         return verdict
+
+    def check_many(
+        self, pairs: Sequence[tuple[ModelSpec, CountTable]]
+    ) -> list[bool]:
+        """``check`` on every (model, table) pair, in order.
+
+        The problems of all distinct misses are built first and those not
+        settled by the fast path go to one ``float_solve`` call; each pair
+        is then looked up by ``check``, so hits, misses and the calls to
+        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
+        """
+        keys = [(model.params, support_key(table)) for model, table in pairs]
+        posed: dict[tuple[frozenset[int], str], tuple[ExistenceProblem, list[int]]] = {}
+        for (model, table), key in zip(pairs, keys):
+            if key not in self.verdicts and key not in posed:
+                indicator = _indicator(table)
+                problem = ExistenceProblem.build(model, indicator)
+                posed[key] = (problem, problem.zero_cells(indicator))
+        solved = {key: (problem, None) for key, (problem, _) in posed.items()}
+        asked = [key for key, (problem, zero) in posed.items() if problem.omega and zero]
+        for key, sol in zip(asked, float_solve([(posed[k][0].matrix, posed[k][1])
+                                                for k in asked])):
+            solved[key] = (posed[key][0], sol)
+        return [
+            self.check(model, table, solved.get(key))
+            for (model, table), key in zip(pairs, keys)
+        ]
 
 
 def cached_fr_check(

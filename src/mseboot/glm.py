@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 from .core import CountTable, ModelSpec, canonical_key, marginal_count
 
@@ -117,11 +117,14 @@ def bic_from_mu(
     mu: dict[int, float],
     settings: FitSettings = FitSettings(),
     n_estimated: int | None = None,
+    counts: Sequence[float] | None = None,
 ) -> float:
     """BIC: parameter-count penalty plus twice the negative log-likelihood.
 
     Cells outside the fitted set contribute nothing (their count and
-    fitted mean are both zero).
+    fitted mean are both zero).  ``counts`` holds the table's count of
+    each cell of ``mu``, in ``mu``'s order, when the caller already has
+    them; otherwise they are read from ``table``.
     """
     if settings.sample_size == "case":
         size = table.n_total
@@ -133,7 +136,8 @@ def bic_from_mu(
         n_params = len(model.params)
     else:
         n_params = n_estimated
-    counts = [table.count(w) for w in mu]
+    if counts is None:
+        counts = [table.count(w) for w in mu]
     log_factorials = special.gammaln(np.array(counts, dtype=float) + 1).tolist()
     dev = 0.0
     for m, n, lf in zip(mu.values(), counts, log_factorials):
@@ -183,13 +187,15 @@ class GroupSolution:
     table i.
 
     ``flags[i]`` is None when the deviance of row i settled, otherwise the
-    reason its iteration stopped.  ``beta``, ``mu`` and ``deviance`` hold
-    the final iterate of the settled rows; ``change`` is each row's last
-    deviance change.
+    reason its iteration stopped.  ``counts`` holds each table's counts of
+    the retained cells.  ``beta``, ``mu`` and ``deviance`` hold the final
+    iterate of the settled rows; ``change`` is each row's last deviance
+    change.
     """
 
     reduced: ReducedProblem
     flags: tuple[str | None, ...]
+    counts: np.ndarray  # (tables, retained cells)
     beta: np.ndarray  # (tables, estimable parameters)
     mu: np.ndarray  # (tables, retained cells)
     deviance: np.ndarray
@@ -201,7 +207,7 @@ def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
     """A group none of whose rows can be iterated."""
     nan = np.full(rows, np.nan)
     empty = np.empty((rows, 0))
-    return GroupSolution(red, (flag,) * rows, empty, empty, nan, nan, nan)
+    return GroupSolution(red, (flag,) * rows, empty, empty, empty, nan, nan, nan)
 
 
 def solve_group(
@@ -220,8 +226,10 @@ def solve_group(
     """
     if not tables:
         raise ValueError("cannot fit an empty group")
-    support = tables[0].support
-    if any(t.support != support for t in tables):
+    # counts are stored in canonical cell order, so tables sharing a
+    # support list their cells in the same order
+    cells = list(tables[0].counts)
+    if any(list(t.counts) != cells for t in tables):
         raise ValueError("tables fitted as a group must share one support")
     if tables[0].n_total == 0:
         raise ValueError("cannot fit an empty table")
@@ -232,9 +240,11 @@ def solve_group(
     X = design_matrix(red.omega_dagger, red.theta_dagger)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         return _stopped(red, rows, "parameter_redundant")
-    Y = np.array(
-        [[t.count(w) for w in red.omega_dagger] for t in tables], dtype=float
-    )
+    # every positive cell is retained: a dead parameter has no positive
+    # cell containing it
+    column = {w: k for k, w in enumerate(red.omega_dagger)}
+    Y = np.zeros((rows, len(red.omega_dagger)))
+    Y[:, [column[w] for w in cells]] = [list(t.counts.values()) for t in tables]
     workspace = _gelsd_workspace(*X.shape)
 
     # strictly positive working means for the log link; the first solve
@@ -279,7 +289,7 @@ def solve_group(
                 keep = ~settled
                 idx, y, m, d = idx[keep], y[keep], m[keep], d[keep]
         prev = d
-    return GroupSolution(red, tuple(flags), beta, mu, dev, first_dev, change)
+    return GroupSolution(red, tuple(flags), Y, beta, mu, dev, first_dev, change)
 
 
 def fit(
@@ -311,7 +321,8 @@ def fit(
     for th in red.minus_infinity_params:
         alpha[th] = -math.inf
     mu_map = {w: float(m) for w, m in zip(red.omega_dagger, solution.mu[i])}
-    bic = bic_from_mu(model, table, mu_map, settings, n_estimated=len(red.theta_dagger))
+    bic = bic_from_mu(model, table, mu_map, settings, len(red.theta_dagger),
+                      solution.counts[i].tolist())
     m_hat = math.exp(alpha[0]) + table.n_total
     if solution.first_deviance[i] + 1e-8 < solution.deviance[i]:
         # deviance must not increase across IRLS iterations
@@ -423,7 +434,7 @@ def select_by_chisq(
         stat, df = pearson_chisq(res, table)
         if df <= 0:
             continue
-        p = float(stats.chi2.sf(stat, df))
+        p = float(special.chdtrc(df, stat))
         if not p_lo <= p <= p_hi:
             continue
         cand = ChisqResult(model, res, stat, df, p)

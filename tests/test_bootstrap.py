@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from mseboot import (
     resample,
     restricted_bootstrap,
     select_best_bic,
+    support_key,
 )
-from mseboot import glm
+from mseboot import existence, glm
 from mseboot.bootstrap import (
     _evaluate_models,
     _record_fill,
@@ -326,3 +328,50 @@ class TestDiagnostics:
         space = enumerate_models(3, 2)
         report = diagnostics(big, space, B=5, seed=20, ntop_grid=(1,))
         assert report.mean_rho > 0.95
+
+
+class TestExistenceLookups:
+    """Batched existence checks still make one ``ExistenceCache.check``
+    call per lookup and one ``fr_check`` call per miss."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        check, fr_check = ExistenceCache.check, existence.fr_check
+        monkeypatch.setattr(
+            ExistenceCache, "check",
+            lambda self, *a: calls.update(["check"]) or check(self, *a),
+        )
+        monkeypatch.setattr(
+            existence, "fr_check", lambda *a: calls.update(["fr_check"]) or fr_check(*a)
+        )
+        return calls
+
+    def assert_counted(self, calls, cache, lookups):
+        assert calls["check"] == cache.hits + cache.misses == lookups
+        assert calls["fr_check"] == cache.misses == sum(cache.decided.values())
+        assert cache.misses > 0 and cache.hits > 0
+
+    def test_restricted(self, korea, korea_space, calls):
+        cache, n_top, B = ExistenceCache(), 5, 20
+        restricted_bootstrap(korea, korea_space, B=B, n_top=n_top, seed=3, cache=cache)
+        reps = [resample(korea, replicate_rng(3, i)) for i in range(B)]
+        jack = [t for _, t in jackknife_tables(korea)]
+        # the space once on the original table, then the top models once
+        # per support of the resamples and of the jackknife tables
+        supports = len({support_key(t) for t in reps}) + len(
+            {support_key(t) for t in jack}
+        )
+        self.assert_counted(calls, cache, len(korea_space) + n_top * supports)
+
+    def test_chisq(self, korea, korea_space, calls):
+        cache, B = ExistenceCache(), 20
+        chisq_bootstrap(korea, korea_space, B=B, seed=3, p_lo=0.0, p_hi=1.0,
+                        cache=cache)
+        n_tables = 1 + B + len(jackknife_tables(korea))
+        self.assert_counted(calls, cache, len(korea_space) * n_tables)
+
+    def test_downhill(self, korea, calls):
+        cache = ExistenceCache()
+        downhill_bootstrap(korea, B=20, seed=3, cache=cache)
+        self.assert_counted(calls, cache, calls["check"])

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +228,17 @@ class TestCli:
         assert code == 0
         assert from_fixture == from_file
         assert json.loads(from_fixture)["lists"] == ["B", "C"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # importing scipy.stats is a large share of every command's start-up
+    # time and memory, and only ``diagnose`` needs it
+    import mseboot
+
+    code = "import sys, mseboot.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"

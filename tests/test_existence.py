@@ -290,7 +290,26 @@ def exact_verdict(model, table):
     return status == OPTIMAL and s > 0
 
 
-def assert_agrees(models, tables):
+def check_together(pairs):
+    """``check_many`` on a fresh cache, with the size of every
+    ``float_solve`` call it made."""
+    sizes = []
+    solve = existence.float_solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(existence, "float_solve",
+                   lambda blocks: sizes.append(len(blocks)) or solve(blocks))
+        cache = ExistenceCache()
+        verdicts = cache.check_many(pairs)
+    return verdicts, cache, sizes
+
+
+def assert_agrees(models, tables, batch_certifies=True):
+    """One ``fr_check`` per pair, then all pairs decided together in two
+    orders, each equal to the exact verdict without a fallback.
+
+    ``batch_certifies``: every block is certified from the batched solve,
+    none is solved again alone.
+    """
     tally = Counter()
     for table in tables:
         for model in models:
@@ -298,6 +317,13 @@ def assert_agrees(models, tables):
                 model.notation(), support_key(table)
             )
     assert tally[FALLBACK] == 0
+    pairs = [(m, t) for t in tables for m in models]
+    shuffled = [pairs[k] for k in np.random.default_rng(len(pairs)).permutation(len(pairs))]
+    for order in (pairs, shuffled):
+        verdicts, cache, sizes = check_together(order)
+        assert verdicts == [exact_verdict(m, t) for m, t in order]
+        assert cache.decided[FALLBACK] == 0
+        assert len(sizes) == 1 or not batch_certifies
     return tally
 
 
@@ -350,9 +376,12 @@ class TestCertifiedCheck:
 
     def test_rounding_failure_recovered_by_the_active_set(self, monkeypatch, table1):
         # without the rounding shortcut every verdict comes from the exact
-        # vertex of the float solution's active set
+        # vertex of the float solution's active set.  A batched dual can
+        # name a vertex whose exact system leaves y of mixed sign; that
+        # block is then solved again alone
         monkeypatch.setattr(existence, "_rounded", lambda values: None)
-        tally = assert_agrees(enumerate_models(4, 3).models, table1.values())
+        tally = assert_agrees(enumerate_models(4, 3).models, table1.values(),
+                              batch_certifies=False)
         assert tally[CERTIFIED] > 0
 
     @pytest.mark.parametrize("name, exists", [("n1", True), ("n2", False)])
@@ -360,11 +389,12 @@ class TestCertifiedCheck:
                                              name, exists):
         # report the opposite verdict: a non-existence vector for a model
         # whose estimate exists and a direction for one whose does not
-        def wrong(incidence, zero):
+        def wrong(blocks):
+            ((incidence, zero),) = blocks
             n_cells, n_params = incidence.shape
             if exists:
-                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
-            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
+                return [FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))]
+            return [FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))]
 
         lp_calls = []
         exact_lp = existence.lp_max_s
@@ -376,6 +406,66 @@ class TestCertifiedCheck:
         assert cache.check(abcd_model, table1[name]) is exists
         assert cache.decided == {FALLBACK: 1}
         assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_batch_verdicts_do_not_depend_on_chunking(self, monkeypatch, table1, chunk):
+        table = table1["n2"]
+        tables = [table] + [resample(table, replicate_rng(9, i)) for i in range(8)]
+        pairs = [(m, t) for t in tables for m in enumerate_models(4, 3).models]
+        monkeypatch.setattr(existence, "CHUNK", chunk)
+        linprog_calls = []
+        linprog = existence.optimize.linprog
+        monkeypatch.setattr(existence.optimize, "linprog",
+                            lambda *a, **k: linprog_calls.append(1) or linprog(*a, **k))
+        verdicts, cache, sizes = check_together(pairs)
+        assert verdicts == [exact_verdict(m, t) for m, t in pairs]
+        assert sizes[0] > 64 and len(sizes) == 1
+        assert len(linprog_calls) == math.ceil(sizes[0] / chunk)
+        assert cache.decided[FALLBACK] == 0
+        assert sum(cache.decided.values()) == cache.misses
+
+    def test_wrong_block_falls_back_alone(self, monkeypatch, table1):
+        # one block of the batch gets a solution claiming the opposite
+        # verdict, also when solved alone; only that pair falls back
+        table = table1["n2"]
+        models = enumerate_models(4, 3).models
+        indicator = CountTable.from_counts(4, {w: 1 for w in table.support})
+        # models differing only in parameters the reduction drops pose the
+        # same problem; the target's must be posed by it alone
+        problems = [ExistenceProblem.build(m, indicator) for m in models]
+        target, problem = next(
+            (m, p) for m, p in zip(models, problems) if problems.count(p) == 1
+        )
+        target_zero = problem.zero_cells(indicator)
+        exists = exact_verdict(target, table)
+        solve = existence.float_solve
+        spoiled = []
+
+        def one_wrong(blocks):
+            out = solve(blocks)
+            for k, (incidence, zero) in enumerate(blocks):
+                if list(zero) == target_zero and np.array_equal(incidence, problem.matrix):
+                    n_cells, n_params = incidence.shape
+                    out[k] = (FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
+                              if exists else
+                              FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params)))
+                    spoiled.append(len(blocks))
+            return out
+
+        lp_calls = []
+        exact_lp = existence.lp_max_s
+        monkeypatch.setattr(existence, "float_solve", one_wrong)
+        monkeypatch.setattr(
+            existence, "lp_max_s", lambda p: lp_calls.append(p) or exact_lp(p)
+        )
+        cache = ExistenceCache()
+        pairs = [(m, table) for m in models]
+        assert cache.check_many(pairs) == [exact_verdict(m, table) for m in models]
+        assert spoiled[0] > 1 and spoiled[1:] == [1]
+        assert cache.decided[FALLBACK] == 1 and len(lp_calls) == 1
+        assert lp_calls[0] == problem
+        assert cache.decided[CERTIFIED] > 1
+        assert sum(cache.decided.values()) == cache.misses == len(models)
 
     def test_width_t8_all_pairs_within_budget(self):
         # the exact simplex needs minutes on this table
