@@ -41,7 +41,6 @@ from .glm import (
 )
 from .modelspace import (
     ModelSpace,
-    RankTable,
     bic_ranks,
     downhill_lockstep,
     rank_order,
@@ -289,10 +288,9 @@ def original_fits(
 
 def space_ordering(
     space: ModelSpace, bics: Sequence[float], degree: int = 1
-) -> tuple[list[int], RankTable]:
+) -> list[int]:
     """Model indices best-first under the requested rank degree."""
-    table = bic_ranks(space, bics, K=max(2, degree))
-    return rank_order(space, table, degree), table
+    return rank_order(space, bic_ranks(space, bics, K=degree), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def restricted_bootstrap(
         raise ValueError("need at least one bootstrap replication")
     cache = cache if cache is not None else ExistenceCache()
     bics, _, fits = original_fits(table, space, cache, settings)
-    ordering, _ = space_ordering(space, bics, degree)
+    ordering = space_ordering(space, bics, degree)
     best = fits[ordering[0]]
     if not best.converged:
         raise NoModelFoundError("no model has a finite BIC on the original data")
@@ -407,7 +405,7 @@ def ntop_sweep(
         raise ValueError("need at least one bootstrap replication")
     cache = cache if cache is not None else ExistenceCache()
     bics0, _, fits = original_fits(table, space, cache, settings)
-    ordering, _ = space_ordering(space, bics0, degree)
+    ordering = space_ordering(space, bics0, degree)
     best = fits[ordering[0]]
     if not best.converged:
         raise NoModelFoundError("no model has a finite BIC on the original data")

@@ -7,20 +7,32 @@ holds iff some direction z with A^T z = 0 is positive on every retained
 zero cell (Fienberg & Rinaldo 2012, Ann. Statist. 40(2); the program is
 the one of Chan, Silverman & Vincent 2021, JASA).
 
-``fr_check`` solves that question in floating point with HiGHS and
-accepts the answer only after an exact check in integer arithmetic:
-either a direction z as above, or a vector y = A w that vanishes on the
-positive cells and is nonzero and of one sign on the zero cells, which
-rules every such z out.  The float solution is first rounded to small
-rationals; when that does not verify, the vertex its active set names is
-solved exactly.  Only when neither certifies does the exact-rational
-simplex (``lp_max_s``) decide, so a float error can cost time but never
-change a verdict.
+``fr_check`` tries four routes in order, and ``tally`` and
+``ExistenceCache.decided`` count the one that decided under its key:
+
+1. ``FAST_PATH``: every retained cell is positive, so the data vector
+   itself is such an x; or the reduction leaves no cell at all.
+2. ``RANK``: the incidence rows of the positive cells have full column
+   rank, proved exactly by elimination modulo the prime ``RANK_PRIME``.
+   Then no nonzero y = A w vanishes on the positive cells, so nothing
+   rules a direction out and the estimate exists.  This route only ever
+   says True; when the proof comes up short the next route runs.
+3. ``CERTIFIED``: HiGHS solves the direction program in floating point
+   and the answer is accepted only after an exact check in integer
+   arithmetic: either a direction z as above, or a vector y = A w that
+   vanishes on the positive cells and is nonzero and of one sign on the
+   zero cells, which rules every such z out.  The float solution is first
+   rounded to small rationals; when that does not verify, the vertex its
+   active set names is solved exactly.
+4. ``FALLBACK``: only when neither certifies does the exact-rational
+   simplex (``lp_max_s``) decide, so a float error can cost time but
+   never change a verdict.
 
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
 the support of the table.  ``ExistenceCache.check_many`` answers a list
-of pairs at once: the programs of all its misses are independent, so
+of pairs at once: it tries the rank proof on every miss as it poses it,
+and the programs of the misses that remain are independent, so
 ``float_solve`` stacks them as the blocks of one block-diagonal program
 and solves up to ``CHUNK`` of them per HiGHS call.  Each block is still
 certified on its own; a block that does not certify is solved again
@@ -48,8 +60,13 @@ UNBOUNDED = "unbounded"
 
 # how fr_check reached a verdict
 FAST_PATH = "fast_path"
+RANK = "rank"
 CERTIFIED = "certified"
 FALLBACK = "fallback"
+
+# the rank proof eliminates modulo this prime; it is below 2^31, so the
+# difference of two products of residues fits in an int64
+RANK_PRIME = 2**31 - 1
 
 # a float this close to a bound is read as on it when the active set is
 # taken from the float solution; a wrong reading costs only the fallback
@@ -417,6 +434,37 @@ def _proves_failure(
     return any(on_zero) and (min(on_zero) >= 0 or max(on_zero) <= 0)
 
 
+def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
+    """Whether the incidence rows of the positive cells provably have full
+    column rank, which proves that the estimate exists.
+
+    Full column rank means A w = 0 on the positive cells only for w = 0,
+    so no y = A w can vanish there and rule a direction out.  The proof is
+    Gaussian elimination modulo ``RANK_PRIME`` on int64 arrays: a full
+    rank modulo the prime names a square minor that is nonzero modulo it,
+    hence a nonzero integer.  False proves nothing: the rank is short, or
+    the prime divides every full minor.
+    """
+    positive = np.ones(len(problem.omega), dtype=bool)
+    positive[list(zero)] = False
+    m = problem.matrix[positive].astype(np.int64)
+    n_rows, n_cols = m.shape
+    if n_rows < n_cols:
+        return False
+    for j in range(n_cols):
+        nonzero = np.flatnonzero(m[j:, j])
+        if not nonzero.size:
+            return False
+        k = j + int(nonzero[0])
+        if k != j:
+            m[[j, k]] = m[[k, j]]
+        # row_i * pivot - row_j * m_ij clears column j below the pivot
+        m[j + 1:, j:] = (
+            m[j + 1:, j:] * m[j, j] - np.outer(m[j + 1:, j], m[j, j:])
+        ) % RANK_PRIME
+    return True
+
+
 def certify(
     problem: ExistenceProblem, zero: Sequence[int], sol: FloatSolution | None
 ) -> bool | None:
@@ -455,28 +503,33 @@ def fr_check(
     model: ModelSpec,
     table: CountTable,
     tally: Counter | None = None,
-    solved: tuple[ExistenceProblem, FloatSolution | None] | None = None,
+    solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None = None,
 ) -> bool:
     """Whether the extended maximum likelihood estimate exists.
 
     Fast path: when every retained cell has a positive count the data
     vector itself is a feasible point with positive slack.  A table where
     the reduction removes every cell cannot identify any parameter.
-    Otherwise ``certify`` decides, and ``lp_max_s`` when it cannot.
+    Otherwise a full column rank of the positive cells' incidence rows
+    (``proves_full_rank``) proves existence; failing that ``certify``
+    decides, and ``lp_max_s`` when it cannot.
 
-    ``solved`` passes the problem already built for this pair and its
-    float solution from a batched ``float_solve`` (None when it was not
-    solved); when that solution does not certify, the problem is solved
-    again on its own before ``lp_max_s`` runs.  ``tally``, when given,
-    counts the route taken under ``FAST_PATH``, ``CERTIFIED`` or
+    ``solved`` passes the problem already built for this pair, whether
+    ``proves_full_rank`` held on it (None when not tried) and its float
+    solution from a batched ``float_solve`` (None when it was not solved);
+    when that solution does not certify, the problem is solved again on
+    its own before ``lp_max_s`` runs.  ``tally``, when given, counts the
+    route taken under ``FAST_PATH``, ``RANK``, ``CERTIFIED`` or
     ``FALLBACK``.
     """
-    problem, batched = solved if solved is not None else (
-        ExistenceProblem.build(model, table), None
+    problem, full_rank, batched = solved if solved is not None else (
+        ExistenceProblem.build(model, table), None, None
     )
     zero = problem.zero_cells(table)
     if not problem.omega or not zero:
         verdict, route = bool(problem.omega), FAST_PATH
+    elif full_rank or (full_rank is None and proves_full_rank(problem, zero)):
+        verdict, route = True, RANK
     else:
         verdict, route = certify(problem, zero, batched), CERTIFIED
         if verdict is None:
@@ -500,7 +553,7 @@ class ExistenceCache:
     """Verdict cache keyed by (model, support).
 
     ``hits`` and ``misses`` count lookups; ``decided`` counts how the
-    misses were settled, under ``FAST_PATH``, ``CERTIFIED`` and
+    misses were settled, under ``FAST_PATH``, ``RANK``, ``CERTIFIED`` and
     ``FALLBACK``.  Verdicts are computed on the 0/1 indicator of the
     support, since they depend only on which cells are positive.
     """
@@ -514,11 +567,12 @@ class ExistenceCache:
         self,
         model: ModelSpec,
         table: CountTable,
-        solved: tuple[ExistenceProblem, FloatSolution | None] | None = None,
+        solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None = None,
     ) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
         ``fr_check``, holds the problem built on the indicator of
-        ``table``'s support and its batched float solution."""
+        ``table``'s support, its rank outcome and its batched float
+        solution."""
         key = (model.params, support_key(table))
         cached = self.verdicts.get(key)
         if cached is not None:
@@ -537,8 +591,9 @@ class ExistenceCache:
     ) -> list[bool]:
         """``check`` on every (model, table) pair, in order.
 
-        The problems of all distinct misses are built first and those not
-        settled by the fast path go to one ``float_solve`` call; each pair
+        The problems of all distinct misses are built first, the rank
+        proof is tried on those the fast path does not settle, and those
+        it does not prove go to one ``float_solve`` call; each pair
         is then looked up by ``check``, so hits, misses and the calls to
         ``check`` and ``fr_check`` are what a loop over ``check`` gives.
         """
@@ -549,11 +604,17 @@ class ExistenceCache:
                 indicator = _indicator(table)
                 problem = ExistenceProblem.build(model, indicator)
                 posed[key] = (problem, problem.zero_cells(indicator))
-        solved = {key: (problem, None) for key, (problem, _) in posed.items()}
-        asked = [key for key, (problem, zero) in posed.items() if problem.omega and zero]
+        solved = {key: (problem, None, None) for key, (problem, _) in posed.items()}
+        asked = []
+        for key, (problem, zero) in posed.items():
+            if problem.omega and zero:
+                if proves_full_rank(problem, zero):
+                    solved[key] = (problem, True, None)
+                else:
+                    asked.append(key)
         for key, sol in zip(asked, float_solve([(posed[k][0].matrix, posed[k][1])
                                                 for k in asked])):
-            solved[key] = (posed[key][0], sol)
+            solved[key] = (posed[key][0], False, sol)
         return [
             self.check(model, table, solved.get(key))
             for (model, table), key in zip(pairs, keys)

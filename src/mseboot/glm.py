@@ -357,10 +357,29 @@ def fit_or_reject(
     existence_checker: Callable[[ModelSpec, CountTable], bool] | None,
     settings: FitSettings = FitSettings(),
 ) -> FitResult:
-    """Fit with the existence criterion applied first when provided."""
-    if existence_checker is not None and not existence_checker(model, table):
+    """Fit with the existence criterion applied first.  Without a checker
+    existence is decided on a fresh ``ExistenceCache``."""
+    exists = _checked(existence_checker, [model], table)
+    if not exists(model, table):
         return FitResult(model, STATUS_FR_FAILED)
     return fit(model, table, settings)
+
+
+def _checked(
+    existence_checker: Callable[[ModelSpec, CountTable], bool] | None,
+    candidates: Sequence[ModelSpec],
+    table: CountTable,
+) -> Callable[[ModelSpec, CountTable], bool]:
+    """``existence_checker``, or when it is None the verdicts of one
+    ``check_many`` over the candidates on a fresh cache."""
+    if existence_checker is not None:
+        return existence_checker
+    # existence imports this module's sparsity reduction
+    from .existence import ExistenceCache
+
+    exists = ExistenceCache().check_many([(m, table) for m in candidates])
+    verdicts = dict(zip((m.params for m in candidates), exists))
+    return lambda model, _: verdicts[model.params]
 
 
 def select_best_bic(
@@ -372,12 +391,16 @@ def select_best_bic(
     """Fit every candidate and return the BIC minimizer.
 
     Candidates failing the existence check or the fit get an infinite
-    BIC.  Ties go to the earliest candidate in the given (canonical)
-    order.  Raises NoModelFoundError when nothing attains a finite BIC.
+    BIC; without a checker existence is decided as in ``fit_or_reject``,
+    for all candidates in one batch.  Ties go to the earliest candidate
+    in the given (canonical) order.  Raises NoModelFoundError when
+    nothing attains a finite BIC.
     """
+    candidates = list(candidates)
+    exists = _checked(existence_checker, candidates, table)
     best: tuple[ModelSpec, FitResult] | None = None
     for model in candidates:
-        res = fit_or_reject(model, table, existence_checker, settings)
+        res = fit_or_reject(model, table, exists, settings)
         if res.bic < (best[1].bic if best is not None else math.inf):
             best = (model, res)
     if best is None or math.isinf(best[1].bic):
@@ -422,13 +445,16 @@ def select_by_chisq(
     among those whose goodness-of-fit p-value falls in [p_lo, p_hi].
 
     Models with no residual degrees of freedom are never candidates.
+    Without a checker existence is decided as in ``select_best_bic``.
     Returns None when the window admits no model at all.
     """
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"invalid p-value window [{p_lo}, {p_hi}]")
+    candidates = list(candidates)
+    exists = _checked(existence_checker, candidates, table)
     best: ChisqResult | None = None
     for model in candidates:
-        res = fit_or_reject(model, table, existence_checker, settings)
+        res = fit_or_reject(model, table, exists, settings)
         if not res.converged:
             continue
         stat, df = pearson_chisq(res, table)

@@ -16,7 +16,10 @@ import numpy as np
 
 from .core import ModelSpec, canonical_key, order, subsets
 
-DEFAULT_SAFETY_LIMIT = 10**7
+# most models an enumeration may produce: above the 32,768 of t=6, l=2,
+# and reached within seconds, so that a space too large to search fails
+# with an error instead of running for hours (t=6, l=5 has millions)
+DEFAULT_SAFETY_LIMIT = 40_000
 
 
 class ModelSpaceError(Exception):

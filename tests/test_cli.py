@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -212,6 +213,19 @@ class TestCli:
         )
         assert code == 2
         assert "at least 3 lists" in json.loads(err)["message"]
+
+    def test_oversized_model_space_exits_2_within_budget(self, capsys, tmp_path):
+        # six lists at the default --max-order 5 have millions of models
+        path = tmp_path / "six.csv"
+        path.write_text(
+            "A,B,C,D,E,F,count\n1,0,0,0,0,0,5\n0,1,0,0,0,0,4\n0,0,1,0,0,0,6\n"
+            "0,0,0,1,0,0,3\n0,0,0,0,1,0,7\n0,0,0,0,0,1,2\n1,1,0,0,0,0,1\n"
+        )
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--model", "[12,34]")
+        assert time.perf_counter() - start < 20.0
+        assert code == 2 and out == ""
+        assert "exceeds safety limit" in json.loads(err)["message"]
 
     def test_lists_selects_columns_of_a_fixture_as_of_a_file(self, capsys, tmp_path):
         path = tmp_path / "korea.csv"

@@ -26,6 +26,7 @@ from mseboot.existence import (
     FAST_PATH,
     INFEASIBLE,
     OPTIMAL,
+    RANK,
     ExistenceProblem,
     FloatSolution,
     simplex_max,
@@ -292,20 +293,25 @@ def exact_verdict(model, table):
 
 def check_together(pairs):
     """``check_many`` on a fresh cache, with the size of every
-    ``float_solve`` call it made."""
-    sizes = []
-    solve = existence.float_solve
+    ``float_solve`` call it made.  The rank proof runs once for every
+    miss that the fast path does not settle."""
+    sizes, proofs = [], []
+    solve, prove = existence.float_solve, existence.proves_full_rank
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(existence, "float_solve",
                    lambda blocks: sizes.append(len(blocks)) or solve(blocks))
+        mp.setattr(existence, "proves_full_rank",
+                   lambda problem, zero: proofs.append(1) or prove(problem, zero))
         cache = ExistenceCache()
         verdicts = cache.check_many(pairs)
+    assert len(proofs) == cache.misses - cache.decided[FAST_PATH]
     return verdicts, cache, sizes
 
 
 def assert_agrees(models, tables, batch_certifies=True):
     """One ``fr_check`` per pair, then all pairs decided together in two
-    orders, each equal to the exact verdict without a fallback.
+    orders, each equal to the exact verdict without a fallback.  Every
+    verdict of the rank route is True.
 
     ``batch_certifies``: every block is certified from the batched solve,
     none is solved again alone.
@@ -313,9 +319,12 @@ def assert_agrees(models, tables, batch_certifies=True):
     tally = Counter()
     for table in tables:
         for model in models:
-            assert fr_check(model, table, tally) == exact_verdict(model, table), (
+            ranked = tally[RANK]
+            verdict = fr_check(model, table, tally)
+            assert verdict == exact_verdict(model, table), (
                 model.notation(), support_key(table)
             )
+            assert verdict or tally[RANK] == ranked
     assert tally[FALLBACK] == 0
     pairs = [(m, t) for t in tables for m in models]
     shuffled = [pairs[k] for k in np.random.default_rng(len(pairs)).permutation(len(pairs))]
@@ -353,10 +362,11 @@ class TestCertifiedCheck:
             r = resample(table, replicate_rng(len(name) + 3, i))
             supports.setdefault(support_key(r), r)
         tally = assert_agrees(enumerate_models(4, 3).models, supports.values())
-        assert tally[CERTIFIED] > 0
+        assert tally[CERTIFIED] > 0 and tally[RANK] > 0
 
     def test_korea_space(self, korea, korea_space):
-        assert_agrees(korea_space.models, [korea])
+        tally = assert_agrees(korea_space.models, [korea])
+        assert tally[RANK] > 0
 
     @pytest.mark.parametrize("t", [4, 5])
     def test_sparse_random_tables(self, t):
@@ -364,7 +374,7 @@ class TestCertifiedCheck:
         models = enumerate_models(t, 2).models
         tables = [random_table(rng, t, zero_prob=0.5) for _ in range(10)]
         tally = assert_agrees(models[:: len(models) // 12], tables)
-        assert tally[CERTIFIED] > 0
+        assert tally[CERTIFIED] > 0 and tally[RANK] > 0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_triples(self, seed):
@@ -373,6 +383,13 @@ class TestCertifiedCheck:
         space = enumerate_models(3, 2)
         model = space.models[int(rng.integers(len(space)))]
         assert_agrees([model], [table])
+
+    def test_without_the_rank_proof_the_lp_decides(self, monkeypatch, table1):
+        # the pairs the rank proof settles keep their verdicts when it
+        # comes up short and the certified program decides them instead
+        monkeypatch.setattr(existence, "proves_full_rank", lambda problem, zero: False)
+        tally = assert_agrees(enumerate_models(4, 3).models, table1.values())
+        assert tally[RANK] == 0 and tally[CERTIFIED] > 0
 
     def test_rounding_failure_recovered_by_the_active_set(self, monkeypatch, table1):
         # without the rounding shortcut every verdict comes from the exact
@@ -431,10 +448,13 @@ class TestCertifiedCheck:
         models = enumerate_models(4, 3).models
         indicator = CountTable.from_counts(4, {w: 1 for w in table.support})
         # models differing only in parameters the reduction drops pose the
-        # same problem; the target's must be posed by it alone
+        # same problem; the target's must be posed by it alone, and the
+        # rank proof must leave it to the float solve
         problems = [ExistenceProblem.build(m, indicator) for m in models]
         target, problem = next(
-            (m, p) for m, p in zip(models, problems) if problems.count(p) == 1
+            (m, p) for m, p in zip(models, problems)
+            if problems.count(p) == 1 and p.omega and p.zero_cells(indicator)
+            and not existence.proves_full_rank(p, p.zero_cells(indicator))
         )
         target_zero = problem.zero_cells(indicator)
         exists = exact_verdict(target, table)
@@ -468,15 +488,41 @@ class TestCertifiedCheck:
         assert sum(cache.decided.values()) == cache.misses == len(models)
 
     def test_width_t8_all_pairs_within_budget(self):
-        # the exact simplex needs minutes on this table
-        table = sparse_table(8, 60, seed=1)
-        tally = Counter()
-        start = time.perf_counter()
-        fr_check(all_pairs(8), table, tally)
-        assert time.perf_counter() - start < 2.0
-        assert tally == {CERTIFIED: 1}
+        # the exact simplex needs minutes on these tables
+        for n_cells, route in ((60, RANK), (30, CERTIFIED)):
+            table = sparse_table(8, n_cells, seed=1)
+            tally = Counter()
+            start = time.perf_counter()
+            assert fr_check(all_pairs(8), table, tally)
+            assert time.perf_counter() - start < 2.0
+            assert tally == {route: 1}
 
     def test_width_t6_all_pairs_matches_exact(self):
         table = sparse_table(6, 60, seed=1)
         tally = assert_agrees([all_pairs(6)], [table])
+        assert tally == {RANK: 1}
+        # fewer positive cells than parameters: the rank proof cannot hold
+        sparse = sparse_table(6, 15, seed=1)
+        assert len(sparse.support) < len(ExistenceProblem.build(all_pairs(6), sparse).theta)
+        tally = assert_agrees([all_pairs(6)], [sparse])
         assert tally == {CERTIFIED: 1}
+
+    def test_width_t12_all_pairs_rank_matches_the_lp(self, monkeypatch):
+        table = sparse_table(12, 200, seed=1)
+        tally = Counter()
+        start = time.perf_counter()
+        assert fr_check(all_pairs(12), table, tally)
+        assert time.perf_counter() - start < 2.0
+        assert tally == {RANK: 1}
+        monkeypatch.setattr(existence, "proves_full_rank", lambda problem, zero: False)
+        assert fr_check(all_pairs(12), table, tally)
+        assert tally == {RANK: 1, CERTIFIED: 1}
+
+    def test_width_t14_all_pairs_within_budget(self):
+        # 300 positive cells, 106 parameters and 16,083 zero cells
+        table = sparse_table(14, 300, seed=1)
+        tally = Counter()
+        start = time.perf_counter()
+        assert fr_check(all_pairs(14), table, tally)
+        assert time.perf_counter() - start < 2.0
+        assert tally == {RANK: 1}

@@ -216,6 +216,24 @@ class TestSelectBestBic:
         with pytest.raises(NoModelFoundError):
             select_best_bic(korea_space.models, korea, lambda m, t: False)
 
+    def test_no_checker_still_checks_existence(self, table1):
+        # unchecked, [24,123] wins on n4 with an estimate of 5.9e13 although
+        # its maximum likelihood estimate does not exist
+        from mseboot import ExistenceCache
+        from mseboot.glm import STATUS_FR_FAILED, fit_or_reject
+
+        table = table1["n4"]
+        space = enumerate_models(4, 3)
+        model, res = select_best_bic(space, table)
+        assert model.notation() == "[1,2,3,4]"
+        assert res.population_estimate == pytest.approx(190.48, abs=0.01)
+        assert (model, res) == select_best_bic(space, table, ExistenceCache().check)
+        unchecked = ModelSpec.from_notation("[24,123]", 4)
+        assert fit_or_reject(unchecked, table, None).status == STATUS_FR_FAILED
+        chosen = select_by_chisq(space, table, 0.0, 1.0)
+        assert chosen.model.notation() == "[4,13,23]"  # [14,24,123] unchecked
+        assert chosen == select_by_chisq(space, table, 0.0, 1.0, ExistenceCache().check)
+
 
 class TestSelectByChisq:
     def test_exact_fit_discarded_by_upper_cutoff(self):
