@@ -52,7 +52,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .core import CountTable, ModelSpec, marginal_count, support_key
-from .glm import reduce_for_sparsity
+from .glm import containment, reduce_for_sparsity
 
 INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
@@ -83,30 +83,32 @@ CHUNK = 64
 class ExistenceProblem:
     """Marginal-matching LP data for one reduced (model, table) pair.
 
-    ``incidence[i][j]`` is 1 when parameter j is contained in cell i.
+    ``contains[i, j]`` is True when parameter j is contained in cell i;
+    ``matrix`` and ``incidence`` are the same cells x parameters 0/1
+    array as floats and as integer tuples, each made when first read.
     """
 
     omega: tuple[int, ...]
     theta: tuple[int, ...]
-    incidence: tuple[tuple[int, ...], ...]
     nu: tuple[int, ...]
 
     @staticmethod
     def build(model: ModelSpec, table: CountTable) -> "ExistenceProblem":
         red = reduce_for_sparsity(model, table)
-        incidence = tuple(
-            tuple(1 if th & w == th else 0 for th in red.theta_dagger)
-            for w in red.omega_dagger
-        )
         nu = tuple(marginal_count(table, th) for th in red.theta_dagger)
-        return ExistenceProblem(red.omega_dagger, red.theta_dagger, incidence, nu)
+        return ExistenceProblem(red.omega_dagger, red.theta_dagger, nu)
+
+    @cached_property
+    def contains(self) -> np.ndarray:
+        return containment(self.omega, self.theta)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """``incidence`` as a float cells x parameters array."""
-        return np.array(self.incidence, dtype=float).reshape(
-            len(self.omega), len(self.theta)
-        )
+        return self.contains.astype(float)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.contains.astype(int).tolist()))
 
     def zero_cells(self, table: CountTable) -> list[int]:
         """Positions in ``omega`` of the retained cells ``table`` leaves at 0."""
@@ -447,7 +449,7 @@ def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
     """
     positive = np.ones(len(problem.omega), dtype=bool)
     positive[list(zero)] = False
-    m = problem.matrix[positive].astype(np.int64)
+    m = problem.contains[positive].astype(np.int64)
     n_rows, n_cols = m.shape
     if n_rows < n_cols:
         return False
@@ -508,8 +510,10 @@ def fr_check(
     """Whether the extended maximum likelihood estimate exists.
 
     Fast path: when every retained cell has a positive count the data
-    vector itself is a feasible point with positive slack.  A table where
-    the reduction removes every cell cannot identify any parameter.
+    vector itself is a feasible point with positive slack; a table with
+    every cell positive is decided so before any problem is built.  A
+    table where the reduction removes every cell cannot identify any
+    parameter.
     Otherwise a full column rank of the positive cells' incidence rows
     (``proves_full_rank``) proves existence; failing that ``certify``
     decides, and ``lp_max_s`` when it cannot.
@@ -522,6 +526,26 @@ def fr_check(
     route taken under ``FAST_PATH``, ``RANK``, ``CERTIFIED`` or
     ``FALLBACK``.
     """
+    if _full_support(table):
+        verdict, route = True, FAST_PATH
+    else:
+        verdict, route = _decide(model, table, solved)
+    if tally is not None:
+        tally[route] += 1
+    return verdict
+
+
+def _full_support(table: CountTable) -> bool:
+    """Every cell of ``table`` is positive, hence every retained one."""
+    return len(table.counts) == (1 << table.t) - 1
+
+
+def _decide(
+    model: ModelSpec,
+    table: CountTable,
+    solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None,
+) -> tuple[bool, str]:
+    """``fr_check``'s verdict and route on a table with a zero cell."""
     problem, full_rank, batched = solved if solved is not None else (
         ExistenceProblem.build(model, table), None, None
     )
@@ -538,9 +562,7 @@ def fr_check(
         if verdict is None:
             status, s_star = lp_max_s(problem)
             verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
-    if tally is not None:
-        tally[route] += 1
-    return verdict
+    return verdict, route
 
 
 def _indicator(table: CountTable) -> CountTable:
@@ -578,9 +600,10 @@ class ExistenceCache:
         if cached is not None:
             self.hits += 1
             return cached
-        if solved is None:
+        if solved is None and not _full_support(table):
             verdict = fr_check(model, _indicator(table), self.decided)
         else:
+            # fr_check decides a full support without reading a count
             verdict = fr_check(model, table, self.decided, solved)
         self.verdicts[key] = verdict
         self.misses += 1
@@ -591,19 +614,21 @@ class ExistenceCache:
     ) -> list[bool]:
         """``check`` on every (model, table) pair, in order.
 
-        The problems of all distinct misses are built first, the rank
-        proof is tried on those the fast path does not settle, and those
-        it does not prove go to one ``float_solve`` call; each pair
-        is then looked up by ``check``, so hits, misses and the calls to
-        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
+        The problems of all distinct misses on tables with a zero cell
+        are built first, the rank proof is tried on those the fast path
+        does not settle, and those it does not prove go to one
+        ``float_solve`` call; each pair is then looked up by ``check``, so
+        hits, misses and the calls to ``check`` and ``fr_check`` are what
+        a loop over ``check`` gives.
         """
         keys = [(model.params, support_key(table)) for model, table in pairs]
         posed: dict[tuple[frozenset[int], str], tuple[ExistenceProblem, list[int]]] = {}
         for (model, table), key in zip(pairs, keys):
-            if key not in self.verdicts and key not in posed:
-                indicator = _indicator(table)
-                problem = ExistenceProblem.build(model, indicator)
-                posed[key] = (problem, problem.zero_cells(indicator))
+            if key in self.verdicts or key in posed or _full_support(table):
+                continue
+            indicator = _indicator(table)
+            problem = ExistenceProblem.build(model, indicator)
+            posed[key] = (problem, problem.zero_cells(indicator))
         solved = {key: (problem, None, None) for key, (problem, _) in posed.items()}
         asked = []
         for key, (problem, zero) in posed.items():

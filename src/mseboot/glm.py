@@ -7,7 +7,17 @@ the numerical fit.  Estimates therefore live in [-inf, inf).
 
 Tables that share a support share the reduction and the design matrix,
 so ``solve_group`` fits one model to a whole group of them in a single
-IRLS run; ``fit`` is its one-table case.
+IRLS run; ``fit`` is its one-table case.  Each table's least-squares step
+is still its own LAPACK ``dgelsd`` solve, as ``scipy.linalg.lstsq``
+would make it; numpy's stacked ``lstsq`` kernel makes the solves of all
+rows in one call per iteration.  Normal equations would be faster and
+would change the last bits of the estimates.
+
+The BIC is likewise the scalar loop's, bit for bit: logarithms come from
+``math.log`` (``np.log`` differs from it in the last bit on about one
+value in several thousand) and each table's terms are added left to
+right, which neither ``np.sum`` (pairwise) nor Python 3.12's ``sum``
+(compensated) does.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import linalg, special
+from numpy.linalg import _umath_linalg
+from scipy import special
 
 from .core import CountTable, ModelSpec, canonical_key, marginal_count
 
@@ -90,11 +101,15 @@ def reduce_for_sparsity(model: ModelSpec, table: CountTable) -> ReducedProblem:
     return ReducedProblem(theta_dagger, omega_dagger, dead)
 
 
+def containment(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:
+    """Boolean cells x parameters array: parameter j is contained in cell i."""
+    theta = np.asarray(theta, dtype=np.int64)
+    return (np.asarray(omega, dtype=np.int64)[:, None] & theta) == theta
+
+
 def design_matrix(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:
     """0/1 incidence of parameter-contained-in-cell."""
-    return np.array(
-        [[1.0 if th & w == th else 0.0 for th in theta] for w in omega]
-    )
+    return containment(omega, theta).astype(float)
 
 
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -111,21 +126,31 @@ def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(term - mu - special.gammaln(y + 1)))
 
 
-def bic_from_mu(
+def _neg_log_likelihood(counts: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Each row's sum over its cells of m - n log m + log n!.
+
+    ``math.log`` takes the logarithms, of the positive-count cells only,
+    because ``np.log`` differs from it in the last bit on a few values.
+    The terms are added left to right (``cumsum``), not pairwise as
+    ``np.sum`` adds them, so every row is the scalar loop's sum.
+    """
+    n_log_m = np.zeros_like(mu)
+    positive = counts > 0
+    n_log_m[positive] = counts[positive] * np.array(
+        [math.log(m) for m in mu[positive].tolist()]
+    )
+    sums = np.cumsum((mu - n_log_m) + special.gammaln(counts + 1), axis=1)
+    return sums[:, -1] if sums.shape[1] else np.zeros(len(sums))
+
+
+def _bic(
     model: ModelSpec,
     table: CountTable,
-    mu: dict[int, float],
-    settings: FitSettings = FitSettings(),
-    n_estimated: int | None = None,
-    counts: Sequence[float] | None = None,
+    neg_log_likelihood: float,
+    settings: FitSettings,
+    n_estimated: int | None,
 ) -> float:
-    """BIC: parameter-count penalty plus twice the negative log-likelihood.
-
-    Cells outside the fitted set contribute nothing (their count and
-    fitted mean are both zero).  ``counts`` holds the table's count of
-    each cell of ``mu``, in ``mu``'s order, when the caller already has
-    them; otherwise they are read from ``table``.
-    """
+    """Parameter-count penalty plus twice the negative log-likelihood."""
     if settings.sample_size == "case":
         size = table.n_total
     elif settings.sample_size == "capture":
@@ -136,49 +161,46 @@ def bic_from_mu(
         n_params = len(model.params)
     else:
         n_params = n_estimated
-    if counts is None:
-        counts = [table.count(w) for w in mu]
-    log_factorials = special.gammaln(np.array(counts, dtype=float) + 1).tolist()
-    dev = 0.0
-    for m, n, lf in zip(mu.values(), counts, log_factorials):
-        dev += m - (n * math.log(m) if n > 0 else 0.0) + lf
-    return n_params * math.log(size) + 2.0 * dev
+    return n_params * math.log(size) + 2.0 * neg_log_likelihood
 
 
-# the LAPACK routine and tolerance scipy.linalg.lstsq uses for float64
-# input with lapack_driver="gelsd"; calling it directly skips the
-# wrapper's per-call overhead and leaves the arithmetic unchanged
-_GELSD, _GELSD_LWORK = linalg.get_lapack_funcs(
-    ("gelsd", "gelsd_lwork"), dtype=np.float64
-)
-_GELSD_COND = np.finfo(np.float64).eps
+def bic_from_mu(
+    model: ModelSpec,
+    table: CountTable,
+    mu: dict[int, float],
+    settings: FitSettings = FitSettings(),
+    n_estimated: int | None = None,
+) -> float:
+    """BIC: parameter-count penalty plus twice the negative log-likelihood.
+
+    Cells outside the fitted set contribute nothing (their count and
+    fitted mean are both zero).  This is the one-row case of the BIC
+    ``solve_group`` computes for a whole group.
+    """
+    counts = np.array([[table.count(w) for w in mu]], dtype=float)
+    nll = _neg_log_likelihood(counts, np.array([list(mu.values())], dtype=float))
+    return _bic(model, table, float(nll[0]), settings, n_estimated)
 
 
-def _gelsd_workspace(n_rows: int, n_cols: int) -> tuple[int, int]:
-    """LAPACK work array sizes for one right-hand side."""
-    work, iwork, info = _GELSD_LWORK(n_rows, n_cols, 1, _GELSD_COND)
-    if info != 0:
-        raise ValueError(f"internal work array size computation failed: {info}")
-    return int(work.real), int(iwork)
+# numpy's stacked dgelsd: one LAPACK solve per row, with the tolerance
+# scipy.linalg.lstsq passes for float64 input
+_LSTSQ = _umath_linalg.lstsq
+_RCOND = np.finfo(np.float64).eps
 
 
-def _least_squares_rows(
-    A: np.ndarray, b: np.ndarray, workspace: tuple[int, int]
-) -> np.ndarray:
-    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows."""
+def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows.
+
+    Every row is its own LAPACK ``dgelsd`` solve, all made by one call.
+    """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lwork, iwork = workspace
-    n_cols = A.shape[2]
-    out = np.empty((A.shape[0], n_cols))
-    for k in range(A.shape[0]):
-        x, _, _, info = _GELSD(A[k], b[k], lwork, iwork, _GELSD_COND, False, False)
-        if info > 0:
-            raise linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal gelsd")
-        out[k] = x[:n_cols]
-    return out
+    # a row whose SVD does not converge comes back as NaN
+    with np.errstate(invalid="ignore"):
+        x = _LSTSQ(A, b[:, :, None], _RCOND)[0][:, :, 0]
+    if np.isnan(x).any():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x
 
 
 @dataclass(frozen=True)
@@ -187,18 +209,18 @@ class GroupSolution:
     table i.
 
     ``flags[i]`` is None when the deviance of row i settled, otherwise the
-    reason its iteration stopped.  ``counts`` holds each table's counts of
-    the retained cells.  ``beta``, ``mu`` and ``deviance`` hold the final
-    iterate of the settled rows; ``change`` is each row's last deviance
-    change.
+    reason its iteration stopped.  ``beta``, ``mu`` and ``deviance`` hold
+    the final iterate of the settled rows and ``neg_log_likelihood`` the
+    sum their BIC is made of (NaN elsewhere); ``change`` is each row's
+    last deviance change.
     """
 
     reduced: ReducedProblem
     flags: tuple[str | None, ...]
-    counts: np.ndarray  # (tables, retained cells)
     beta: np.ndarray  # (tables, estimable parameters)
     mu: np.ndarray  # (tables, retained cells)
     deviance: np.ndarray
+    neg_log_likelihood: np.ndarray
     first_deviance: np.ndarray
     change: np.ndarray
 
@@ -207,7 +229,7 @@ def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
     """A group none of whose rows can be iterated."""
     nan = np.full(rows, np.nan)
     empty = np.empty((rows, 0))
-    return GroupSolution(red, (flag,) * rows, empty, empty, empty, nan, nan, nan)
+    return GroupSolution(red, (flag,) * rows, empty, empty, nan, nan, nan, nan)
 
 
 def solve_group(
@@ -220,9 +242,12 @@ def solve_group(
     The reduction, design matrix and rank check depend only on the
     support, so they are computed once.  The elementwise steps run on a
     (tables, cells) array, and each row's weighted least-squares step is
-    its own LAPACK ``gelsd`` solve, so every row is the result the loop
-    would give on that table alone.  Rows leave the iteration as they
-    converge or diverge.
+    still its own LAPACK ``dgelsd`` solve, made for all rows in one numpy
+    call per iteration, so every row is the result the loop would give on
+    that table alone.  Rows leave the iteration as they converge or
+    diverge.  The BIC sums of the settled rows are computed together at
+    the end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and
+    a left-to-right sum over the cells).
     """
     if not tables:
         raise ValueError("cannot fit an empty group")
@@ -245,7 +270,6 @@ def solve_group(
     column = {w: k for k, w in enumerate(red.omega_dagger)}
     Y = np.zeros((rows, len(red.omega_dagger)))
     Y[:, [column[w] for w in cells]] = [list(t.counts.values()) for t in tables]
-    workspace = _gelsd_workspace(*X.shape)
 
     # strictly positive working means for the log link; the first solve
     # lands on an actual model fit and deviance is tracked from there.
@@ -263,7 +287,7 @@ def solve_group(
             break
         z = np.log(m) + (y - m) / m
         sw = np.sqrt(m)
-        step = _least_squares_rows(X * sw[:, :, None], z * sw, workspace)
+        step = _least_squares_rows(X * sw[:, :, None], z * sw)
         diverged = step.min(axis=1) < settings.alpha_floor
         if diverged.any():
             for r in idx[diverged]:
@@ -289,7 +313,10 @@ def solve_group(
                 keep = ~settled
                 idx, y, m, d = idx[keep], y[keep], m[keep], d[keep]
         prev = d
-    return GroupSolution(red, tuple(flags), Y, beta, mu, dev, first_dev, change)
+    nll = np.full(rows, np.nan)
+    settled = np.array([f is None for f in flags])
+    nll[settled] = _neg_log_likelihood(Y[settled], mu[settled])
+    return GroupSolution(red, tuple(flags), beta, mu, dev, nll, first_dev, change)
 
 
 def fit(
@@ -317,12 +344,12 @@ def fit(
                          flags=(solution.flags[i],))
 
     red = solution.reduced
-    alpha = {th: float(b) for th, b in zip(red.theta_dagger, solution.beta[i])}
+    alpha = dict(zip(red.theta_dagger, solution.beta[i].tolist()))
     for th in red.minus_infinity_params:
         alpha[th] = -math.inf
-    mu_map = {w: float(m) for w, m in zip(red.omega_dagger, solution.mu[i])}
-    bic = bic_from_mu(model, table, mu_map, settings, len(red.theta_dagger),
-                      solution.counts[i].tolist())
+    mu_map = dict(zip(red.omega_dagger, solution.mu[i].tolist()))
+    bic = _bic(model, table, float(solution.neg_log_likelihood[i]), settings,
+               len(red.theta_dagger))
     m_hat = math.exp(alpha[0]) + table.n_total
     if solution.first_deviance[i] + 1e-8 < solution.deviance[i]:
         # deviance must not increase across IRLS iterations

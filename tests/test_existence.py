@@ -201,7 +201,7 @@ class TestFrCheck:
         assert fr_check(ModelSpec.null_model(2), t2) is True
 
     def test_empty_cell_set_is_infeasible(self):
-        problem = ExistenceProblem((), (0,), (), (5,))
+        problem = ExistenceProblem(omega=(), theta=(0,), nu=(5,))
         status, s = lp_max_s(problem)
         assert status == INFEASIBLE and s is None
 
@@ -279,6 +279,23 @@ class TestCache:
         assert sum(cache.decided.values()) == cache.misses
         assert cache.decided[FAST_PATH] > 0 and cache.decided[CERTIFIED] > 0
         assert cache.decided[FALLBACK] == 0
+
+
+    def test_full_support_decided_before_any_build(self, monkeypatch):
+        table = random_table(np.random.default_rng(6), 6)
+        assert len(table.support) == 63
+        models = enumerate_models(6, 2).models[::100]
+        builds = []
+        build = ExistenceProblem.build
+        monkeypatch.setattr(ExistenceProblem, "build", staticmethod(
+            lambda model, table: builds.append(model) or build(model, table)
+        ))
+        cache = ExistenceCache()
+        assert cache.check_many([(m, table) for m in models]) == [True] * len(models)
+        assert cache.decided == {FAST_PATH: len(models)}
+        tally = Counter()
+        assert fr_check(models[0], table, tally) and tally == {FAST_PATH: 1}
+        assert builds == []
 
 
 @functools.cache

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
+from scipy import linalg
 from scipy.special import gammaln
 
 from mseboot import (
@@ -15,7 +17,14 @@ from mseboot import (
     select_best_bic,
     select_by_chisq,
 )
-from mseboot.glm import FitSettings, bic_from_mu, design_matrix, log_likelihood
+from mseboot import glm
+from mseboot.glm import (
+    FitSettings,
+    bic_from_mu,
+    containment,
+    design_matrix,
+    log_likelihood,
+)
 
 from conftest import random_table
 
@@ -44,6 +53,79 @@ class TestReduction:
         assert marginal_count(korea, 0b101) == 18
         red = reduce_for_sparsity(model, korea)
         assert not red.minus_infinity_params
+
+
+class TestDesign:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_containment_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        t = int(rng.integers(2, 15))
+        cells = rng.integers(1, 1 << t, size=int(rng.integers(1, 200))).tolist()
+        params = rng.integers(0, 1 << t, size=int(rng.integers(1, 40))).tolist()
+        loop = [[th & w == th for th in params] for w in cells]
+        got = containment(cells, params)
+        assert got.dtype == bool and got.tolist() == loop
+        assert design_matrix(cells, params).tolist() == [
+            [1.0 if c else 0.0 for c in row] for row in loop
+        ]
+
+    def test_empty_cell_list(self):
+        assert containment([], [0, 1]).shape == (0, 2)
+
+
+def gelsd_rows(A, b):
+    """``scipy.linalg.lstsq`` with the gelsd driver, one row at a time."""
+    eps = np.finfo(np.float64).eps
+    return np.array([
+        linalg.lstsq(a, v, lapack_driver="gelsd", cond=eps)[0] for a, v in zip(A, b)
+    ])
+
+
+class TestLeastSquaresRows:
+    """The stacked solve against scipy's gelsd, bit for bit."""
+
+    def test_numpy_kernel_signature(self):
+        # a numpy whose private stacked lstsq differs fails here first
+        signature = "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+        assert _umath_linalg.lstsq.signature == signature
+
+    @pytest.mark.parametrize("rows", [1, 2, 1000])
+    def test_matches_scipy_gelsd(self, rows):
+        rng = np.random.default_rng(rows)
+        for m, n in ((7, 4), (63, 14)):
+            X = (rng.random((m, n)) < 0.5).astype(float)
+            X[:, 0] = 1.0
+            sw = np.sqrt(rng.gamma(2.0, 20.0, (rows, m)))
+            A, b = X * sw[:, :, None], rng.normal(size=(rows, m)) * sw
+            assert np.array_equal(glm._least_squares_rows(A, b), gelsd_rows(A, b))
+
+    def test_rank_deficient_rows_match_scipy_gelsd(self):
+        rng = np.random.default_rng(5)
+        X = (rng.random((15, 6)) < 0.5).astype(float)
+        X[:, 5] = X[:, 0] + X[:, 1]
+        sw = np.sqrt(rng.gamma(2.0, 20.0, (50, 15)))
+        A, b = X * sw[:, :, None], rng.normal(size=(50, 15)) * sw
+        assert np.array_equal(glm._least_squares_rows(A, b), gelsd_rows(A, b))
+
+    def test_non_finite_input_rejected(self):
+        A, b = np.ones((3, 5, 2)), np.ones((3, 5))
+        b[1, 2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            glm._least_squares_rows(A, b)
+        A[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            glm._least_squares_rows(A, np.ones((3, 5)))
+
+    def test_unconverged_row_raises(self, monkeypatch):
+        # the kernel reports a failed SVD as a row of NaN
+        def failing(A, b, rcond):
+            x, *rest = _umath_linalg.lstsq(A, b, rcond)
+            x[1] = np.nan
+            return (x, *rest)
+
+        monkeypatch.setattr(glm, "_LSTSQ", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            glm._least_squares_rows(np.ones((3, 5, 2)), np.ones((3, 5)))
 
 
 class TestFit:

@@ -4,6 +4,7 @@ Every comparison is ``==``: a fit that differs from the scalar loop in the
 last bit can flip a bootstrap count and so change the printed intervals.
 """
 
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -75,6 +76,20 @@ def test_sparse_random_tables_match_oracle_without_existence_gate():
     assert {(), ("diverged",), ("parameter_redundant",)} <= outcomes
 
 
+def test_wide_dense_table_matches_oracle():
+    # tall 63-cell systems with 7 to 14 columns, the shape of a downhill
+    # search on six lists
+    rng = np.random.default_rng(66)
+    table = random_table(rng, 6, mean=6.0)
+    assert len(table.support) == 63
+    by_size = defaultdict(list)
+    for m in enumerate_models(6, 2).models:
+        by_size[len(m.params)].append(m)
+    # one model of each size from the null model's 7 parameters to 14
+    chosen = [by_size[k][int(rng.integers(len(by_size[k])))] for k in range(7, 15)]
+    assert check_against_oracle(table, chosen, 12, seed=6) == 0
+
+
 @pytest.mark.parametrize("settings", [
     FitSettings(),
     FitSettings(sample_size="capture"),
@@ -92,3 +107,18 @@ def test_bic_from_mu_matches_oracle(settings):
         assert bic_from_mu(model, table, mu, settings, n_estimated=5) == (
             oracle_bic_from_mu(model, table, mu, settings, n_estimated=5)
         )
+
+
+def test_bic_from_mu_takes_logarithms_as_the_scalar_loop_does():
+    # np.log and math.log disagree in the last bit on about one value in
+    # ten thousand on some CPUs; try fitted means where they do
+    rng = np.random.default_rng(11)
+    values = rng.uniform(1.0, 5000.0, 100_000)
+    odd = [v for v, a in zip(values.tolist(), np.log(values).tolist())
+           if a != math.log(v)]
+    model = ModelSpec.from_notation("[12,13]", 3)
+    for v in odd[:20] + values[:5].tolist():
+        counts = {m: 3 * m for m in range(1, 8)} | {1: max(1, round(v))}
+        table = CountTable.from_counts(3, counts)
+        mu = {m: n + 0.25 for m, n in counts.items()} | {1: v}
+        assert bic_from_mu(model, table, mu) == oracle_bic_from_mu(model, table, mu)
