@@ -9,12 +9,13 @@ filtered by a goodness-of-fit window.
 
 Determinism: each replicate draws from its own generator seeded by
 (seed, replicate index).  Resamples are drawn in replicate order, then
-grouped by support, and each model is fitted once per group (one IRLS
-run for all of the group's tables); every replicate still gets exactly
-the estimate a fit of that table alone gives.  Jackknife tables are
-grouped the same way.  The greedy search does the same round by round:
-all replicates' searches take one step together, and the models the
-round needs are checked and fitted once per (model, support).
+grouped by support, and each model is fitted once per group; the
+groups of all models are fitted together, one IRLS run per stack of
+equal design shape (``glm.fit_groups``).  Every replicate still gets
+exactly the estimate a fit of that table alone gives.  Jackknife tables
+are grouped the same way.  The greedy search does the same round by
+round: all replicates' searches take one step together, and the models
+the round needs are checked and fitted once per (model, support).
 Replicates run in one thread; the ``workers`` arguments are accepted
 for compatibility and ignored.
 """
@@ -35,8 +36,8 @@ from .glm import (
     FitResult,
     FitSettings,
     NoModelFoundError,
-    fit_group,
-    fit_or_reject,
+    fit_candidates,
+    fit_groups,
     select_by_chisq,
 )
 from .modelspace import (
@@ -241,24 +242,23 @@ def _evaluate_models(
     where not estimable.
 
     The existence verdict depends only on the support, so it is checked
-    once per (model, support), all in one ``check_many`` call, and each
-    model is fitted to all tables of a support in one grouped IRLS run.
+    once per (model, support), all in one ``check_many`` call.  Every
+    (model, support) group that passes is fitted by one ``fit_groups``
+    call, which stacks the groups of equal design shape.
     """
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
-    groups = _support_groups(tables)
-    exists = iter(cache.check_many(
-        [(model, tables[rows[0]]) for rows in groups for model in models]
-    ))
-    for rows in groups:
-        group = [tables[i] for i in rows]
-        for j, model in enumerate(models):
-            if not next(exists):
-                continue
-            for i, res in zip(rows, fit_group(model, group, settings)):
-                if res.converged:
-                    bics[i, j] = res.bic
-                    ests[i, j] = res.population_estimate
+    pairs = [(rows, j) for rows in _support_groups(tables) for j in range(len(models))]
+    exists = cache.check_many([(models[j], tables[rows[0]]) for rows, j in pairs])
+    passed = [pair for pair, ok in zip(pairs, exists) if ok]
+    fitted = fit_groups(
+        [(models[j], [tables[i] for i in rows]) for rows, j in passed], settings
+    )
+    for (rows, j), results in zip(passed, fitted):
+        for i, res in zip(rows, results):
+            if res.converged:
+                bics[i, j] = res.bic
+                ests[i, j] = res.population_estimate
     return bics, ests
 
 
@@ -277,8 +277,8 @@ def original_fits(
     settings: FitSettings,
 ) -> tuple[np.ndarray, np.ndarray, list[FitResult]]:
     """Fit the whole space on the original data, canonically ordered."""
-    exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
-    fits = [fit_or_reject(m, table, lambda m, _: exists[m], settings) for m in space]
+    exists = cache.check_many([(m, table) for m in space])
+    fits = list(fit_candidates(space.models, table, exists, settings))
     bics = np.array([f.bic for f in fits])
     ests = np.array(
         [f.population_estimate if f.converged else np.nan for f in fits]
@@ -478,7 +478,7 @@ def _downhill_selected(
     The searches of all tables advance in lockstep.  Each round's models
     are grouped by (model, support): existence is checked once per group,
     for all of the round's groups in one ``check_many`` call, and the
-    group is fitted in one IRLS run.
+    groups that pass are fitted by one ``fit_groups`` call.
     """
     keys = [support_key(t) for t in tables]
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
@@ -491,12 +491,14 @@ def _downhill_selected(
         exists = cache.check_many(
             [(pairs[rows[0]][1], tables[pairs[rows[0]][0]]) for rows in groups.values()]
         )
-        for rows, ok in zip(groups.values(), exists):
-            if not ok:
-                continue
+        passed = [rows for rows, ok in zip(groups.values(), exists) if ok]
+        fitted = fit_groups(
+            [(pairs[rows[0]][1], [tables[pairs[n][0]] for n in rows]) for rows in passed],
+            settings,
+        )
+        for rows, results in zip(passed, fitted):
             model = pairs[rows[0]][1]
-            group = [tables[pairs[n][0]] for n in rows]
-            for n, res in zip(rows, fit_group(model, group, settings)):
+            for n, res in zip(rows, results):
                 if res.converged:
                     bics[n] = res.bic
                     estimates[pairs[n][0]][model.params] = res.population_estimate

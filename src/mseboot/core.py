@@ -99,6 +99,11 @@ class CountTable:
     def support(self) -> frozenset[int]:
         return frozenset(self.counts)
 
+    @cached_property
+    def support_key(self) -> str:
+        """Canonical key equal for two tables iff their supports are equal."""
+        return f"{self.t}:" + ",".join(format(mask, "x") for mask in sorted(self.support))
+
     def count(self, mask: int) -> int:
         return self.counts.get(mask, 0)
 
@@ -145,10 +150,9 @@ def is_hierarchical(params: Iterable[int], t: int) -> bool:
 
 
 def support_key(table: CountTable) -> str:
-    """Canonical key equal for two tables iff their supports are equal."""
-    return f"{table.t}:" + ",".join(
-        format(mask, "x") for mask in sorted(table.support)
-    )
+    """Canonical key equal for two tables iff their supports are equal,
+    computed once per table."""
+    return table.support_key
 
 
 @dataclass(frozen=True)

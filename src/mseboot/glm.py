@@ -6,12 +6,17 @@ recorded as -inf and the cells forced to zero by them are dropped before
 the numerical fit.  Estimates therefore live in [-inf, inf).
 
 Tables that share a support share the reduction and the design matrix,
-so ``solve_group`` fits one model to a whole group of them in a single
-IRLS run; ``fit`` is its one-table case.  Each table's least-squares step
-is still its own LAPACK ``dgelsd`` solve, as ``scipy.linalg.lstsq``
-would make it; numpy's stacked ``lstsq`` kernel makes the solves of all
-rows in one call per iteration.  Normal equations would be faster and
-would change the last bits of the estimates.
+so ``solve_group`` fits one model to a whole group of them; ``fit`` is
+its one-table case.  ``solve_groups`` takes many such (model, group)
+problems at once and stacks those whose designs have the same shape
+(retained cells x estimable parameters), whatever their model or
+support: one IRLS run iterates a whole stack, one design and one count
+vector per row.  ``solve_group`` is its one-problem case, so there is
+one IRLS loop.  Each row's least-squares step is still its own LAPACK
+``dgelsd`` solve, as ``scipy.linalg.lstsq`` would make it, and its own
+matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
+of all rows in one call per iteration.  Normal equations would be
+faster and would change the last bits of the estimates.
 
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
 ``math.log`` (``np.log`` differs from it in the last bit on about one
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -232,23 +237,24 @@ def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
     return GroupSolution(red, (flag,) * rows, empty, empty, nan, nan, nan, nan)
 
 
-def solve_group(
-    model: ModelSpec,
-    tables: Sequence[CountTable],
-    settings: FitSettings = FitSettings(),
-) -> GroupSolution:
-    """IRLS for one model on every table of a group sharing one support.
+# most elements (rows x cells x parameters) of the stacked design one IRLS
+# run holds; a single group larger than this is still solved whole
+STACK_ELEMENTS = 1 << 16
 
-    The reduction, design matrix and rank check depend only on the
-    support, so they are computed once.  The elementwise steps run on a
-    (tables, cells) array, and each row's weighted least-squares step is
-    still its own LAPACK ``dgelsd`` solve, made for all rows in one numpy
-    call per iteration, so every row is the result the loop would give on
-    that table alone.  Rows leave the iteration as they converge or
-    diverge.  The BIC sums of the settled rows are computed together at
-    the end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and
-    a left-to-right sum over the cells).
-    """
+
+@dataclass(frozen=True)
+class _Posed:
+    """A group ready to iterate: its design and its counts, one row per
+    table, in the order of the retained cells."""
+
+    reduced: ReducedProblem
+    X: np.ndarray  # (retained cells, estimable parameters)
+    Y: np.ndarray  # (tables, retained cells)
+
+
+def _pose(model: ModelSpec, tables: Sequence[CountTable]) -> _Posed | GroupSolution:
+    """Reduction, design and counts of one group, or its solution when no
+    row can be iterated."""
     if not tables:
         raise ValueError("cannot fit an empty group")
     # counts are stored in canonical cell order, so tables sharing a
@@ -259,43 +265,74 @@ def solve_group(
     if tables[0].n_total == 0:
         raise ValueError("cannot fit an empty table")
     red = reduce_for_sparsity(model, tables[0])
-    rows = len(tables)
     if not red.omega_dagger:
-        return _stopped(red, rows, "no_cells_left")
+        return _stopped(red, len(tables), "no_cells_left")
     X = design_matrix(red.omega_dagger, red.theta_dagger)
     if np.linalg.matrix_rank(X) < X.shape[1]:
-        return _stopped(red, rows, "parameter_redundant")
+        return _stopped(red, len(tables), "parameter_redundant")
     # every positive cell is retained: a dead parameter has no positive
     # cell containing it
     column = {w: k for k, w in enumerate(red.omega_dagger)}
-    Y = np.zeros((rows, len(red.omega_dagger)))
+    Y = np.zeros((len(tables), len(red.omega_dagger)))
     Y[:, [column[w] for w in cells]] = [list(t.counts.values()) for t in tables]
+    return _Posed(red, X, Y)
 
+
+def _stacks(posed: dict[int, _Posed]) -> Iterator[list[int]]:
+    """Keys of the groups each IRLS run takes: groups of one design shape,
+    up to ``STACK_ELEMENTS`` elements in all unless one group alone is
+    larger."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k, p in posed.items():
+        by_shape.setdefault(p.X.shape, []).append(k)
+    for (cells, params), keys in by_shape.items():
+        stack: list[int] = []
+        size = 0
+        for k in keys:
+            n = len(posed[k].Y) * cells * params
+            if stack and size + n > STACK_ELEMENTS:
+                yield stack
+                stack, size = [], 0
+            stack.append(k)
+            size += n
+        yield stack
+
+
+def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
+    """IRLS on every row of a stack: row k fits counts ``Y[k]`` with design
+    ``X[k]``.
+
+    ``X`` must be C-contiguous: numpy's ``matmul`` takes another path on
+    another layout, and that path moves the fitted means in the last bit.
+    Returns the fields of ``GroupSolution`` after ``reduced``, for all rows.
+    """
+    rows = len(Y)
     # strictly positive working means for the log link; the first solve
     # lands on an actual model fit and deviance is tracked from there.
-    # y, m, d and prev hold the rows still iterating; idx maps them to tables
-    beta = np.zeros((rows, X.shape[1]))
-    mu = np.zeros((rows, X.shape[0]))
+    # x, y, m, d and prev hold the rows still iterating; idx maps them to
+    # rows of the stack
+    beta = np.zeros((rows, X.shape[2]))
+    mu = np.zeros((rows, X.shape[1]))
     dev = np.full(rows, np.inf)
     first_dev = np.full(rows, np.nan)
     change = np.full(rows, np.nan)
     flags: list[str | None] = ["max_iterations"] * rows
     idx = np.arange(rows)
-    y, m, prev = Y, Y + 0.5, None
+    x, y, m, prev = X, Y, Y + 0.5, None
     for _ in range(settings.max_iter):
         if not idx.size:
             break
         z = np.log(m) + (y - m) / m
         sw = np.sqrt(m)
-        step = _least_squares_rows(X * sw[:, :, None], z * sw)
+        step = _least_squares_rows(x * sw[:, :, None], z * sw)
         diverged = step.min(axis=1) < settings.alpha_floor
         if diverged.any():
             for r in idx[diverged]:
                 flags[r] = "diverged"
             keep = ~diverged
-            idx, y, step = idx[keep], y[keep], step[keep]
+            idx, x, y, step = idx[keep], x[keep], y[keep], step[keep]
             prev = None if prev is None else prev[keep]
-        m = np.exp(np.matmul(X, step[:, :, None])[..., 0])
+        m = np.exp(np.matmul(x, step[:, :, None])[..., 0])
         d = _poisson_deviance(y, m)
         if prev is None:
             first_dev[idx] = d
@@ -311,12 +348,74 @@ def solve_group(
                     flags[r] = None
                 beta[done], mu[done], dev[done] = step[settled], m[settled], d[settled]
                 keep = ~settled
-                idx, y, m, d = idx[keep], y[keep], m[keep], d[keep]
+                idx, x, y, m, d = idx[keep], x[keep], y[keep], m[keep], d[keep]
         prev = d
     nll = np.full(rows, np.nan)
     settled = np.array([f is None for f in flags])
     nll[settled] = _neg_log_likelihood(Y[settled], mu[settled])
-    return GroupSolution(red, tuple(flags), beta, mu, dev, nll, first_dev, change)
+    return flags, beta, mu, dev, nll, first_dev, change
+
+
+def solve_groups(
+    problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
+    settings: FitSettings = FitSettings(),
+) -> list[GroupSolution]:
+    """``solve_group`` on every (model, tables sharing one support) problem,
+    with one IRLS run per stack of equal design shape.
+
+    Each group is reduced, designed and rank-checked on its own.  The
+    groups whose designs have the same (retained cells, estimable
+    parameters) shape are then stacked, one design and one count vector
+    per table, up to ``STACK_ELEMENTS`` elements a stack, and iterated
+    together.  Every row is still its own ``dgelsd`` solve and its own
+    matrix-vector product, so each solution equals the one
+    ``solve_group`` gives the problem alone, bit for bit.
+    """
+    solutions: list[GroupSolution | None] = []
+    posed: dict[int, _Posed] = {}
+    for k, (model, tables) in enumerate(problems):
+        p = _pose(model, tables)
+        if isinstance(p, GroupSolution):
+            solutions.append(p)
+        else:
+            solutions.append(None)
+            posed[k] = p
+    for stack in _stacks(posed):
+        groups = [posed[k] for k in stack]
+        ends = np.cumsum([len(p.Y) for p in groups])
+        # filled in place: a concatenation of broadcast views may come out
+        # in another memory layout
+        X = np.empty((ends[-1], *groups[0].X.shape))
+        for p, end in zip(groups, ends):
+            X[end - len(p.Y):end] = p.X
+        flags, *arrays = _irls(X, np.concatenate([p.Y for p in groups]), settings)
+        split = [np.split(a, ends[:-1]) for a in arrays]
+        for n, (k, p, end) in enumerate(zip(stack, groups, ends)):
+            solutions[k] = GroupSolution(
+                p.reduced, tuple(flags[end - len(p.Y):end]), *(a[n] for a in split)
+            )
+    return solutions
+
+
+def solve_group(
+    model: ModelSpec,
+    tables: Sequence[CountTable],
+    settings: FitSettings = FitSettings(),
+) -> GroupSolution:
+    """IRLS for one model on every table of a group sharing one support.
+
+    The reduction, design matrix and rank check depend only on the
+    support, so they are computed once.  The elementwise steps run on a
+    (tables, cells) array, and each row's weighted least-squares step is
+    still its own LAPACK ``dgelsd`` solve, made for all rows in one numpy
+    call per iteration, so every row is the result the loop would give on
+    that table alone.  Rows leave the iteration as they converge or
+    diverge.  The BIC sums of the settled rows are computed together at
+    the end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and
+    a left-to-right sum over the cells).  This is the one-problem case of
+    ``solve_groups``, which stacks the rows of many such groups.
+    """
+    return solve_groups([(model, tables)], settings)[0]
 
 
 def fit(
@@ -366,16 +465,32 @@ def fit(
     )
 
 
+def fit_groups(
+    problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
+    settings: FitSettings = FitSettings(),
+) -> Iterator[list[FitResult]]:
+    """``fit`` on every table of every (model, tables sharing one support)
+    problem, in order, one problem's list of results at a time.
+
+    All problems are solved by ``solve_groups`` when the first list is
+    asked for, in one IRLS run per stack of equal design shape.  Each
+    table's result is still made by a call to ``fit``, so anything
+    wrapping ``fit`` sees one call per table, made as its list is taken.
+    """
+    problems = list(problems)
+    solutions = solve_groups(problems, settings)
+    for (model, tables), solution in zip(problems, solutions):
+        yield [fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
+
+
 def fit_group(
     model: ModelSpec,
     tables: Sequence[CountTable],
     settings: FitSettings = FitSettings(),
 ) -> list[FitResult]:
     """``fit`` on every table of a group sharing one support, with a single
-    IRLS run for the whole group.  Each table's result is still made by a
-    call to ``fit``, so anything wrapping ``fit`` sees one call per table."""
-    solution = solve_group(model, tables, settings)
-    return [fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
+    IRLS run for the whole group: the one-problem case of ``fit_groups``."""
+    return next(fit_groups([(model, tables)], settings))
 
 
 def fit_or_reject(
@@ -386,27 +501,41 @@ def fit_or_reject(
 ) -> FitResult:
     """Fit with the existence criterion applied first.  Without a checker
     existence is decided on a fresh ``ExistenceCache``."""
-    exists = _checked(existence_checker, [model], table)
-    if not exists(model, table):
+    if not _verdicts(existence_checker, [model], table)[0]:
         return FitResult(model, STATUS_FR_FAILED)
     return fit(model, table, settings)
 
 
-def _checked(
+def _verdicts(
     existence_checker: Callable[[ModelSpec, CountTable], bool] | None,
     candidates: Sequence[ModelSpec],
     table: CountTable,
-) -> Callable[[ModelSpec, CountTable], bool]:
-    """``existence_checker``, or when it is None the verdicts of one
-    ``check_many`` over the candidates on a fresh cache."""
+) -> list[bool]:
+    """Whether each candidate's MLE exists on ``table``: by
+    ``existence_checker``, or when it is None by one ``check_many`` over
+    the candidates on a fresh cache."""
     if existence_checker is not None:
-        return existence_checker
+        return [existence_checker(m, table) for m in candidates]
     # existence imports this module's sparsity reduction
     from .existence import ExistenceCache
 
-    exists = ExistenceCache().check_many([(m, table) for m in candidates])
-    verdicts = dict(zip((m.params for m in candidates), exists))
-    return lambda model, _: verdicts[model.params]
+    return ExistenceCache().check_many([(m, table) for m in candidates])
+
+
+def fit_candidates(
+    candidates: Sequence[ModelSpec],
+    table: CountTable,
+    exists: Sequence[bool],
+    settings: FitSettings = FitSettings(),
+) -> Iterator[FitResult]:
+    """Each candidate's fit on ``table``, in order, or a ``fr_failed``
+    result where ``exists`` says its MLE does not exist.  The candidates
+    that exist are fitted by one ``fit_groups`` call."""
+    fitted = fit_groups(
+        [(m, [table]) for m, ok in zip(candidates, exists) if ok], settings
+    )
+    for model, ok in zip(candidates, exists):
+        yield next(fitted)[0] if ok else FitResult(model, STATUS_FR_FAILED)
 
 
 def select_best_bic(
@@ -419,17 +548,17 @@ def select_best_bic(
 
     Candidates failing the existence check or the fit get an infinite
     BIC; without a checker existence is decided as in ``fit_or_reject``,
-    for all candidates in one batch.  Ties go to the earliest candidate
-    in the given (canonical) order.  Raises NoModelFoundError when
-    nothing attains a finite BIC.
+    for all candidates in one batch.  The candidates that pass are fitted
+    together (``fit_candidates``).  Ties go to the earliest candidate in
+    the given (canonical) order.  Raises NoModelFoundError when nothing
+    attains a finite BIC.
     """
     candidates = list(candidates)
-    exists = _checked(existence_checker, candidates, table)
+    exists = _verdicts(existence_checker, candidates, table)
     best: tuple[ModelSpec, FitResult] | None = None
-    for model in candidates:
-        res = fit_or_reject(model, table, exists, settings)
+    for res in fit_candidates(candidates, table, exists, settings):
         if res.bic < (best[1].bic if best is not None else math.inf):
-            best = (model, res)
+            best = (res.model, res)
     if best is None or math.isinf(best[1].bic):
         raise NoModelFoundError("no candidate model has a finite BIC")
     return best
@@ -472,16 +601,16 @@ def select_by_chisq(
     among those whose goodness-of-fit p-value falls in [p_lo, p_hi].
 
     Models with no residual degrees of freedom are never candidates.
-    Without a checker existence is decided as in ``select_best_bic``.
+    Without a checker existence is decided as in ``select_best_bic``, and
+    the candidates that pass are likewise fitted together.
     Returns None when the window admits no model at all.
     """
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"invalid p-value window [{p_lo}, {p_hi}]")
     candidates = list(candidates)
-    exists = _checked(existence_checker, candidates, table)
+    exists = _verdicts(existence_checker, candidates, table)
     best: ChisqResult | None = None
-    for model in candidates:
-        res = fit_or_reject(model, table, exists, settings)
+    for res in fit_candidates(candidates, table, exists, settings):
         if not res.converged:
             continue
         stat, df = pearson_chisq(res, table)
@@ -490,7 +619,7 @@ def select_by_chisq(
         p = float(special.chdtrc(df, stat))
         if not p_lo <= p <= p_hi:
             continue
-        cand = ChisqResult(model, res, stat, df, p)
+        cand = ChisqResult(res.model, res, stat, df, p)
         if best is None or cand.ratio < best.ratio:
             best = cand
     return best

@@ -75,25 +75,31 @@ def _iter_downsets(elems: list[int]) -> Iterator[frozenset[int]]:
 
     Elements are processed in canonical order, so every immediate subset
     of a term precedes it and membership can be checked incrementally.
-    Each down-set is produced exactly once.
+    Each down-set is produced exactly once, the exclude branch of every
+    element before its include branch.  The search keeps its path in
+    ``included`` instead of one generator frame per element.
     """
-    n = len(elems)
+    lower = [[s for s in _immediate_subs(e) if order(s) >= 2] for e in elems]
     chosen: set[int] = set()
-
-    def rec(i: int) -> Iterator[frozenset[int]]:
-        if i == n:
-            yield frozenset(chosen)
+    included: list[int] = []  # positions of the included elements, ascending
+    # the first leaf excludes every element
+    yield frozenset()
+    while True:
+        # backtrack from the leaf to the deepest excluded element that can
+        # be included; every element after it is then excluded
+        i = len(elems) - 1
+        while i >= 0:
+            if included and included[-1] == i:
+                included.pop()
+                chosen.remove(elems[i])
+            elif all(s in chosen for s in lower[i]):
+                break
+            i -= 1
+        if i < 0:
             return
-        e = elems[i]
-        # exclude e
-        yield from rec(i + 1)
-        # include e, if its lower covers are all present
-        if all(s in chosen or order(s) < 2 for s in _immediate_subs(e)):
-            chosen.add(e)
-            yield from rec(i + 1)
-            chosen.remove(e)
-
-    return rec(0)
+        included.append(i)
+        chosen.add(elems[i])
+        yield frozenset(chosen)
 
 
 def enumerate_models(

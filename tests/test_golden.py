@@ -3,7 +3,9 @@
 The first three files under ``data/golden`` were written by the scalar
 IRLS loop before fitting was grouped by support; the two downhill files
 were written by the one-table-at-a-time greedy search before the
-searches of all replicates ran in lockstep.  Any change to what a
+searches of all replicates ran in lockstep; the chisq bootstrap and the
+best-BIC ``fit`` files were written before the fits of different
+(model, support) groups were stacked by design shape.  Any change to what a
 command prints at a fixed seed, down to the last digit of a float,
 fails here.
 The bytes depend on the numpy and BLAS build as well as on the code; a
@@ -38,6 +40,13 @@ CASES = {
     "table1_n2_downhill_reps50_seed2.json": [
         "bootstrap", "--data", "fixture:table1_n2", "--method", "downhill",
         "--reps", "50", "--seed", "2",
+    ],
+    "korea_chisq_reps100_seed7.json": [
+        "bootstrap", "--data", "fixture:korea", "--method", "chisq",
+        "--reps", "100", "--seed", "7",
+    ],
+    "table1_n4_fit_best.json": [
+        "fit", "--data", "fixture:table1_n4", "--model", "best",
     ],
 }
 

@@ -1,0 +1,185 @@
+"""``glm.solve_groups`` against one ``solve_group`` per problem and against
+the frozen scalar loop, bit for bit.
+
+A batch stacks the groups of equal design shape, whatever their model or
+support, into one IRLS run.  Every comparison is ``==``: a stacked row
+must be the fit its table gets alone, down to the last bit.
+"""
+
+from collections import defaultdict
+
+import numpy as np
+import pytest
+
+import irls_oracle
+from mseboot import CountTable, ModelSpec, enumerate_models, support_key
+from mseboot import glm
+from mseboot.bootstrap import replicate_rng, resample
+from mseboot.glm import FitSettings, ReducedProblem, fit_group, fit_groups, solve_groups
+
+from conftest import KOREA_COUNTS, random_table
+from irls_oracle import oracle_fit
+
+# its reduction is emptied by ``emptied_reduction``, as no valid table
+# empties it, to put a ``no_cells_left`` problem in the batch
+EMPTIED = ModelSpec.from_notation("[12,3]", 3)
+
+
+def outcome(res):
+    return (res.status, res.flags, res.bic, res.population_estimate, res.alpha, res.mu)
+
+
+def by_support(tables):
+    groups = defaultdict(list)
+    for t in tables:
+        groups[support_key(t)].append(t)
+    return list(groups.values())
+
+
+def resample_groups(table, n, seed):
+    return by_support([resample(table, replicate_rng(seed, i)) for i in range(n)])
+
+
+def mixed_problems():
+    """(model, group) problems of several models and supports, on three
+    and four lists: groups of equal and of unequal design shape, and,
+    without an existence check, groups whose rows diverge or whose design
+    is rank-deficient."""
+    problems = []
+    korea = CountTable.from_counts(3, KOREA_COUNTS)
+    groups = [[korea]] + resample_groups(korea, 12, seed=5)
+    problems += [(m, g) for m in enumerate_models(3, 2).models for g in groups]
+    rng = np.random.default_rng(2024)
+    models = enumerate_models(4, 3).models[::6]
+    for k in range(6):
+        table = random_table(rng, 4, zero_prob=0.5)
+        groups = [[table]] + resample_groups(table, 4, seed=k)
+        problems += [(m, g) for m in models for g in groups]
+    return problems
+
+
+@pytest.fixture
+def emptied_reduction(monkeypatch):
+    real = glm.reduce_for_sparsity
+
+    def reduce(model, table):
+        red = real(model, table)
+        if model != EMPTIED:
+            return red
+        return ReducedProblem(red.theta_dagger, (), red.minus_infinity_params)
+
+    monkeypatch.setattr(glm, "reduce_for_sparsity", reduce)
+    monkeypatch.setattr(irls_oracle, "reduce_for_sparsity", reduce)
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """Every stack ``solve_groups`` iterates: (groups, elements, design
+    shapes, whether the stacked design was C-contiguous)."""
+    seen = []
+    real_stacks, real_irls = glm._stacks, glm._irls
+
+    def recording_stacks(posed):
+        for stack in real_stacks(posed):
+            designs = [posed[k].X for k in stack]
+            size = sum(len(posed[k].Y) * posed[k].X.size for k in stack)
+            seen.append([len(stack), size, {X.shape for X in designs}, None])
+            yield stack
+
+    def recording_irls(X, Y, settings):
+        assert X.shape[0] == len(Y) and seen[-1][1] == X.size
+        seen[-1][3] = X.flags.c_contiguous
+        return real_irls(X, Y, settings)
+
+    monkeypatch.setattr(glm, "_stacks", recording_stacks)
+    monkeypatch.setattr(glm, "_irls", recording_irls)
+    return seen
+
+
+# 12 iterations leave rows diverged, settled and still iterating in one batch
+@pytest.mark.parametrize("settings", [FitSettings(), FitSettings(max_iter=12)])
+def test_mixed_batch_matches_each_group_alone_and_the_oracle(
+    settings, emptied_reduction, stacks
+):
+    problems = mixed_problems()
+    batch = list(fit_groups(problems, settings))
+    assert len(batch) == len(problems)
+    batch_stacks = list(stacks)
+    flags = set()
+    for (model, group), got in zip(problems, batch):
+        assert [outcome(r) for r in got] == [
+            outcome(r) for r in fit_group(model, group, settings)
+        ]
+        assert [outcome(r) for r in got] == [
+            outcome(oracle_fit(model, t, settings)) for t in group
+        ]
+        flags |= {r.flags for r in got}
+    expected = {(), ("diverged",), ("parameter_redundant",), ("no_cells_left",)}
+    if settings.max_iter < 100:
+        expected.add(("max_iterations",))
+    assert expected <= flags
+    # the batch was stacked: far fewer IRLS runs than groups, each on one
+    # C-contiguous design shape
+    assert len(batch_stacks) < len(problems) / 4
+    assert all(len(shapes) == 1 and contiguous for _, _, shapes, contiguous in stacks)
+
+
+def test_solutions_equal_solve_group_field_by_field(emptied_reduction):
+    problems = mixed_problems()
+    for (model, group), got in zip(problems, solve_groups(problems)):
+        alone = glm.solve_group(model, group)
+        assert got.reduced == alone.reduced and got.flags == alone.flags
+        for field in ("beta", "mu", "deviance", "neg_log_likelihood",
+                      "first_deviance", "change"):
+            a, b = getattr(got, field), getattr(alone, field)
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
+
+
+def test_small_stack_cap_changes_nothing(monkeypatch, stacks):
+    # the first group of its shape is larger than the cap alone
+    korea = CountTable.from_counts(3, KOREA_COUNTS)
+    big = max(resample_groups(korea, 40, seed=9), key=len)
+    problems = [(ModelSpec.null_model(3), big)] + mixed_problems()
+    uncapped = [[outcome(r) for r in got] for got in fit_groups(problems)]
+    stacks.clear()
+    cap = 400
+    monkeypatch.setattr(glm, "STACK_ELEMENTS", cap)
+    capped = [[outcome(r) for r in got] for got in fit_groups(problems)]
+    assert capped == uncapped
+    # no stack exceeds the cap unless it is one group that alone does
+    assert all(size <= cap or n == 1 for n, size, _, _ in stacks)
+    assert any(size > cap and n == 1 for n, size, _, _ in stacks)
+    assert any(n > 1 for n, _, _, _ in stacks)
+    assert all(len(shapes) == 1 and contiguous for _, _, shapes, contiguous in stacks)
+
+
+def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
+    korea = CountTable.from_counts(3, KOREA_COUNTS)
+    groups = resample_groups(korea, 10, seed=1)
+    problems = [(m, g) for m in enumerate_models(3, 2).models for g in groups]
+    calls, solves = [], []
+    real_fit, real_solve = glm.fit, glm.solve_groups
+
+    def counting_fit(model, table, settings=FitSettings(), solved=None):
+        calls.append(model)
+        return real_fit(model, table, settings, solved)
+
+    def counting_solve(problems, settings=FitSettings()):
+        solves.append(len(problems))
+        return real_solve(problems, settings)
+
+    monkeypatch.setattr(glm, "fit", counting_fit)
+    monkeypatch.setattr(glm, "solve_groups", counting_solve)
+    fitted = fit_groups(problems)
+    assert calls == [] and solves == []
+    for model, group in problems:
+        before = len(calls)
+        next(fitted)
+        assert calls[before:] == [model] * len(group)
+    # one solve for the whole batch, not one per group
+    assert solves == [len(problems)]
+
+
+def test_empty_batch():
+    assert solve_groups([]) == []
+    assert list(fit_groups([])) == []
