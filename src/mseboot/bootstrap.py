@@ -16,8 +16,10 @@ exactly the estimate a fit of that table alone gives.  Jackknife tables
 are grouped the same way.  The greedy search does the same round by
 round: all replicates' searches take one step together, and the models
 the round needs are checked and fitted once per (model, support).
-Replicates run in one thread; the ``workers`` arguments are accepted
-for compatibility and ignored.
+The ``workers`` arguments are accepted for compatibility and ignored:
+the one parallel step is inside ``glm``, which splits each stacked
+least-squares call across the CPUs the process may use, with the same
+output for any number of them.
 """
 
 from __future__ import annotations

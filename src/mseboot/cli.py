@@ -350,6 +350,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
+WORKERS_HELP = (
+    "accepted for compatibility; has no effect (least-squares steps use every "
+    "CPU of the affinity mask, which taskset limits; output is the same for "
+    "any CPU count)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mseboot",
@@ -385,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-hi", type=float, default=0.3, dest="p_hi")
     p.add_argument("--starts", type=int, default=0,
                    help="extra random order-2 starting models for the downhill method")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--sweep", action="store_true",
                    help="emit intervals for every restriction size up to --ntop")
     p.set_defaults(func=cmd_bootstrap)
@@ -396,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=DEFAULT_B)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ntop-grid", default="1,5,10,50,100", dest="ntop_grid")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("dump", help="re-serialize a dataset in aggregated CSV form")

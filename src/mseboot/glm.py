@@ -18,6 +18,17 @@ matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
 of all rows in one call per iteration.  Normal equations would be
 faster and would change the last bits of the estimates.
 
+A call on a stack of at least ``SPLIT_ELEMENTS`` design elements is cut
+into contiguous chunks of rows, one per CPU the process may use (its
+affinity mask, ``os.sched_getaffinity``, which ``taskset`` limits): the
+calling thread solves the first chunk and a thread pool, made on the
+first split, the others, at the same time, as the kernel releases the
+GIL; a chunk no pool thread has started by the time the calling thread
+is done is solved by the calling thread.  The pool runs nothing but the
+kernel.  A row's solve does not depend on the other rows of its call, so
+the output is the same for any CPU count, bit for bit; on one CPU nothing
+is split and no pool is made.
+
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
 ``math.log`` (``np.log`` differs from it in the last bit on about one
 value in several thousand) and each table's terms are added left to
@@ -28,7 +39,10 @@ right, which neither ``np.sum`` (pairwise) nor Python 3.12's ``sum``
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -85,6 +99,12 @@ class FitResult:
         return self.status == STATUS_CONVERGED
 
 
+@cache
+def canonical_cells(t: int) -> tuple[int, ...]:
+    """The 2^t - 1 non-empty histories of t lists, in canonical order."""
+    return tuple(sorted(range(1, 1 << t), key=canonical_key))
+
+
 def reduce_for_sparsity(model: ModelSpec, table: CountTable) -> ReducedProblem:
     """Split parameters into estimable ones and those fixed at -inf.
 
@@ -92,17 +112,18 @@ def reduce_for_sparsity(model: ModelSpec, table: CountTable) -> ReducedProblem:
     every cell containing such a parameter is removed too (those cells
     necessarily hold zero counts).
     """
+    # a parameter that is itself a positive cell has a positive marginal
     dead = frozenset(
-        theta for theta in model.params if marginal_count(table, theta) == 0
+        theta
+        for theta in model.params
+        if table.counts.get(theta, 0) <= 0 and marginal_count(table, theta) == 0
     )
-    theta_dagger = tuple(
-        sorted((p for p in model.params if p not in dead), key=canonical_key)
-    )
-    omega_dagger = tuple(
-        w
-        for w in sorted(range(1, 1 << table.t), key=canonical_key)
-        if not any(d & w == d for d in dead)
-    )
+    theta_dagger = tuple(p for p in model.sorted_params if p not in dead)
+    omega_dagger = canonical_cells(table.t)
+    if dead:
+        omega_dagger = tuple(
+            w for w in omega_dagger if not any(d & w == d for d in dead)
+        )
     return ReducedProblem(theta_dagger, omega_dagger, dead)
 
 
@@ -192,17 +213,80 @@ def bic_from_mu(
 _LSTSQ = _umath_linalg.lstsq
 _RCOND = np.finfo(np.float64).eps
 
+# fewest design elements (rows x cells x parameters) of a least-squares
+# stack whose rows are split across the CPUs; a smaller stack is solved
+# by one call, as handing a chunk to another thread costs more than it
+# saves.  Replaying the stacks of the three benchmark workloads on 2 CPUs,
+# thresholds from 2,000 to 3,000 gave the least total solve time
+SPLIT_ELEMENTS = 2_000
+
+# (process id, pool): a forked child inherits the pool without its
+# threads, so it makes its own
+_pool: tuple[int, futures.ThreadPoolExecutor] | None = None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    limits."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor() -> futures.ThreadPoolExecutor:
+    """The pool that solves all chunks but the first, made on first use.
+
+    Threads that race here may each make a pool; the one not kept is
+    collected once its chunks are solved, and its threads exit.
+    """
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), futures.ThreadPoolExecutor(max(_cpu_count() - 1, 1)))
+    return _pool[1]
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_LSTSQ`` on rows ``b`` of shape (rows, cells, 1)."""
+    # a row whose SVD does not converge comes back as NaN, and
+    # ``np.errstate`` holds only in the thread that enters it
+    with np.errstate(invalid="ignore"):
+        return _LSTSQ(A, b, _RCOND)[0][:, :, 0]
+
 
 def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows.
 
-    Every row is its own LAPACK ``dgelsd`` solve, all made by one call.
+    Every row is its own LAPACK ``dgelsd`` solve.  A stack of at least
+    ``SPLIT_ELEMENTS`` elements is cut into contiguous chunks of rows, one
+    per CPU: this thread solves the first and a thread pool the others,
+    at the same time (the kernel releases the GIL).  A row's solve does
+    not depend on the other rows of its call, so the result is the same
+    for any number of chunks and whichever thread solves them, bit for
+    bit.
     """
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    # a row whose SVD does not converge comes back as NaN
-    with np.errstate(invalid="ignore"):
-        x = _LSTSQ(A, b[:, :, None], _RCOND)[0][:, :, 0]
+    b = b[:, :, None]
+    chunks = min(_cpu_count(), len(A)) if A.size >= SPLIT_ELEMENTS else 1
+    if chunks < 2:
+        x = _solve(A, b)
+    else:
+        ends = [len(A) * k // chunks for k in range(chunks + 1)]
+        pool = _executor()
+        rest = [
+            pool.submit(_solve, A[lo:hi], b[lo:hi])
+            for lo, hi in zip(ends[1:-1], ends[2:])
+        ]
+        parts = []
+        # every chunk is done with A and b before this returns or raises
+        try:
+            parts.append(_solve(A[:ends[1]], b[:ends[1]]))
+        finally:
+            for f, lo, hi in zip(rest, ends[1:-1], ends[2:]):
+                # a chunk no pool thread has started (its CPU is busy) is
+                # solved here rather than waited for
+                parts.append(_solve(A[lo:hi], b[lo:hi]) if f.cancel() else f.result())
+        x = np.concatenate(parts)
     if np.isnan(x).any():
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     return x

@@ -18,6 +18,7 @@ from mseboot import (
     select_by_chisq,
 )
 from mseboot import glm
+from mseboot.core import canonical_key
 from mseboot.glm import (
     FitSettings,
     bic_from_mu,
@@ -53,6 +54,40 @@ class TestReduction:
         assert marginal_count(korea, 0b101) == 18
         red = reduce_for_sparsity(model, korea)
         assert not red.minus_infinity_params
+
+    @pytest.mark.parametrize("t", range(2, 7))
+    def test_matches_the_frozen_reduction(self, t):
+        """Against the reduction as it sorted every cell on every call."""
+
+        def frozen(model, table):
+            dead = frozenset(
+                theta for theta in model.params if marginal_count(table, theta) == 0
+            )
+            theta_dagger = tuple(
+                sorted((p for p in model.params if p not in dead), key=canonical_key)
+            )
+            omega_dagger = tuple(
+                w
+                for w in sorted(range(1, 1 << table.t), key=canonical_key)
+                if not any(d & w == d for d in dead)
+            )
+            return glm.ReducedProblem(theta_dagger, omega_dagger, dead)
+
+        models = enumerate_models(t, min(t - 1, 2)).models
+        models = models[:: max(1, len(models) // 300)]
+        rng = np.random.default_rng(t)
+        tables = [
+            random_table(rng, t, zero_prob=zero)
+            for zero in (0.0, 0.0, 0.3, 0.5, 0.7, 0.9)
+            for _ in range(2)
+        ]
+        dead = 0
+        for table in tables:
+            for model in models:
+                red = reduce_for_sparsity(model, table)
+                assert red == frozen(model, table)
+                dead += bool(red.minus_infinity_params)
+        assert dead
 
 
 class TestDesign:

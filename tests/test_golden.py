@@ -8,6 +8,9 @@ best-BIC ``fit`` files were written before the fits of different
 (model, support) groups were stacked by design shape.  Any change to what a
 command prints at a fixed seed, down to the last digit of a float,
 fails here.
+The least-squares stacks are split across the CPUs the process may use,
+and the output must not depend on how many there are: the last test
+runs one case in a child process pinned to one CPU.
 The bytes depend on the numpy and BLAS build as well as on the code; a
 file is rewritten with ``PYTHONPATH=src python -m mseboot.cli ARGS >
 tests/data/golden/NAME`` only from a commit whose output is known good.
@@ -15,10 +18,14 @@ tests/data/golden/NAME`` only from a commit whose output is known good.
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mseboot
 from mseboot import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -57,3 +64,17 @@ def test_output_is_byte_identical(name):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(CASES[name]) == 0
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_one_cpu_output_is_byte_identical():
+    # the affinity mask limits the CPUs of the child alone, so its stacks
+    # are solved unsplit
+    name = "korea_sweep_reps200_seed53.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-m", "mseboot.cli", *CASES[name]],
+        capture_output=True, check=True, env=env, timeout=120,
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+    )
+    assert out.stdout == (GOLDEN / name).read_bytes()
