@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -24,7 +25,12 @@ from .core import CountTable, ModelSpec, history_to_str
 from .existence import ExistenceCache
 from .glm import FitSettings, NoModelFoundError, fit_or_reject, select_best_bic
 from .io import FIXTURES, DataFormatError, dump_table, load_fixture, load_table
-from .modelspace import ModelSpaceError, enumerate_models, random_order2_starts
+from .modelspace import (
+    ModelSpaceError,
+    check_max_order,
+    enumerate_models,
+    random_order2_starts,
+)
 from .bootstrap import (
     DEFAULT_B,
     DEFAULT_LEVELS,
@@ -152,15 +158,24 @@ def cmd_fit(args) -> int:
     settings = _settings(args)
     l = args.max_order if args.max_order is not None else table.t - 1
     cache = ExistenceCache()
-    space = enumerate_models(table.t, l)
-    exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
-    fr_failures = [m.notation() for m in space if not exists[m]]
     if args.model == "best":
+        space = enumerate_models(table.t, l)
+        exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
+        fr_failures = [m.notation() for m in space if not exists[m]]
         model, res = select_best_bic(
             space.models, table, lambda m, _: exists[m], settings
         )
     else:
+        # a named model is checked alone: its space may be far too large
+        # to enumerate
+        check_max_order(table.t, l)
         model = ModelSpec.from_notation(args.model, table.t)
+        if model.max_order > l:
+            raise CliError(
+                f"model {model.notation()} has order {model.max_order}, "
+                f"above the maximum order l={l}"
+            )
+        fr_failures = [] if cache.check(model, table) else [model.notation()]
         res = fit_or_reject(model, table, cache.check, settings)
     payload = {
         "lists": names,
@@ -415,6 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # what exists now (the imported modules above all) outlives the
+    # command; frozen, it is left out of the full collections the run
+    # triggers
+    gc.freeze()
     try:
         return args.func(args)
     except CliError as e:
@@ -429,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         json.dump({"error": EXIT_NO_MODEL, "message": str(e)}, sys.stderr)
         sys.stderr.write("\n")
         return EXIT_NO_MODEL
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

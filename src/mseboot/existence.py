@@ -5,9 +5,11 @@ strictly positive optimum: some real cell vector x with the model's
 margins is positive in every retained cell.  Writing x = n + z, that
 holds iff some direction z with A^T z = 0 is positive on every retained
 zero cell (Fienberg & Rinaldo 2012, Ann. Statist. 40(2); the program is
-the one of Chan, Silverman & Vincent 2021, JASA).
+the one of Chan, Silverman & Vincent 2021, JASA).  By Gordan's theorem
+that fails iff some y = A w vanishes on the positive cells and is
+nonzero and of one sign on the zero cells.
 
-``fr_check`` tries four routes in order, and ``tally`` and
+``fr_check`` tries five routes in order, and ``tally`` and
 ``ExistenceCache.decided`` count the one that decided under its key:
 
 1. ``FAST_PATH``: every retained cell is positive, so the data vector
@@ -17,30 +19,44 @@ the one of Chan, Silverman & Vincent 2021, JASA).
    Then no nonzero y = A w vanishes on the positive cells, so nothing
    rules a direction out and the estimate exists.  This route only ever
    says True; when the proof comes up short the next route runs.
-3. ``CERTIFIED``: HiGHS solves the direction program in floating point
+3. ``NULL_SPACE``: the w with A w = 0 on the positive cells are w = N u
+   for an exact integer basis N of that null space, so the question is
+   whether some u makes V u = A_Z N u nonzero and of one sign.  After
+   dropping dependent columns of V the cone {u : V u >= 0} is pointed,
+   so it is {0} unless it has an extreme ray, and each extreme ray is
+   the null space of some k' - 1 independent rows of V (k' columns).
+   Trying every such set of rows decides the question in integer
+   arithmetic (Eriksson, Fienberg, Rinaldo & Sullivant 2006, J. Symbolic
+   Comput. 41(2)); a failure verdict is checked on its w as the
+   certificate below is.  The route declines a problem larger than
+   ``NULL_SPACE_MAX_ENTRIES`` or one needing more than
+   ``NULL_SPACE_MAX_SUBSETS`` sets of rows.
+4. ``CERTIFIED``: HiGHS solves the direction program in floating point
    and the answer is accepted only after an exact check in integer
-   arithmetic: either a direction z as above, or a vector y = A w that
-   vanishes on the positive cells and is nonzero and of one sign on the
-   zero cells, which rules every such z out.  The float solution is first
+   arithmetic: either a direction z as above, or a vector y = A w as
+   above, which rules every such z out.  The float solution is first
    rounded to small rationals; when that does not verify, the vertex its
    active set names is solved exactly.
-4. ``FALLBACK``: only when neither certifies does the exact-rational
+5. ``FALLBACK``: only when neither certifies does the exact-rational
    simplex (``lp_max_s``) decide, so a float error can cost time but
    never change a verdict.
 
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
 the support of the table.  ``ExistenceCache.check_many`` answers a list
-of pairs at once: it tries the rank proof on every miss as it poses it,
-and the programs of the misses that remain are independent, so
-``float_solve`` stacks them as the blocks of one block-diagonal program
-and solves up to ``CHUNK`` of them per HiGHS call.  Each block is still
-certified on its own; a block that does not certify is solved again
-alone before ``lp_max_s`` is tried.
+of pairs at once: it tries the rank proof and the null-space route on
+every miss as it poses it, and the programs of the misses that remain
+are independent, so ``float_solve`` stacks them as the blocks of one
+block-diagonal program and solves up to ``CHUNK`` of them per HiGHS
+call.  Each block is still certified on its own; a block that does not
+certify is solved again alone before ``lp_max_s`` is tried.  SciPy's
+``optimize`` and ``sparse`` modules are imported by the first
+``float_solve`` call, not with this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,7 +65,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
 
 from .core import CountTable, ModelSpec, marginal_count, support_key
 from .glm import containment, reduce_for_sparsity
@@ -61,12 +76,21 @@ UNBOUNDED = "unbounded"
 # how fr_check reached a verdict
 FAST_PATH = "fast_path"
 RANK = "rank"
+NULL_SPACE = "null_space"
 CERTIFIED = "certified"
 FALLBACK = "fallback"
 
 # the rank proof eliminates modulo this prime; it is below 2^31, so the
 # difference of two products of residues fits in an int64
 RANK_PRIME = 2**31 - 1
+
+# the null-space route declines, before any elimination, a problem with
+# more cells x parameters than this (all problems on up to 6 lists and
+# all-pairs models on 7 are below it) ...
+NULL_SPACE_MAX_ENTRIES = 4096
+# ... and, once the null space is known, one that would try more sets of
+# rows than this in its search for an extreme ray
+NULL_SPACE_MAX_SUBSETS = 5000
 
 # a float this close to a bound is read as on it when the active set is
 # taken from the float solution; a wrong reading costs only the fallback
@@ -85,7 +109,8 @@ class ExistenceProblem:
 
     ``contains[i, j]`` is True when parameter j is contained in cell i;
     ``matrix`` and ``incidence`` are the same cells x parameters 0/1
-    array as floats and as integer tuples, each made when first read.
+    array as floats and as integer tuples, and ``params_of_cell`` lists
+    the parameters each cell contains; each is made when first read.
     """
 
     omega: tuple[int, ...]
@@ -109,6 +134,10 @@ class ExistenceProblem:
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.contains.astype(int).tolist()))
+
+    @cached_property
+    def params_of_cell(self) -> list[list[int]]:
+        return [[j for j, a in enumerate(row) if a] for row in self.incidence]
 
     def zero_cells(self, table: CountTable) -> list[int]:
         """Positions in ``omega`` of the retained cells ``table`` leaves at 0."""
@@ -261,6 +290,10 @@ def float_solve(
     deterministically, so the same input gives the same solutions.  An
     entry is None when HiGHS reports no optimum for its chunk.
     """
+    # imported here: the two modules are a third of the package's import
+    # time, and most runs never reach this program
+    from scipy import optimize, sparse
+
     out: list[FloatSolution | None] = []
     for first in range(0, len(blocks), CHUNK):
         chunk = blocks[first:first + CHUNK]
@@ -314,15 +347,17 @@ def _rounded(values: np.ndarray) -> list[int]:
     )
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """One solution of rows . x = rhs, free unknowns at 0; None if the
-    system is inconsistent.
+def _eliminate(
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on the first n columns of
+    integer rows, each reduced by its gcd after every update.
 
-    Fraction-free Gauss-Jordan elimination on integer rows, each reduced
-    by its gcd after every update.
+    Returns the rows, the pivot rows first, and the pivot column of each
+    pivot row: every other row is 0 in the first n columns, and a pivot
+    column is 0 outside its pivot row.  The given rows are not modified.
     """
-    n = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    aug = list(rows)
     pivots: list[int] = []
     for col in range(n):
         r = len(pivots)
@@ -339,12 +374,41 @@ def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None
                 g = math.gcd(*new)
                 aug[k] = [v // g for v in new] if g > 1 else new
         pivots.append(col)
+    return aug, pivots
+
+
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
+    """One solution of rows . x = rhs, free unknowns at 0; None if the
+    system is inconsistent."""
+    n = len(rows[0])
+    aug, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
     if any(row[-1] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * n
     for row, col in zip(aug, pivots):
         x[col] = Fraction(row[-1], row[col])
     return x
+
+
+def _null_space(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """An integer basis of {x in Z^n : rows . x = 0}, one vector per free
+    column of the elimination, each with coprime entries."""
+    aug, pivots = _eliminate(rows, n)
+    pivot_cols = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        # x_free = d and x_col = -row[free] d / row[col] for each pivot row
+        used = [(row, col) for row, col in zip(aug, pivots) if row[free]]
+        d = math.lcm(*(row[col] for row, col in used))
+        x = [0] * n
+        x[free] = d
+        for row, col in used:
+            x[col] = -row[free] * d // row[col]
+        g = math.gcd(*x)
+        basis.append([v // g for v in x])
+    return basis
 
 
 def _primal_vertex(
@@ -467,6 +531,63 @@ def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
     return True
 
 
+def null_space_verdict(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
+    """Whether the estimate exists, decided exactly on the null space of
+    the positive cells' incidence rows; None when the route declines.
+
+    With N an integer basis of {w : A_S w = 0} (S the positive cells), a
+    y = A w that vanishes on S is A N u, and its zero-cell part is V u for
+    V = A_Z N.  Keeping a maximal set of independent columns of V leaves
+    V' with k' columns and the same values V u, and the cone
+    {u : V' u >= 0} is pointed.  For k' = 0 every such y is 0 and the
+    estimate exists.  Otherwise the cone is {0} unless it has an extreme
+    ray, which spans the null space of some k' - 1 independent rows of V'
+    and on which V' is of one sign.  So every set of k' - 1 distinct
+    nonzero rows (up to scale) of rank k' - 1 is tried: when its null
+    vector g has V' g >= 0 or <= 0, w = N g is checked by
+    ``_proves_failure`` and the estimate does not exist; when none does,
+    it exists.  The route declines a problem with more than
+    ``NULL_SPACE_MAX_ENTRIES`` incidence entries, and one needing more
+    than ``NULL_SPACE_MAX_SUBSETS`` sets of rows.
+    """
+    n_params = len(problem.theta)
+    if len(problem.omega) * n_params > NULL_SPACE_MAX_ENTRIES:
+        return None
+    zero_set = set(zero)
+    basis = _null_space(
+        [row for i, row in enumerate(problem.incidence) if i not in zero_set], n_params
+    )
+    params_of_cell = problem.params_of_cell
+    v = [[sum(w[j] for j in params_of_cell[i]) for w in basis] for i in zero]
+    _, independent = _eliminate(v, len(basis))
+    k = len(independent)
+    if k == 0:
+        return True
+    v = [[row[c] for c in independent] for row in v]
+    rows = set()
+    for row in v:
+        g = math.gcd(*row)
+        if g:
+            lead = next(a for a in row if a)
+            rows.add(tuple(a // g if lead > 0 else -a // g for a in row))
+    if math.comb(len(rows), k - 1) > NULL_SPACE_MAX_SUBSETS:
+        return None
+    for subset in itertools.combinations(sorted(rows), k - 1):
+        null = _null_space(subset, k)
+        if len(null) != 1:
+            continue
+        (g,) = null
+        y = [sum(a * b for a, b in zip(row, g)) for row in v]
+        if min(y) >= 0 or max(y) <= 0:
+            w = [
+                sum(gc * basis[c][j] for gc, c in zip(g, independent))
+                for j in range(n_params)
+            ]
+            # a failure verdict stands only on its checked certificate
+            return False if _proves_failure(w, params_of_cell, zero) else None
+    return True
+
+
 def certify(
     problem: ExistenceProblem, zero: Sequence[int], sol: FloatSolution | None
 ) -> bool | None:
@@ -490,9 +611,7 @@ def certify(
         ):
             return True
         return None
-    params_of_cell = [
-        [j for j, a in enumerate(row) if a] for row in problem.incidence
-    ]
+    params_of_cell = problem.params_of_cell
     if _proves_failure(_rounded(sol.w), params_of_cell, zero) or (
         _proves_failure(_dual_vertex(problem.incidence, problem.matrix @ sol.w, zero),
                         params_of_cell, zero)
@@ -501,11 +620,26 @@ def certify(
     return None
 
 
+# a pair's problem, the verdict and route of ``prove`` on it (None when
+# not tried) and its float solution from a batched ``float_solve``
+Solved = tuple[ExistenceProblem, tuple[bool | None, str] | None, FloatSolution | None]
+
+
+def prove(problem: ExistenceProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
+    """The verdict of the exact routes and the route that reached it:
+    ``RANK`` or ``NULL_SPACE``, or None and ``CERTIFIED`` when both
+    decline and the program must decide."""
+    if proves_full_rank(problem, zero):
+        return True, RANK
+    verdict = null_space_verdict(problem, zero)
+    return (None, CERTIFIED) if verdict is None else (verdict, NULL_SPACE)
+
+
 def fr_check(
     model: ModelSpec,
     table: CountTable,
     tally: Counter | None = None,
-    solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None = None,
+    solved: Solved | None = None,
 ) -> bool:
     """Whether the extended maximum likelihood estimate exists.
 
@@ -515,16 +649,17 @@ def fr_check(
     table where the reduction removes every cell cannot identify any
     parameter.
     Otherwise a full column rank of the positive cells' incidence rows
-    (``proves_full_rank``) proves existence; failing that ``certify``
-    decides, and ``lp_max_s`` when it cannot.
+    (``proves_full_rank``) proves existence, and failing that
+    ``null_space_verdict`` decides; when it declines ``certify`` decides,
+    and ``lp_max_s`` when it cannot.
 
-    ``solved`` passes the problem already built for this pair, whether
-    ``proves_full_rank`` held on it (None when not tried) and its float
-    solution from a batched ``float_solve`` (None when it was not solved);
-    when that solution does not certify, the problem is solved again on
-    its own before ``lp_max_s`` runs.  ``tally``, when given, counts the
-    route taken under ``FAST_PATH``, ``RANK``, ``CERTIFIED`` or
-    ``FALLBACK``.
+    ``solved`` passes the problem already built for this pair, what
+    ``prove`` said on it (None when not tried) and its float solution
+    from a batched ``float_solve`` (None when it was not solved); when
+    that solution does not certify, the problem is solved again on its
+    own before ``lp_max_s`` runs.  ``tally``, when given, counts the
+    route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
+    ``CERTIFIED`` or ``FALLBACK``.
     """
     if _full_support(table):
         verdict, route = True, FAST_PATH
@@ -541,21 +676,18 @@ def _full_support(table: CountTable) -> bool:
 
 
 def _decide(
-    model: ModelSpec,
-    table: CountTable,
-    solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None,
+    model: ModelSpec, table: CountTable, solved: Solved | None
 ) -> tuple[bool, str]:
     """``fr_check``'s verdict and route on a table with a zero cell."""
-    problem, full_rank, batched = solved if solved is not None else (
+    problem, proved, batched = solved if solved is not None else (
         ExistenceProblem.build(model, table), None, None
     )
     zero = problem.zero_cells(table)
     if not problem.omega or not zero:
-        verdict, route = bool(problem.omega), FAST_PATH
-    elif full_rank or (full_rank is None and proves_full_rank(problem, zero)):
-        verdict, route = True, RANK
-    else:
-        verdict, route = certify(problem, zero, batched), CERTIFIED
+        return bool(problem.omega), FAST_PATH
+    verdict, route = proved or prove(problem, zero)
+    if verdict is None:
+        verdict = certify(problem, zero, batched)
         if verdict is None:
             (alone,) = float_solve([(problem.matrix, zero)])
             verdict = certify(problem, zero, alone)
@@ -575,9 +707,10 @@ class ExistenceCache:
     """Verdict cache keyed by (model, support).
 
     ``hits`` and ``misses`` count lookups; ``decided`` counts how the
-    misses were settled, under ``FAST_PATH``, ``RANK``, ``CERTIFIED`` and
-    ``FALLBACK``.  Verdicts are computed on the 0/1 indicator of the
-    support, since they depend only on which cells are positive.
+    misses were settled, under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
+    ``CERTIFIED`` and ``FALLBACK``.  Verdicts are computed on the 0/1
+    indicator of the support, since they depend only on which cells are
+    positive.
     """
 
     verdicts: dict[tuple[frozenset[int], str], bool] = field(default_factory=dict)
@@ -589,12 +722,12 @@ class ExistenceCache:
         self,
         model: ModelSpec,
         table: CountTable,
-        solved: tuple[ExistenceProblem, bool | None, FloatSolution | None] | None = None,
+        solved: Solved | None = None,
     ) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
         ``fr_check``, holds the problem built on the indicator of
-        ``table``'s support, its rank outcome and its batched float
-        solution."""
+        ``table``'s support, what ``prove`` said on it and its batched
+        float solution."""
         key = (model.params, support_key(table))
         cached = self.verdicts.get(key)
         if cached is not None:
@@ -615,11 +748,11 @@ class ExistenceCache:
         """``check`` on every (model, table) pair, in order.
 
         The problems of all distinct misses on tables with a zero cell
-        are built first, the rank proof is tried on those the fast path
-        does not settle, and those it does not prove go to one
-        ``float_solve`` call; each pair is then looked up by ``check``, so
-        hits, misses and the calls to ``check`` and ``fr_check`` are what
-        a loop over ``check`` gives.
+        are built first, the exact routes (``prove``) are tried on those
+        the fast path does not settle, and those they decline go to one
+        ``float_solve`` call, made only when there are any; each pair is
+        then looked up by ``check``, so hits, misses and the calls to
+        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
         """
         keys = [(model.params, support_key(table)) for model, table in pairs]
         posed: dict[tuple[frozenset[int], str], tuple[ExistenceProblem, list[int]]] = {}
@@ -629,17 +762,18 @@ class ExistenceCache:
             indicator = _indicator(table)
             problem = ExistenceProblem.build(model, indicator)
             posed[key] = (problem, problem.zero_cells(indicator))
-        solved = {key: (problem, None, None) for key, (problem, _) in posed.items()}
+        solved: dict[tuple[frozenset[int], str], Solved] = {}
         asked = []
         for key, (problem, zero) in posed.items():
-            if problem.omega and zero:
-                if proves_full_rank(problem, zero):
-                    solved[key] = (problem, True, None)
-                else:
-                    asked.append(key)
-        for key, sol in zip(asked, float_solve([(posed[k][0].matrix, posed[k][1])
-                                                for k in asked])):
-            solved[key] = (posed[key][0], False, sol)
+            proved = prove(problem, zero) if problem.omega and zero else None
+            solved[key] = (problem, proved, None)
+            if proved and proved[0] is None:
+                asked.append(key)
+        if asked:
+            blocks = [(posed[k][0].matrix, posed[k][1]) for k in asked]
+            for key, sol in zip(asked, float_solve(blocks)):
+                problem, proved, _ = solved[key]
+                solved[key] = (problem, proved, sol)
         return [
             self.check(model, table, solved.get(key))
             for (model, table), key in zip(pairs, keys)

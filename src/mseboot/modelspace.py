@@ -34,7 +34,8 @@ def _higher_terms(t: int, l: int) -> list[int]:
     )
 
 
-def _check_max_order(t: int, l: int) -> None:
+def check_max_order(t: int, l: int) -> None:
+    """Raise ``ModelSpaceError`` unless 1 <= l <= t - 1."""
     if not 1 <= l <= t - 1:
         raise ModelSpaceError(f"maximum order must be in 1..t-1, got l={l}")
 
@@ -110,7 +111,7 @@ def enumerate_models(
         l = t - 1
     if not 2 <= t:
         raise ModelSpaceError(f"need at least 2 lists, got t={t}")
-    _check_max_order(t, l)
+    check_max_order(t, l)
     base = frozenset([0] + [1 << i for i in range(t)])
     elems = _higher_terms(t, l)
     models: list[ModelSpec] = []
@@ -235,7 +236,7 @@ def downhill_lockstep(
     holds each table's BICs by model and is shared by its starts.
     """
     for t in {s.t for s in starts}:
-        _check_max_order(t, l)
+        check_max_order(t, l)
     memos = memos if memos is not None else [{} for _ in range(n_tables)]
     moves: dict[frozenset[int], list[ModelSpec]] = {}
     # [table, start index, current model]; a search leaves when it stops

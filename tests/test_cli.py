@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -222,10 +223,64 @@ class TestCli:
             "0,0,0,1,0,0,3\n0,0,0,0,1,0,7\n0,0,0,0,0,1,2\n1,1,0,0,0,0,1\n"
         )
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--model", "[12,34]")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path))
         assert time.perf_counter() - start < 20.0
         assert code == 2 and out == ""
         assert "exceeds safety limit" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("model, failing", [
+        ("[12]", ["[3,4,5,6,7,12]"]),
+        ("[16]", []),
+    ])
+    def test_named_model_on_seven_lists_is_checked_alone(
+        self, capsys, tmp_path, model, failing
+    ):
+        # the space of 7 lists at the default --max-order 6 is far beyond
+        # the enumeration limit; a named model needs none of it
+        counts = {1: 1, 35: 9, 58: 1, 78: 4, 90: 1, 93: 1, 98: 2, 99: 6, 103: 7}
+        path = tmp_path / "seven.csv"
+        path.write_text("A,B,C,D,E,F,G,count\n" + "".join(
+            ",".join(str(cell >> i & 1) for i in range(7)) + f",{n}\n"
+            for cell, n in counts.items()
+        ))
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "fit", "--data", str(path), "--model", model)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fr_failing_models"] == failing
+        assert payload["status"] == ("fr_failed" if failing else "converged")
+
+    def test_named_model_reports_only_its_own_verdict(self, capsys):
+        for model, failing in (("[12,13]", ["[12,13]"]), ("[12,23]", [])):
+            code, out, _ = run_cli(
+                capsys, "fit", "--data", "fixture:korea", "--model", model
+            )
+            assert code == 0
+            assert json.loads(out)["fr_failing_models"] == failing
+
+    def test_named_model_above_max_order_exits_2(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            capsys, "fit", "--data", "fixture:korea", "--model", "[12]",
+            "--max-order", "1",
+        )
+        assert code == 2 and out == "" and calls == []
+        assert json.loads(err)["message"] == (
+            "model [3,12] has order 2, above the maximum order l=1"
+        )
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit", "--data", "fixture:korea", "--model", "[12]"], 0),
+        (["fit", "--data", "fixture:korea", "--model", "[12]", "--max-order", "1"], 2),
+        (["fit", "--data", "fixture:nowhere"], 4),
+        (["bootstrap", "--data", "fixture:table1_n1", "--method", "chisq",
+          "--reps", "5"], 3),
+    ])
+    def test_no_objects_stay_frozen_after_main(self, capsys, argv, code):
+        assert run_cli(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == 0
 
     def test_lists_selects_columns_of_a_fixture_as_of_a_file(self, capsys, tmp_path):
         path = tmp_path / "korea.csv"
@@ -256,3 +311,36 @@ def test_cli_import_leaves_out_scipy_stats():
         env=env,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_leave_out_the_lp_solver():
+    # scipy.optimize and scipy.sparse serve only the existence program,
+    # which no pair of these runs needs
+    import mseboot
+
+    code = """if True:
+        import contextlib, io, json, sys
+        import mseboot.cli
+
+        def loaded():
+            return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+
+        seen = {"import": loaded()}
+        for argv in (
+            ["bootstrap", "--data", "fixture:korea", "--sweep", "--reps", "50"],
+            ["bootstrap", "--data", "fixture:table1_n1", "--ntop", "10", "--reps", "20"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert mseboot.cli.main(argv) == 0
+            seen[argv[2]] = loaded()
+        print(json.dumps(seen))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert json.loads(out.stdout) == {
+        "import": [], "fixture:korea": [], "fixture:table1_n1": [],
+    }

@@ -1,12 +1,17 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mseboot import (
     CountTable,
@@ -25,6 +30,7 @@ from mseboot.existence import (
     FALLBACK,
     FAST_PATH,
     INFEASIBLE,
+    NULL_SPACE,
     OPTIMAL,
     RANK,
     ExistenceProblem,
@@ -270,7 +276,10 @@ class TestCache:
         for m in korea_space:
             assert cached_fr_check(m, korea, cache) == fr_check(m, korea)
 
-    def test_decided_counts_every_miss(self, korea, korea_space, table1):
+    def test_decided_counts_every_miss(self, korea, korea_space, table1, monkeypatch):
+        # without the null-space route, the program decides the pairs the
+        # rank proof leaves
+        monkeypatch.setattr(existence, "null_space_verdict", lambda problem, zero: None)
         cache = ExistenceCache()
         for table in [korea, *table1.values()]:
             space = korea_space if table.t == 3 else enumerate_models(4, 2)
@@ -331,7 +340,8 @@ def assert_agrees(models, tables, batch_certifies=True):
     verdict of the rank route is True.
 
     ``batch_certifies``: every block is certified from the batched solve,
-    none is solved again alone.
+    none is solved again alone, and ``float_solve`` is not called when no
+    block is posed.
     """
     tally = Counter()
     for table in tables:
@@ -349,7 +359,8 @@ def assert_agrees(models, tables, batch_certifies=True):
         verdicts, cache, sizes = check_together(order)
         assert verdicts == [exact_verdict(m, t) for m, t in order]
         assert cache.decided[FALLBACK] == 0
-        assert len(sizes) == 1 or not batch_certifies
+        posed = cache.decided[CERTIFIED]
+        assert sizes == ([posed] if posed else []) or not batch_certifies
     return tally
 
 
@@ -370,6 +381,11 @@ def all_pairs(t):
 
 class TestCertifiedCheck:
     """The float solve with its exact certificate against the exact simplex."""
+
+    @pytest.fixture(autouse=True)
+    def without_the_null_space_route(self, monkeypatch):
+        # the program decides every pair the rank proof leaves
+        monkeypatch.setattr(existence, "null_space_verdict", lambda problem, zero: None)
 
     @pytest.mark.parametrize("name", sorted(TABLE1))
     def test_table1_and_resample_supports(self, name):
@@ -448,8 +464,8 @@ class TestCertifiedCheck:
         pairs = [(m, t) for t in tables for m in enumerate_models(4, 3).models]
         monkeypatch.setattr(existence, "CHUNK", chunk)
         linprog_calls = []
-        linprog = existence.optimize.linprog
-        monkeypatch.setattr(existence.optimize, "linprog",
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: linprog_calls.append(1) or linprog(*a, **k))
         verdicts, cache, sizes = check_together(pairs)
         assert verdicts == [exact_verdict(m, t) for m, t in pairs]
@@ -543,3 +559,165 @@ class TestCertifiedCheck:
         assert fr_check(all_pairs(14), table, tally)
         assert time.perf_counter() - start < 2.0
         assert tally == {RANK: 1}
+
+
+@pytest.fixture
+def no_program(monkeypatch):
+    """``float_solve`` fails the test if any block is sent to it."""
+    def refuse(blocks):
+        raise AssertionError(f"float_solve called on {len(blocks)} blocks")
+
+    monkeypatch.setattr(existence, "float_solve", refuse)
+
+
+class TestNullSpaceRoute:
+    """The exact null-space route against the exact simplex: the pairs the
+    rank proof leaves are decided without any program."""
+
+    @pytest.mark.usefixtures("no_program")
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_table1_and_resample_supports(self, name):
+        table = CountTable.from_counts(4, TABLE1[name])
+        supports = {support_key(table): table}
+        for i in range(50):
+            r = resample(table, replicate_rng(len(name) + 3, i))
+            supports.setdefault(support_key(r), r)
+        tally = assert_agrees(enumerate_models(4, 3).models, supports.values())
+        assert tally[NULL_SPACE] > 0 and tally[RANK] > 0
+        assert tally[CERTIFIED] == tally[FALLBACK] == 0
+
+    @pytest.mark.usefixtures("no_program")
+    def test_korea_space(self, korea, korea_space):
+        tally = assert_agrees(korea_space.models, [korea])
+        assert tally[NULL_SPACE] > 0 and tally[CERTIFIED] == 0
+
+    @pytest.mark.usefixtures("no_program")
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_sparse_random_tables(self, t):
+        rng = np.random.default_rng(40 + t)
+        models = enumerate_models(t, 2).models
+        tables = [random_table(rng, t, zero_prob=0.5) for _ in range(10)]
+        tally = assert_agrees(models[:: len(models) // 12], tables)
+        assert tally[NULL_SPACE] > 0 and tally[RANK] > 0
+        assert tally[CERTIFIED] == 0
+
+    @pytest.mark.usefixtures("no_program")
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_triples(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        table = random_table(rng, 3, zero_prob=0.5)
+        space = enumerate_models(3, 2)
+        model = space.models[int(rng.integers(len(space)))]
+        assert assert_agrees([model], [table])[CERTIFIED] == 0
+
+    def test_seeded_sweep_matches_the_exact_simplex(self, monkeypatch):
+        # every pair the rank proof leaves at t = 3-5 is decided, never
+        # declined, and each failure stands on a certificate that passed
+        proves = existence._proves_failure
+        certificates = []
+
+        def checked(w, params_of_cell, zero):
+            certificates.append(proves(w, params_of_cell, zero))
+            return certificates[-1]
+
+        monkeypatch.setattr(existence, "_proves_failure", checked)
+        decided = Counter()
+        for t, n_tables, step in ((3, 20, 1), (4, 16, 8), (5, 6, 30)):
+            rng = np.random.default_rng(70 + t)
+            models = enumerate_models(t, min(t - 1, 2)).models[::step]
+            for _ in range(n_tables):
+                table = random_table(rng, t, zero_prob=0.4)
+                for model in models:
+                    problem = ExistenceProblem.build(model, table)
+                    zero = problem.zero_cells(table)
+                    if (not problem.omega or not zero
+                            or existence.proves_full_rank(problem, zero)):
+                        continue
+                    before = len(certificates)
+                    verdict = existence.null_space_verdict(problem, zero)
+                    assert verdict == exact_verdict(model, table), (
+                        model.notation(), support_key(table)
+                    )
+                    assert certificates[before:] == ([] if verdict else [True])
+                    decided[verdict] += 1
+        assert decided == {True: 39, False: 125}
+
+    def test_rank_deficient_reduced_design(self):
+        # list 3 is never observed, so its parameter is dropped with every
+        # cell containing it: [12] keeps 4 parameters on 3 cells.  Two
+        # null vectors of the positive cells span one direction on the
+        # zero cell
+        model = ModelSpec.from_notation("[12]", 3)
+        table = CountTable.from_counts(3, {0b001: 4, 0b011: 2})
+        problem = ExistenceProblem.build(model, table)
+        assert (len(problem.omega), len(problem.theta)) == (3, 4)
+        zero = problem.zero_cells(table)
+        positive = [row for i, row in enumerate(problem.incidence) if i not in zero]
+        assert len(existence._null_space(positive, 4)) == 2
+        tally = Counter()
+        assert fr_check(model, table, tally) is exact_verdict(model, table) is False
+        assert tally == {NULL_SPACE: 1}
+
+    def test_full_rank_leaves_no_null_space(self, table1):
+        # where the rank proof holds the basis is empty (k' = 0), and the
+        # route alone also says the estimate exists
+        proved = 0
+        for table in table1.values():
+            for model in enumerate_models(4, 3).models:
+                problem = ExistenceProblem.build(model, table)
+                zero = problem.zero_cells(table)
+                if problem.omega and zero and existence.proves_full_rank(problem, zero):
+                    assert existence.null_space_verdict(problem, zero) is True
+                    proved += 1
+        assert proved > 50
+
+    def test_null_space_basis_is_exact(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            rows = rng.integers(-3, 4, size=(int(rng.integers(0, 5)), 5)).tolist()
+            basis = existence._null_space(rows, 5)
+            assert len(basis) == 5 - (np.linalg.matrix_rank(rows) if rows else 0)
+            for x in basis:
+                assert any(x) and math.gcd(*x) == 1
+                assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+    def test_wide_all_pairs_decline_to_the_program(self):
+        # fewer positive cells than parameters leaves too many rays to try
+        sparse = sparse_table(6, 15, seed=1)
+        problem = ExistenceProblem.build(all_pairs(6), sparse)
+        assert existence.null_space_verdict(problem, problem.zero_cells(sparse)) is None
+        assert assert_agrees([all_pairs(6)], [sparse]) == {CERTIFIED: 1}
+        table = sparse_table(8, 30, seed=1)
+        tally = Counter()
+        start = time.perf_counter()
+        assert fr_check(all_pairs(8), table, tally)
+        assert time.perf_counter() - start < 2.0
+        assert tally == {CERTIFIED: 1}
+
+    def test_program_is_imported_when_a_pair_needs_it(self):
+        # in a fresh process: the declined pair gets the exact verdict
+        # through the program, whose modules load only then
+        import mseboot
+
+        table = sparse_table(6, 15, seed=1)
+        code = f"""if True:
+            import sys
+            from collections import Counter
+            from mseboot import CountTable, ModelSpec, fr_check
+
+            model = ModelSpec.from_generators(6, {list(all_pairs(6).generators)!r})
+            table = CountTable.from_counts(6, {dict(table.counts)!r})
+            before = "scipy.optimize" in sys.modules
+            tally = Counter()
+            verdict = fr_check(model, table, tally)
+            print(before, verdict, dict(tally), "scipy.optimize" in sys.modules)
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        exists = exact_verdict(all_pairs(6), table)
+        assert out.stdout.split() == [
+            "False", str(exists), "{'certified':", "1}", "True"
+        ]
