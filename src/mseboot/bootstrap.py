@@ -20,6 +20,10 @@ The ``workers`` arguments are accepted for compatibility and ignored:
 the one parallel step is inside ``glm``, which splits each stacked
 least-squares call across the CPUs the process may use, with the same
 output for any number of them.
+
+The normal CDF and its inverse in the BCa endpoints come from
+``_cephes``, which gives the doubles ``scipy.special.ndtr`` and
+``ndtri`` give without importing scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._cephes import ndtr, ndtri
 from .core import CountTable, ModelSpec, support_key
 from .existence import ExistenceCache
 from .glm import (
@@ -118,7 +122,7 @@ def bca_components(
     if prop <= 0.0 or prop >= 1.0:
         prop = min(max(prop, lo), hi)
         flags.append("z0_clamped")
-    z0 = float(ndtri(prop))
+    z0 = ndtri(prop)
 
     jack_kept: dict[int, float] = {}
     excluded_jack = 0
@@ -159,11 +163,11 @@ def adjusted_level(z0: float, a: float, beta: float) -> float | None:
     Returns None when the denominator is not positive, in which case the
     endpoint degenerates to an extreme order statistic.
     """
-    zb = float(ndtri(beta))
+    zb = ndtri(beta)
     denom = 1.0 - a * (z0 + zb)
     if denom <= 0.0:
         return None
-    return float(ndtr(z0 + (z0 + zb) / denom))
+    return ndtr(z0 + (z0 + zb) / denom)
 
 
 def _quantile(sorted_boot: np.ndarray, beta_tilde: float) -> float:
@@ -208,7 +212,7 @@ def bca_interval(
             bt = adjusted_level(components.z0_hat, components.a_hat, beta)
             if bt is None:
                 # the adjustment pushed past the sample range
-                zb = float(ndtri(beta))
+                zb = ndtri(beta)
                 ends.append(
                     float(sorted_boot[-1])
                     if components.z0_hat + zb > 0

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from ._cephes import log_factorial
+
 MAX_LISTS = 16
 
 # Characters used for list indices in bracket notation ("[12,23]").
@@ -103,6 +105,11 @@ class CountTable:
     def support_key(self) -> str:
         """Canonical key equal for two tables iff their supports are equal."""
         return f"{self.t}:" + ",".join(format(mask, "x") for mask in sorted(self.support))
+
+    @cached_property
+    def log_factorials(self) -> tuple[float, ...]:
+        """log n! of each positive count, in the order of ``counts``."""
+        return tuple(map(log_factorial, self.counts.values()))
 
     def count(self, mask: int) -> int:
         return self.counts.get(mask, 0)

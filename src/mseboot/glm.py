@@ -31,7 +31,9 @@ is split and no pool is made.
 
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
 ``math.log`` (``np.log`` differs from it in the last bit on about one
-value in several thousand) and each table's terms are added left to
+value in several thousand), each ``log n!`` from ``_cephes`` (the
+double ``scipy.special.gammaln(n + 1)`` gives, taken once per table as
+``CountTable.log_factorials``), and each table's terms are added left to
 right, which neither ``np.sum`` (pairwise) nor Python 3.12's ``sum``
 (compensated) does.
 """
@@ -47,8 +49,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy import special
 
+from ._cephes import log_factorial
 from .core import CountTable, ModelSpec, canonical_key, marginal_count
 
 STATUS_CONVERGED = "converged"
@@ -146,14 +148,22 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
-    """Poisson log-likelihood including the factorial normalizer."""
+    """Poisson log-likelihood including the factorial normalizer, for any
+    real ``y`` (log y! is log Gamma(y + 1))."""
+    # imported here: scipy.special is a large share of the package's import
+    # time, and the fit and the BIC need log n! at integers only
+    from scipy import special
+
     with np.errstate(divide="ignore"):
         term = np.where(y > 0, y * np.log(mu), 0.0)
     return float(np.sum(term - mu - special.gammaln(y + 1)))
 
 
-def _neg_log_likelihood(counts: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Each row's sum over its cells of m - n log m + log n!.
+def _neg_log_likelihood(
+    counts: np.ndarray, mu: np.ndarray, log_factorials: np.ndarray
+) -> np.ndarray:
+    """Each row's sum over its cells of m - n log m + log n!, where
+    ``log_factorials`` holds each cell's log n!.
 
     ``math.log`` takes the logarithms, of the positive-count cells only,
     because ``np.log`` differs from it in the last bit on a few values.
@@ -165,7 +175,7 @@ def _neg_log_likelihood(counts: np.ndarray, mu: np.ndarray) -> np.ndarray:
     n_log_m[positive] = counts[positive] * np.array(
         [math.log(m) for m in mu[positive].tolist()]
     )
-    sums = np.cumsum((mu - n_log_m) + special.gammaln(counts + 1), axis=1)
+    sums = np.cumsum((mu - n_log_m) + log_factorials, axis=1)
     return sums[:, -1] if sums.shape[1] else np.zeros(len(sums))
 
 
@@ -203,8 +213,12 @@ def bic_from_mu(
     fitted mean are both zero).  This is the one-row case of the BIC
     ``solve_group`` computes for a whole group.
     """
-    counts = np.array([[table.count(w) for w in mu]], dtype=float)
-    nll = _neg_log_likelihood(counts, np.array([list(mu.values())], dtype=float))
+    counts = [table.count(w) for w in mu]
+    nll = _neg_log_likelihood(
+        np.array([counts], dtype=float),
+        np.array([list(mu.values())], dtype=float),
+        np.array([[log_factorial(n) for n in counts]]),
+    )
     return _bic(model, table, float(nll[0]), settings, n_estimated)
 
 
@@ -328,12 +342,13 @@ STACK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class _Posed:
-    """A group ready to iterate: its design and its counts, one row per
-    table, in the order of the retained cells."""
+    """A group ready to iterate: its design, and its counts and their log
+    factorials, one row per table, in the order of the retained cells."""
 
     reduced: ReducedProblem
     X: np.ndarray  # (retained cells, estimable parameters)
     Y: np.ndarray  # (tables, retained cells)
+    log_factorials: np.ndarray  # like Y
 
 
 def _pose(model: ModelSpec, tables: Sequence[CountTable]) -> _Posed | GroupSolution:
@@ -357,9 +372,13 @@ def _pose(model: ModelSpec, tables: Sequence[CountTable]) -> _Posed | GroupSolut
     # every positive cell is retained: a dead parameter has no positive
     # cell containing it
     column = {w: k for k, w in enumerate(red.omega_dagger)}
+    positive = [column[w] for w in cells]
     Y = np.zeros((len(tables), len(red.omega_dagger)))
-    Y[:, [column[w] for w in cells]] = [list(t.counts.values()) for t in tables]
-    return _Posed(red, X, Y)
+    Y[:, positive] = [list(t.counts.values()) for t in tables]
+    # a retained zero cell adds log 0! = 0
+    log_factorials = np.zeros_like(Y)
+    log_factorials[:, positive] = [t.log_factorials for t in tables]
+    return _Posed(red, X, Y, log_factorials)
 
 
 def _stacks(posed: dict[int, _Posed]) -> Iterator[list[int]]:
@@ -388,7 +407,8 @@ def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
 
     ``X`` must be C-contiguous: numpy's ``matmul`` takes another path on
     another layout, and that path moves the fitted means in the last bit.
-    Returns the fields of ``GroupSolution`` after ``reduced``, for all rows.
+    Returns the fields of ``GroupSolution`` after ``reduced``, for all rows,
+    without ``neg_log_likelihood``.
     """
     rows = len(Y)
     # strictly positive working means for the log link; the first solve
@@ -434,10 +454,7 @@ def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
                 keep = ~settled
                 idx, x, y, m, d = idx[keep], x[keep], y[keep], m[keep], d[keep]
         prev = d
-    nll = np.full(rows, np.nan)
-    settled = np.array([f is None for f in flags])
-    nll[settled] = _neg_log_likelihood(Y[settled], mu[settled])
-    return flags, beta, mu, dev, nll, first_dev, change
+    return flags, beta, mu, dev, first_dev, change
 
 
 def solve_groups(
@@ -472,7 +489,15 @@ def solve_groups(
         X = np.empty((ends[-1], *groups[0].X.shape))
         for p, end in zip(groups, ends):
             X[end - len(p.Y):end] = p.X
-        flags, *arrays = _irls(X, np.concatenate([p.Y for p in groups]), settings)
+        Y = np.concatenate([p.Y for p in groups])
+        flags, beta, mu, dev, first_dev, change = _irls(X, Y, settings)
+        nll = np.full(len(Y), np.nan)
+        settled = np.array([f is None for f in flags])
+        nll[settled] = _neg_log_likelihood(
+            Y[settled], mu[settled],
+            np.concatenate([p.log_factorials for p in groups])[settled],
+        )
+        arrays = (beta, mu, dev, nll, first_dev, change)
         split = [np.split(a, ends[:-1]) for a in arrays]
         for n, (k, p, end) in enumerate(zip(stack, groups, ends)):
             solutions[k] = GroupSolution(
@@ -691,6 +716,10 @@ def select_by_chisq(
     """
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"invalid p-value window [{p_lo}, {p_hi}]")
+    # imported here: scipy.special is a large share of the package's import
+    # time, and only this selector needs a chi-squared tail
+    from scipy import special
+
     candidates = list(candidates)
     exists = _verdicts(existence_checker, candidates, table)
     best: ChisqResult | None = None

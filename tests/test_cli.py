@@ -344,3 +344,39 @@ def test_cli_runs_leave_out_the_lp_solver():
     assert json.loads(out.stdout) == {
         "import": [], "fixture:korea": [], "fixture:table1_n1": [],
     }
+
+
+def test_cli_import_and_default_runs_leave_out_scipy():
+    # the default path takes log n!, ndtr and ndtri from mseboot._cephes;
+    # scipy serves only the existence program, ``chisq`` and ``diagnose``
+    import mseboot
+
+    code = """if True:
+        import contextlib, io, json, sys
+        import mseboot.cli
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        seen = {"import": loaded()}
+        for argv in (
+            ["bootstrap", "--data", "fixture:korea", "--sweep", "--reps", "50"],
+            ["bootstrap", "--data", "fixture:table1_n1", "--ntop", "10", "--reps", "20"],
+            ["bootstrap", "--data", "fixture:table1_n2", "--method", "downhill",
+             "--reps", "20"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert mseboot.cli.main(argv) == 0
+            seen[argv[2]] = loaded()
+        print(json.dumps(seen))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert json.loads(out.stdout) == {
+        "import": [], "fixture:korea": [], "fixture:table1_n1": [],
+        "fixture:table1_n2": [],
+    }
