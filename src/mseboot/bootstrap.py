@@ -17,9 +17,10 @@ are grouped the same way.  The greedy search does the same round by
 round: all replicates' searches take one step together, and the models
 the round needs are checked and fitted once per (model, support).
 The ``workers`` arguments are accepted for compatibility and ignored:
-the one parallel step is inside ``glm``, which splits each stacked
-least-squares call across the CPUs the process may use, with the same
-output for any number of them.
+the one parallel step is inside ``glm``, whose thread pool solves one
+stack's least squares while the calling thread steps another stack, on
+the CPUs the process may use, with the same output for any number of
+them.
 
 The normal CDF and its inverse in the BCa endpoints come from
 ``_cephes``, which gives the doubles ``scipy.special.ndtr`` and

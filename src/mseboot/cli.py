@@ -366,9 +366,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 WORKERS_HELP = (
-    "accepted for compatibility; has no effect (least-squares steps use every "
-    "CPU of the affinity mask, which taskset limits; output is the same for "
-    "any CPU count)"
+    "accepted for compatibility; has no effect (IRLS fits overlap their "
+    "least-squares solves across every CPU of the affinity mask, which "
+    "taskset limits; output is the same for any CPU count)"
 )
 
 

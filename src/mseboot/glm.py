@@ -10,24 +10,30 @@ so ``solve_group`` fits one model to a whole group of them; ``fit`` is
 its one-table case.  ``solve_groups`` takes many such (model, group)
 problems at once and stacks those whose designs have the same shape
 (retained cells x estimable parameters), whatever their model or
-support: one IRLS run iterates a whole stack, one design and one count
-vector per row.  ``solve_group`` is its one-problem case, so there is
-one IRLS loop.  Each row's least-squares step is still its own LAPACK
-``dgelsd`` solve, as ``scipy.linalg.lstsq`` would make it, and its own
-matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
-of all rows in one call per iteration.  Normal equations would be
-faster and would change the last bits of the estimates.
+support, up to ``STACK_ELEMENTS`` design elements a stack (a larger
+group is cut into pieces of rows): one IRLS run iterates a whole stack,
+one design and one count vector per row.  ``solve_group`` is its
+one-problem case, so there is one IRLS loop.  Each row's least-squares
+step is still its own LAPACK ``dgelsd`` solve, as ``scipy.linalg.lstsq``
+would make it, and its own matrix-vector product; numpy's stacked
+``lstsq`` kernel makes the solves of all rows in one call per iteration.
+Normal equations would be faster and would change the last bits of the
+estimates.
 
-A call on a stack of at least ``SPLIT_ELEMENTS`` design elements is cut
-into contiguous chunks of rows, one per CPU the process may use (its
-affinity mask, ``os.sched_getaffinity``, which ``taskset`` limits): the
-calling thread solves the first chunk and a thread pool, made on the
-first split, the others, at the same time, as the kernel releases the
-GIL; a chunk no pool thread has started by the time the calling thread
-is done is solved by the calling thread.  The pool runs nothing but the
-kernel.  A row's solve does not depend on the other rows of its call, so
-the output is the same for any CPU count, bit for bit; on one CPU nothing
-is split and no pool is made.
+The IRLS run is a generator that yields each iteration's least-squares
+request, and ``_pipeline`` keeps a few runs in flight at once: one more
+than the CPUs the process may use (its affinity mask,
+``os.sched_getaffinity``, which ``taskset`` limits).  A thread pool of
+CPUs - 1 threads, made on first use, solves requests of at least
+``SPLIT_ELEMENTS`` elements while the calling thread takes the
+elementwise step of another run, as the kernel releases the GIL.  When
+no run's request is solved, the calling thread solves one no pool thread
+has started.  A request with no other run in flight is cut into
+contiguous chunks of rows, one per CPU.  The pool runs nothing but the
+kernel, so the reduction, the design and ``fit`` stay on the calling
+thread.  A row's solve does not depend on the other rows of its request,
+so the output is the same for any CPU count, bit for bit; on one CPU one
+run is in flight, every request is solved inline and no pool is made.
 
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
 ``math.log`` (``np.log`` differs from it in the last bit on about one
@@ -45,7 +51,7 @@ import os
 from concurrent import futures
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -228,10 +234,8 @@ _LSTSQ = _umath_linalg.lstsq
 _RCOND = np.finfo(np.float64).eps
 
 # fewest design elements (rows x cells x parameters) of a least-squares
-# stack whose rows are split across the CPUs; a smaller stack is solved
-# by one call, as handing a chunk to another thread costs more than it
-# saves.  Replaying the stacks of the three benchmark workloads on 2 CPUs,
-# thresholds from 2,000 to 3,000 gave the least total solve time
+# request that goes to the pool; a smaller one is solved by the calling
+# thread, as handing it to another thread costs more than it saves
 SPLIT_ELEMENTS = 2_000
 
 # (process id, pool): a forked child inherits the pool without its
@@ -247,8 +251,17 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _window(cpus: int) -> int:
+    """IRLS runs in flight at once on ``cpus`` CPUs: one solving on each
+    pool thread, one the calling thread steps and one whose request waits
+    for the first CPU to come free.  On one CPU a second run would only
+    hold memory."""
+    return 1 if cpus < 2 else cpus + 1
+
+
 def _executor() -> futures.ThreadPoolExecutor:
-    """The pool that solves all chunks but the first, made on first use.
+    """The pool of CPUs - 1 threads that solves least-squares chunks, made
+    on first use.
 
     Threads that race here may each make a pool; the one not kept is
     collected once its chunks are solved, and its threads exit.
@@ -267,10 +280,132 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _LSTSQ(A, b, _RCOND)[0][:, :, 0]
 
 
-def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows.
+class _Chunk:
+    """Contiguous rows of one least-squares request: kept for the calling
+    thread, or handed to ``pool`` when one is given."""
 
-    Every row is its own LAPACK ``dgelsd`` solve.  A stack of at least
+    def __init__(
+        self, A: np.ndarray, b: np.ndarray, pool: futures.Executor | None = None
+    ) -> None:
+        self.A, self.b, self.x = A, b, None
+        self.future = None if pool is None else pool.submit(_solve, A, b)
+
+    def done(self) -> bool:
+        return self.x is not None or (self.future is not None and self.future.done())
+
+    def solve_here(self) -> bool:
+        """Solve the rows on this thread, unless they are solved or a pool
+        thread has started them."""
+        if self.x is None and (self.future is None or self.future.cancel()):
+            self.x = _solve(self.A, self.b)
+            return True
+        return False
+
+    def result(self) -> np.ndarray:
+        return self.x if self.x is not None else self.future.result()
+
+
+def _post(A: np.ndarray, b: np.ndarray, alone: bool, cpus: int) -> list[_Chunk]:
+    """The chunks of the request ``A[k] x = b[k]`` for every k.
+
+    A request of at least ``SPLIT_ELEMENTS`` elements goes to the pool:
+    whole while other runs are in flight, or, when it is the only one, cut
+    into contiguous chunks of rows, one per CPU, the first kept for the
+    calling thread.  Anything smaller, and everything on one CPU, is the
+    calling thread's.
+    """
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    b = b[:, :, None]
+    if cpus < 2 or A.size < SPLIT_ELEMENTS:
+        return [_Chunk(A, b)]
+    if not alone:
+        return [_Chunk(A, b, _executor())]
+    chunks = min(cpus, len(A))
+    ends = [len(A) * k // chunks for k in range(chunks + 1)]
+    return [
+        _Chunk(A[lo:hi], b[lo:hi], _executor() if lo else None)
+        for lo, hi in zip(ends, ends[1:])
+    ]
+
+
+def _gather(chunks: list[_Chunk]) -> np.ndarray:
+    """The solution rows of a solved request, in order."""
+    parts = [c.result() for c in chunks]
+    x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if np.isnan(x).any():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x
+
+
+def _pipeline(
+    runs: Iterable[tuple[object, Generator]]
+) -> Iterator[tuple[object, object]]:
+    """Drive IRLS runs and yield each one's tag and return value as it
+    finishes.
+
+    ``runs`` gives (tag, generator) pairs; a generator yields least-squares
+    requests ``(A, b)``, is sent the solution rows of each, and returns its
+    result.  Up to ``_window`` runs are in flight, and the next pair is
+    taken from ``runs`` only when one finishes.  The calling thread steps
+    the first run whose request is solved and posts its next request
+    (``_post``).  While none is solved it solves a chunk no pool thread
+    has started, the newest run's first (the pool takes the oldest
+    first), and when there is none it waits for the pool.  The pool runs
+    nothing but ``_solve``.  A row's solve does not depend on the other
+    rows of its request, so every row is the same for any CPU count and
+    whichever thread solves it, bit for bit.  An error is raised only once
+    every chunk handed to the pool is done with its arrays.
+    """
+    cpus = _cpu_count()
+    runs = iter(runs)
+    # [tag, generator, chunks of its request (None before the first)]
+    flight: list[list] = []
+    try:
+        while True:
+            while len(flight) < _window(cpus):
+                run = next(runs, None)
+                if run is None:
+                    break
+                flight.append([*run, None])
+            if not flight:
+                return
+            run = next(
+                (r for r in flight if r[2] is None or all(c.done() for c in r[2])),
+                None,
+            )
+            if run is None:
+                if not any(c.solve_here() for r in reversed(flight) for c in r[2]):
+                    futures.wait(
+                        [c.future for r in flight for c in r[2] if not c.done()],
+                        return_when=futures.FIRST_COMPLETED,
+                    )
+                continue
+            solution = None if run[2] is None else _gather(run[2])
+            # the solved request is let go before the next one is made
+            run[2] = []
+            try:
+                A, b = run[1].send(solution)
+            except StopIteration as stop:
+                flight.remove(run)
+                yield run[0], stop.value
+                continue
+            run[2] = _post(A, b, len(flight) == 1, cpus)
+            # the chunks hold the request; this frame must not keep it
+            # while suspended at the yield above
+            del A, b
+    finally:
+        pending = [c.future for r in flight for c in r[2] or () if c.future is not None]
+        for f in pending:
+            f.cancel()
+        futures.wait(pending)
+
+
+def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows: the
+    one-request case of ``_pipeline``.
+
+    Every row is its own LAPACK ``dgelsd`` solve.  A request of at least
     ``SPLIT_ELEMENTS`` elements is cut into contiguous chunks of rows, one
     per CPU: this thread solves the first and a thread pool the others,
     at the same time (the kernel releases the GIL).  A row's solve does
@@ -278,31 +413,10 @@ def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for any number of chunks and whichever thread solves them, bit for
     bit.
     """
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    b = b[:, :, None]
-    chunks = min(_cpu_count(), len(A)) if A.size >= SPLIT_ELEMENTS else 1
-    if chunks < 2:
-        x = _solve(A, b)
-    else:
-        ends = [len(A) * k // chunks for k in range(chunks + 1)]
-        pool = _executor()
-        rest = [
-            pool.submit(_solve, A[lo:hi], b[lo:hi])
-            for lo, hi in zip(ends[1:-1], ends[2:])
-        ]
-        parts = []
-        # every chunk is done with A and b before this returns or raises
-        try:
-            parts.append(_solve(A[:ends[1]], b[:ends[1]]))
-        finally:
-            for f, lo, hi in zip(rest, ends[1:-1], ends[2:]):
-                # a chunk no pool thread has started (its CPU is busy) is
-                # solved here rather than waited for
-                parts.append(_solve(A[lo:hi], b[lo:hi]) if f.cancel() else f.result())
-        x = np.concatenate(parts)
-    if np.isnan(x).any():
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    def request():
+        return (yield A, b)
+
+    [(_, x)] = _pipeline([(None, request())])
     return x
 
 
@@ -336,7 +450,7 @@ def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
 
 
 # most elements (rows x cells x parameters) of the stacked design one IRLS
-# run holds; a single group larger than this is still solved whole
+# run holds; a group larger than this is cut into pieces of rows
 STACK_ELEMENTS = 1 << 16
 
 
@@ -351,64 +465,90 @@ class _Posed:
     log_factorials: np.ndarray  # like Y
 
 
-def _pose(model: ModelSpec, tables: Sequence[CountTable]) -> _Posed | GroupSolution:
+def _pose(
+    model: ModelSpec, tables: Sequence[CountTable], rows: dict
+) -> _Posed | GroupSolution:
     """Reduction, design and counts of one group, or its solution when no
-    row can be iterated."""
+    row can be iterated.
+
+    ``rows`` maps the identities of a group's tables to their cells, count
+    rows and log n! rows, so a group fitted with several models converts
+    its counts once.
+    """
     if not tables:
         raise ValueError("cannot fit an empty group")
-    # counts are stored in canonical cell order, so tables sharing a
-    # support list their cells in the same order
-    cells = list(tables[0].counts)
-    if any(list(t.counts) != cells for t in tables):
-        raise ValueError("tables fitted as a group must share one support")
-    if tables[0].n_total == 0:
-        raise ValueError("cannot fit an empty table")
+    key = tuple(map(id, tables))
+    if key not in rows:
+        # counts are stored in canonical cell order, so tables sharing a
+        # support list their cells in the same order
+        cells = list(tables[0].counts)
+        if any(list(t.counts) != cells for t in tables):
+            raise ValueError("tables fitted as a group must share one support")
+        if tables[0].n_total == 0:
+            raise ValueError("cannot fit an empty table")
+        counts = np.array([list(t.counts.values()) for t in tables], dtype=float)
+        log_factorials = np.array([t.log_factorials for t in tables])
+        # shared by the posed groups of every model fitted on these tables
+        counts.flags.writeable = log_factorials.flags.writeable = False
+        rows[key] = cells, counts, log_factorials
+    cells, counts, log_factorials = rows[key]
     red = reduce_for_sparsity(model, tables[0])
     if not red.omega_dagger:
         return _stopped(red, len(tables), "no_cells_left")
     X = design_matrix(red.omega_dagger, red.theta_dagger)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         return _stopped(red, len(tables), "parameter_redundant")
-    # every positive cell is retained: a dead parameter has no positive
-    # cell containing it
+    # every positive cell is retained, in the same order: a dead parameter
+    # has no positive cell containing it
+    if len(cells) == len(red.omega_dagger):
+        return _Posed(red, X, counts, log_factorials)
     column = {w: k for k, w in enumerate(red.omega_dagger)}
     positive = [column[w] for w in cells]
     Y = np.zeros((len(tables), len(red.omega_dagger)))
-    Y[:, positive] = [list(t.counts.values()) for t in tables]
+    Y[:, positive] = counts
     # a retained zero cell adds log 0! = 0
-    log_factorials = np.zeros_like(Y)
-    log_factorials[:, positive] = [t.log_factorials for t in tables]
-    return _Posed(red, X, Y, log_factorials)
+    posed_log_factorials = np.zeros_like(Y)
+    posed_log_factorials[:, positive] = log_factorials
+    return _Posed(red, X, Y, posed_log_factorials)
 
 
-def _stacks(posed: dict[int, _Posed]) -> Iterator[list[int]]:
-    """Keys of the groups each IRLS run takes: groups of one design shape,
-    up to ``STACK_ELEMENTS`` elements in all unless one group alone is
-    larger."""
+def _stacks(posed: dict[int, _Posed]) -> Iterator[list[tuple[int, int, int]]]:
+    """The pieces of groups each IRLS run takes, as (key, first row, end
+    row): pieces of one design shape, up to ``STACK_ELEMENTS`` elements in
+    all.  A group larger than that is cut into pieces of as many rows as
+    fit, and a row larger than that alone is a stack of its own."""
     by_shape: dict[tuple[int, int], list[int]] = {}
     for k, p in posed.items():
         by_shape.setdefault(p.X.shape, []).append(k)
     for (cells, params), keys in by_shape.items():
-        stack: list[int] = []
+        most = max(STACK_ELEMENTS // (cells * params), 1)
+        stack: list[tuple[int, int, int]] = []
         size = 0
         for k in keys:
-            n = len(posed[k].Y) * cells * params
-            if stack and size + n > STACK_ELEMENTS:
-                yield stack
-                stack, size = [], 0
-            stack.append(k)
-            size += n
+            rows = len(posed[k].Y)
+            for lo in range(0, rows, most):
+                hi = min(lo + most, rows)
+                if stack and size + hi - lo > most:
+                    yield stack
+                    stack, size = [], 0
+                stack.append((k, lo, hi))
+                size += hi - lo
         yield stack
 
 
-def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
+def _irls(
+    X: np.ndarray, Y: np.ndarray, settings: FitSettings
+) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray, tuple]:
     """IRLS on every row of a stack: row k fits counts ``Y[k]`` with design
     ``X[k]``.
 
-    ``X`` must be C-contiguous: numpy's ``matmul`` takes another path on
-    another layout, and that path moves the fitted means in the last bit.
-    Returns the fields of ``GroupSolution`` after ``reduced``, for all rows,
-    without ``neg_log_likelihood``.
+    A generator: each iteration yields its weighted least-squares request
+    ``(A, b)`` and is sent the solution rows of ``A[k] x = b[k]``
+    (``_pipeline`` drives it).  ``X`` must be C-contiguous: numpy's
+    ``matmul`` takes another path on another layout, and that path moves
+    the fitted means in the last bit.  Returns the fields of
+    ``GroupSolution`` after ``reduced``, for all rows, without
+    ``neg_log_likelihood``.
     """
     rows = len(Y)
     # strictly positive working means for the log link; the first solve
@@ -423,12 +563,19 @@ def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
     flags: list[str | None] = ["max_iterations"] * rows
     idx = np.arange(rows)
     x, y, m, prev = X, Y, Y + 0.5, None
+    # every request's weighted design goes to the front of one buffer: a
+    # request is solved before the next is made, and a chunk the calling
+    # thread took back from the pool, which stays queued until a pool
+    # thread reaches it, then holds a view of the buffer, not an array
+    weighted = np.empty_like(X)
+    # x drops rows as they leave; the whole design need not be kept
+    del X
     for _ in range(settings.max_iter):
         if not idx.size:
             break
         z = np.log(m) + (y - m) / m
         sw = np.sqrt(m)
-        step = _least_squares_rows(x * sw[:, :, None], z * sw)
+        step = yield np.multiply(x, sw[:, :, None], out=weighted[:len(x)]), z * sw
         diverged = step.min(axis=1) < settings.alpha_floor
         if diverged.any():
             for r in idx[diverged]:
@@ -457,6 +604,27 @@ def _irls(X: np.ndarray, Y: np.ndarray, settings: FitSettings) -> tuple:
     return flags, beta, mu, dev, first_dev, change
 
 
+def _runs(
+    posed: dict[int, _Posed], settings: FitSettings
+) -> Iterator[tuple[tuple, Generator]]:
+    """One IRLS run per stack, in ``_stacks`` order, tagged with its pieces
+    and counts; each stacked design is built as its run is taken."""
+    for stack in _stacks(posed):
+        pieces = [(posed[k], lo, hi) for k, lo, hi in stack]
+        # filled in place: a concatenation of broadcast views may come out
+        # in another memory layout
+        X = np.empty((sum(hi - lo for _, lo, hi in pieces), *pieces[0][0].X.shape))
+        end = 0
+        for p, lo, hi in pieces:
+            X[end:end + hi - lo] = p.X
+            end += hi - lo
+        Y = np.concatenate([p.Y[lo:hi] for p, lo, hi in pieces])
+        run = _irls(X, Y, settings)
+        # only the run holds the design while it is in flight
+        del X
+        yield (stack, Y), run
+
+
 def solve_groups(
     problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
     settings: FitSettings = FitSettings(),
@@ -467,42 +635,48 @@ def solve_groups(
     Each group is reduced, designed and rank-checked on its own.  The
     groups whose designs have the same (retained cells, estimable
     parameters) shape are then stacked, one design and one count vector
-    per table, up to ``STACK_ELEMENTS`` elements a stack, and iterated
-    together.  Every row is still its own ``dgelsd`` solve and its own
-    matrix-vector product, so each solution equals the one
+    per table, up to ``STACK_ELEMENTS`` elements a stack (a larger group
+    is cut into pieces of rows), and iterated together; ``_pipeline``
+    keeps a few stacks in flight at once, so one stack's step overlaps
+    another's least squares.  Every row is still its own ``dgelsd`` solve
+    and its own matrix-vector product, so each solution equals the one
     ``solve_group`` gives the problem alone, bit for bit.
     """
-    solutions: list[GroupSolution | None] = []
+    solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
+    rows: dict = {}
     for k, (model, tables) in enumerate(problems):
-        p = _pose(model, tables)
+        p = _pose(model, tables, rows)
         if isinstance(p, GroupSolution):
-            solutions.append(p)
+            solutions[k] = p
         else:
-            solutions.append(None)
             posed[k] = p
-    for stack in _stacks(posed):
-        groups = [posed[k] for k in stack]
-        ends = np.cumsum([len(p.Y) for p in groups])
-        # filled in place: a concatenation of broadcast views may come out
-        # in another memory layout
-        X = np.empty((ends[-1], *groups[0].X.shape))
-        for p, end in zip(groups, ends):
-            X[end - len(p.Y):end] = p.X
-        Y = np.concatenate([p.Y for p in groups])
-        flags, beta, mu, dev, first_dev, change = _irls(X, Y, settings)
+    # (first row, flags, GroupSolution arrays after ``reduced``) of each
+    # piece of each group, as the stacks holding them finish
+    pieces: dict[int, list] = {k: [] for k in posed}
+    for (stack, Y), (flags, beta, mu, dev, first_dev, change) in _pipeline(
+        _runs(posed, settings)
+    ):
         nll = np.full(len(Y), np.nan)
         settled = np.array([f is None for f in flags])
+        log_factorials = [posed[k].log_factorials[lo:hi] for k, lo, hi in stack]
         nll[settled] = _neg_log_likelihood(
-            Y[settled], mu[settled],
-            np.concatenate([p.log_factorials for p in groups])[settled],
+            Y[settled], mu[settled], np.concatenate(log_factorials)[settled]
         )
-        arrays = (beta, mu, dev, nll, first_dev, change)
-        split = [np.split(a, ends[:-1]) for a in arrays]
-        for n, (k, p, end) in enumerate(zip(stack, groups, ends)):
-            solutions[k] = GroupSolution(
-                p.reduced, tuple(flags[end - len(p.Y):end]), *(a[n] for a in split)
-            )
+        start = 0
+        for k, lo, hi in stack:
+            end = start + hi - lo
+            pieces[k].append((lo, flags[start:end], *(
+                a[start:end] for a in (beta, mu, dev, nll, first_dev, change)
+            )))
+            start = end
+    for k, p in posed.items():
+        parts = sorted(pieces[k], key=lambda part: part[0])
+        fields = zip(*(part[2:] for part in parts))
+        solutions[k] = GroupSolution(
+            p.reduced, tuple(f for part in parts for f in part[1]),
+            *(a[0] if len(a) == 1 else np.concatenate(a) for a in fields),
+        )
     return solutions
 
 

@@ -6,7 +6,12 @@ support, into one IRLS run.  Every comparison is ``==``: a stacked row
 must be the fit its table gets alone, down to the last bit.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,15 +79,15 @@ def emptied_reduction(monkeypatch):
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """Every stack ``solve_groups`` iterates: (groups, elements, design
-    shapes, whether the stacked design was C-contiguous)."""
+    """Every stack ``solve_groups`` iterates: (pieces of groups, elements,
+    design shapes, whether the stacked design was C-contiguous)."""
     seen = []
     real_stacks, real_irls = glm._stacks, glm._irls
 
     def recording_stacks(posed):
         for stack in real_stacks(posed):
-            designs = [posed[k].X for k in stack]
-            size = sum(len(posed[k].Y) * posed[k].X.size for k in stack)
+            designs = [posed[k].X for k, _, _ in stack]
+            size = sum((hi - lo) * posed[k].X.size for k, lo, hi in stack)
             seen.append([len(stack), size, {X.shape for X in designs}, None])
             yield stack
 
@@ -143,14 +148,74 @@ def test_small_stack_cap_changes_nothing(monkeypatch, stacks):
     uncapped = [[outcome(r) for r in got] for got in fit_groups(problems)]
     stacks.clear()
     cap = 400
+    assert len(big) * 7 * 4 > cap
     monkeypatch.setattr(glm, "STACK_ELEMENTS", cap)
     capped = [[outcome(r) for r in got] for got in fit_groups(problems)]
     assert capped == uncapped
-    # no stack exceeds the cap unless it is one group that alone does
-    assert all(size <= cap or n == 1 for n, size, _, _ in stacks)
-    assert any(size > cap and n == 1 for n, size, _, _ in stacks)
+    # no stack exceeds the cap, the group larger than it included
+    assert all(size <= cap for _, size, _, _ in stacks)
     assert any(n > 1 for n, _, _, _ in stacks)
     assert all(len(shapes) == 1 and contiguous for _, _, shapes, contiguous in stacks)
+
+
+def test_group_cut_into_pieces_equals_the_whole_group(monkeypatch, stacks):
+    korea = CountTable.from_counts(3, KOREA_COUNTS)
+    big = max(resample_groups(korea, 300, seed=11), key=len)
+    problems = [(m, big) for m in enumerate_models(3, 2).models]
+    whole = solve_groups(problems)
+    assert len(stacks) < len(problems)
+    stacks.clear()
+    # a few rows a piece, and pieces of one group in several stacks
+    monkeypatch.setattr(glm, "STACK_ELEMENTS", 7 * 7 * 5)
+    cut = solve_groups(problems)
+    assert len(stacks) > 2 * len(problems)
+    for got, alone in zip(cut, whole):
+        assert got.reduced == alone.reduced and got.flags == alone.flags
+        for field in ("beta", "mu", "deviance", "neg_log_likelihood",
+                      "first_deviance", "change"):
+            a, b = getattr(got, field), getattr(alone, field)
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True), field
+
+
+# One group of 120 tables under the all-pairs model on 9 lists: 511 cells x
+# 46 parameters, 188 KB of design per row.  Solved whole it raises the peak
+# by over 40 MB (a design copy per row, a weighted copy per iteration);
+# cut into stacks of at most STACK_ELEMENTS elements, with the CPU count
+# (and so the number of stacks in flight) fixed, by under 10 MB.
+LARGE_GROUP_CHILD = """
+import json, resource, sys
+import numpy as np
+from mseboot import CountTable, ModelSpec, glm
+glm._cpu_count = lambda: 2
+t = 9
+rng = np.random.default_rng(0)
+counts = {w: int(rng.integers(5, 40)) for w in range(1, 1 << t)}
+table = CountTable.from_counts(t, counts)
+model = ModelSpec.from_generators(
+    t, [(1 << i) | (1 << j) for i in range(t) for j in range(i + 1, t)])
+# two rows are cut across both threads, so both have solved before the
+# peak is read
+glm.solve_group(model, [table] * 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solution = glm.solve_group(model, [table] * 120)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"peak_rise_mb": (after - before) / 1024,
+                  "flags": sorted(set(map(str, solution.flags)))}))
+"""
+LARGE_GROUP_BUDGET_MB = 20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_large_group_peak_memory_is_bounded():
+    src = str(Path(glm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LARGE_GROUP_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["flags"] == ["None"]
+    assert result["peak_rise_mb"] < LARGE_GROUP_BUDGET_MB
 
 
 def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
