@@ -35,9 +35,15 @@ thread.  A row's solve does not depend on the other rows of its request,
 so the output is the same for any CPU count, bit for bit; on one CPU one
 run is in flight, every request is solved inline and no pool is made.
 
+``fit`` turns one solved row into a ``FitResult``.  It reads the row's
+scalars from lists its group converts once, and a converged result
+builds its ``alpha`` and ``mu`` dicts only when they are read, as the
+bootstrap selectors read neither.
+
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
-``math.log`` (``np.log`` differs from it in the last bit on about one
-value in several thousand), each ``log n!`` from ``_cephes`` (the
+``math.log``, called on each value in a C loop (``np.frompyfunc``;
+``np.log`` differs from it in the last bit on about one value in ten
+thousand), each ``log n!`` from ``_cephes`` (the
 double ``scipy.special.gammaln(n + 1)`` gives, taken once per table as
 ``CountTable.log_factorials``), and each table's terms are added left to
 right, which neither ``np.sum`` (pairwise) nor Python 3.12's ``sum``
@@ -49,8 +55,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -91,20 +97,88 @@ class ReducedProblem:
     minus_infinity_params: frozenset[int]
 
 
-@dataclass(frozen=True)
 class FitResult:
-    model: ModelSpec
-    status: str
-    alpha: dict[int, float] = field(default_factory=dict)
-    mu: dict[int, float] = field(default_factory=dict)
-    bic: float = math.inf
-    population_estimate: float | None = None
-    deviance_change: float = math.nan
-    flags: tuple[str, ...] = ()
+    """One model's fit to one table.
+
+    ``alpha`` maps each model parameter to its estimate (-inf for those the
+    sparsity reduction fixes) and ``mu`` each retained cell to its fitted
+    mean; both are empty unless the fit converged.  ``fit`` makes a
+    converged result from its solved group row (``row``, a
+    ``GroupSolution`` and a row index) and builds ``alpha`` and ``mu``
+    from it the first time either is read, then lets the row go: the
+    bootstrap selectors read only ``bic`` and ``population_estimate``.
+    Results compare and print as the fields below, ``alpha`` and ``mu``
+    as plain dicts.
+    """
+
+    __slots__ = ("model", "status", "_alpha", "_mu", "bic",
+                 "population_estimate", "deviance_change", "flags", "_row")
+    _FIELDS = ("model", "status", "alpha", "mu", "bic", "population_estimate",
+               "deviance_change", "flags")
+
+    def __init__(
+        self,
+        model: ModelSpec,
+        status: str,
+        alpha: dict[int, float] | None = None,
+        mu: dict[int, float] | None = None,
+        bic: float = math.inf,
+        population_estimate: float | None = None,
+        deviance_change: float = math.nan,
+        flags: tuple[str, ...] = (),
+        *,
+        row: tuple[GroupSolution, int] | None = None,
+    ) -> None:
+        self.model = model
+        self.status = status
+        self._row = row
+        if row is None:
+            self._alpha = {} if alpha is None else alpha
+            self._mu = {} if mu is None else mu
+        self.bic = bic
+        self.population_estimate = population_estimate
+        self.deviance_change = deviance_change
+        self.flags = flags
+
+    def _read_row(self) -> None:
+        solution, i = self._row
+        red = solution.reduced
+        alpha = dict(zip(red.theta_dagger, solution.beta[i].tolist()))
+        for th in red.minus_infinity_params:
+            alpha[th] = -math.inf
+        self._alpha = alpha
+        self._mu = dict(zip(red.omega_dagger, solution.mu[i].tolist()))
+        self._row = None
+
+    @property
+    def alpha(self) -> dict[int, float]:
+        if self._row is not None:
+            self._read_row()
+        return self._alpha
+
+    @property
+    def mu(self) -> dict[int, float]:
+        if self._row is not None:
+            self._read_row()
+        return self._mu
 
     @property
     def converged(self) -> bool:
         return self.status == STATUS_CONVERGED
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        # as a tuple, as dataclasses compare: a field holding the same NaN
+        # object is equal
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._values()))
+        return f"FitResult({fields})"
 
 
 @cache
@@ -165,6 +239,10 @@ def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(term - mu - special.gammaln(y + 1)))
 
 
+# ``math.log`` on every element in a C loop, as an array of Python floats
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
 def _neg_log_likelihood(
     counts: np.ndarray, mu: np.ndarray, log_factorials: np.ndarray
 ) -> np.ndarray:
@@ -172,15 +250,15 @@ def _neg_log_likelihood(
     ``log_factorials`` holds each cell's log n!.
 
     ``math.log`` takes the logarithms, of the positive-count cells only,
-    because ``np.log`` differs from it in the last bit on a few values.
+    because ``np.log`` differs from it in the last bit on a few values;
+    numpy calls it on each value in a C loop (``np.frompyfunc``), and a
+    value it rejects raises its ``ValueError``.
     The terms are added left to right (``cumsum``), not pairwise as
     ``np.sum`` adds them, so every row is the scalar loop's sum.
     """
     n_log_m = np.zeros_like(mu)
     positive = counts > 0
-    n_log_m[positive] = counts[positive] * np.array(
-        [math.log(m) for m in mu[positive].tolist()]
-    )
+    n_log_m[positive] = counts[positive] * _math_log(mu[positive]).astype(float)
     sums = np.cumsum((mu - n_log_m) + log_factorials, axis=1)
     return sums[:, -1] if sums.shape[1] else np.zeros(len(sums))
 
@@ -429,7 +507,8 @@ class GroupSolution:
     reason its iteration stopped.  ``beta``, ``mu`` and ``deviance`` hold
     the final iterate of the settled rows and ``neg_log_likelihood`` the
     sum their BIC is made of (NaN elsewhere); ``change`` is each row's
-    last deviance change.
+    last deviance change.  The arrays are read-only: a ``FitResult`` reads
+    its row after ``fit`` returns.
     """
 
     reduced: ReducedProblem
@@ -440,6 +519,24 @@ class GroupSolution:
     neg_log_likelihood: np.ndarray
     first_deviance: np.ndarray
     change: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.beta, self.mu, self.deviance, self.neg_log_likelihood,
+                  self.first_deviance, self.change):
+            a.flags.writeable = False
+
+    @cached_property
+    def scalars(self) -> tuple[tuple, list, list, list, list, list]:
+        """The per-row scalars ``fit`` reads, as Python values converted
+        once for all rows: flags, change, first deviance, deviance,
+        negative log-likelihood and the intercept (the first estimable
+        parameter, as 0 comes first in canonical order and is never dead;
+        a group stopped before iterating has none)."""
+        return (
+            self.flags, self.change.tolist(), self.first_deviance.tolist(),
+            self.deviance.tolist(), self.neg_log_likelihood.tolist(),
+            self.beta[:, 0].tolist() if self.beta.shape[1] else [],
+        )
 
 
 def _stopped(red: ReducedProblem, rows: int, flag: str) -> GroupSolution:
@@ -711,7 +808,10 @@ def fit(
 
     This is the one-table case of ``solve_group``.  ``solved`` passes a
     group solution that already holds ``table`` at the given row; the
-    result is then read from that row instead of solving again.
+    result is then read from that row instead of solving again.  The
+    row's scalars come from ``GroupSolution.scalars``, converted once per
+    group, and a converged result builds ``alpha`` and ``mu`` from the row
+    only when they are read.
 
     Callers normally verify the existence criterion first; without it the
     fit may diverge, which is detected via the coefficient floor and
@@ -720,31 +820,24 @@ def fit(
     solution, i = solved if solved is not None else (
         solve_group(model, [table], settings), 0
     )
-    change = float(solution.change[i])
-    if solution.flags[i] is not None:
-        return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change,
-                         flags=(solution.flags[i],))
+    flags, change, first_deviance, deviance, nll, intercept = solution.scalars
+    if flags[i] is not None:
+        return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change[i],
+                         flags=(flags[i],))
 
-    red = solution.reduced
-    alpha = dict(zip(red.theta_dagger, solution.beta[i].tolist()))
-    for th in red.minus_infinity_params:
-        alpha[th] = -math.inf
-    mu_map = dict(zip(red.omega_dagger, solution.mu[i].tolist()))
-    bic = _bic(model, table, float(solution.neg_log_likelihood[i]), settings,
-               len(red.theta_dagger))
-    m_hat = math.exp(alpha[0]) + table.n_total
-    if solution.first_deviance[i] + 1e-8 < solution.deviance[i]:
+    bic = _bic(model, table, nll[i], settings, len(solution.reduced.theta_dagger))
+    m_hat = math.exp(intercept[i]) + table.n_total
+    if first_deviance[i] + 1e-8 < deviance[i]:
         # deviance must not increase across IRLS iterations
-        return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change,
+        return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change[i],
                          flags=("deviance_increase",))
     return FitResult(
         model,
         STATUS_CONVERGED,
-        alpha=alpha,
-        mu=mu_map,
         bic=bic,
         population_estimate=m_hat,
-        deviance_change=change,
+        deviance_change=change[i],
+        row=(solution, i),
     )
 
 
@@ -758,7 +851,10 @@ def fit_groups(
     All problems are solved by ``solve_groups`` when the first list is
     asked for, in one IRLS run per stack of equal design shape.  Each
     table's result is still made by a call to ``fit``, so anything
-    wrapping ``fit`` sees one call per table, made as its list is taken.
+    wrapping ``fit`` sees one call per table, made as its list is taken;
+    each call reads its row from the group's scalars, converted once
+    (``GroupSolution.scalars``), and leaves ``alpha`` and ``mu`` to be
+    built if they are read.
     """
     problems = list(problems)
     solutions = solve_groups(problems, settings)
