@@ -14,8 +14,9 @@ groups of all models are fitted together, one IRLS run per stack of
 equal design shape (``glm.fit_groups``).  Every replicate still gets
 exactly the estimate a fit of that table alone gives.  Jackknife tables
 are grouped the same way.  The greedy search does the same round by
-round: all replicates' searches take one step together, and the models
-the round needs are checked and fitted once per (model, support).
+round: the searches of the original table, all replicates and all
+jackknife tables take one step together, and the models the round
+needs are checked and fitted once per (model, support).
 The ``workers`` arguments are accepted for compatibility and ignored:
 the one parallel step is inside ``glm``, whose thread pool solves one
 stack's least squares while the calling thread steps another stack, on
@@ -532,11 +533,14 @@ def downhill_bootstrap(
     """Bootstrap where each replicate's model is found by greedy descent
     from the null model (and any extra starts) instead of full selection.
 
-    The original table, then all B resamples, then all jackknife tables
-    are each searched together: every search takes one step per round,
-    and the models a round needs are fitted once per (model, support)
-    for every table sharing that support.  Raises ``ModelSpaceError``
-    before any fit when ``l`` is outside 1..t-1.
+    The original table, the B resamples and the jackknife tables are
+    searched together in one lockstep search: every search takes one
+    step per round, and the models a round needs are fitted once per
+    (model, support) for every table sharing that support.  Each table's
+    search reads only its own BICs, so the result is the one three
+    separate searches give.  Raises ``ModelSpaceError`` before any fit
+    when ``l`` is outside 1..t-1, and ``NoModelFoundError`` once the
+    search ends when the original table has no model with finite BIC.
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
@@ -546,18 +550,15 @@ def downhill_bootstrap(
     if starts is None:
         starts = [ModelSpec.null_model(table.t)]
 
-    def selected(tables: Sequence[CountTable]) -> list[float | None]:
-        found = _downhill_selected(tables, l, starts, cache, settings)
-        return [None if f is None else f[2] for f in found]
-
-    (found,) = _downhill_selected([table], l, starts, cache, settings)
-    if found is None:
-        raise NoModelFoundError("greedy search found no model with finite BIC")
-    best_model, _, m_hat = found
-
-    boot = selected([resample(table, replicate_rng(seed, i)) for i in range(B)])
+    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
     jack_masks, jack_tables = zip(*jackknife_tables(table))
-    jack = list(zip(jack_masks, selected(jack_tables)))
+    found = _downhill_selected([table, *reps, *jack_tables], l, starts, cache, settings)
+    if found[0] is None:
+        raise NoModelFoundError("greedy search found no model with finite BIC")
+    best_model, _, m_hat = found[0]
+    estimates = [None if f is None else f[2] for f in found[1:]]
+    boot = estimates[:B]
+    jack = list(zip(jack_masks, estimates[B:]))
     comps = bca_components(boot, jack, table, m_hat)
     return IntervalResult(
         point_estimate=m_hat,

@@ -22,16 +22,58 @@ from mseboot import (
     select_best_bic,
     support_key,
 )
-from mseboot import existence, glm
+from mseboot import bootstrap, existence, glm
 from mseboot.bootstrap import (
+    DEFAULT_LEVELS,
+    IntervalResult,
+    _downhill_selected,
     _evaluate_models,
     _record_fill,
     adjusted_level,
     replicate_rng,
 )
+from mseboot.glm import FitSettings
 from mseboot.modelspace import ModelSpaceError
 
-from conftest import random_table
+from conftest import KOREA_COUNTS, TABLE1, random_table
+
+
+def three_search_downhill(table, l=None, B=1000, levels=DEFAULT_LEVELS,
+                          seed=0, starts=None, settings=FitSettings()):
+    """``downhill_bootstrap`` as it was when the original table, the
+    resamples and the jackknife tables were searched one after another."""
+    if l is None:
+        l = table.t - 1
+    cache = ExistenceCache()
+    if starts is None:
+        starts = [ModelSpec.null_model(table.t)]
+
+    def selected(tables):
+        found = _downhill_selected(tables, l, starts, cache, settings)
+        return [None if f is None else f[2] for f in found]
+
+    (found,) = _downhill_selected([table], l, starts, cache, settings)
+    if found is None:
+        raise NoModelFoundError("greedy search found no model with finite BIC")
+    best_model, _, m_hat = found
+
+    boot = selected([resample(table, replicate_rng(seed, i)) for i in range(B)])
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    jack = list(zip(jack_masks, selected(jack_tables)))
+    comps = bca_components(boot, jack, table, m_hat)
+    return IntervalResult(
+        point_estimate=m_hat,
+        intervals=bca_interval(comps, m_hat, levels),
+        method="downhill",
+        B=B,
+        seed=seed,
+        selected_model=best_model.notation(),
+        z0_hat=comps.z0_hat,
+        a_hat=comps.a_hat,
+        excluded_boot=comps.excluded_boot,
+        excluded_jack=comps.excluded_jack,
+        flags=comps.flags,
+    )
 
 
 class TestResample:
@@ -270,6 +312,41 @@ class TestDownhillBootstrap:
         # a superset of starts can only find an equal or better minimum
         assert more.point_estimate == pytest.approx(base.point_estimate)
 
+    @pytest.mark.parametrize("case", ["korea", "korea_starts", "table1_n2", "random5"])
+    def test_one_search_equals_three_searches(self, case, monkeypatch):
+        from mseboot import random_order2_starts
+
+        if case == "korea":
+            table, kwargs = CountTable.from_counts(3, KOREA_COUNTS), dict(B=30, seed=12)
+        elif case == "korea_starts":
+            table = CountTable.from_counts(3, KOREA_COUNTS)
+            starts = [ModelSpec.null_model(3)] + random_order2_starts(
+                3, 3, 2, np.random.default_rng(14)
+            )
+            kwargs = dict(B=20, seed=14, starts=starts)
+        elif case == "table1_n2":
+            # zero cells, and models without an MLE on some supports
+            table, kwargs = CountTable.from_counts(4, TABLE1["n2"]), dict(B=20, seed=2)
+        else:
+            table = random_table(np.random.default_rng(22), 5, zero_prob=0.3)
+            kwargs = dict(l=3, B=10, seed=22)
+        want = three_search_downhill(table, **kwargs)
+        searches = []
+        monkeypatch.setattr(
+            bootstrap, "_downhill_selected",
+            lambda tables, *a: searches.append(len(tables)) or _downhill_selected(tables, *a),
+        )
+        got = downhill_bootstrap(table, **kwargs)
+        assert got == want
+        assert searches == [1 + kwargs["B"] + len(table.counts)]
+
+    def test_no_model_on_the_original_table_raises(self):
+        # one cell seen by every list: no model has a finite BIC
+        table = CountTable.from_counts(3, {7: 50})
+        with pytest.raises(NoModelFoundError) as info:
+            downhill_bootstrap(table, B=5, seed=1)
+        assert str(info.value) == "greedy search found no model with finite BIC"
+
 
 class TestChisqBootstrap:
     def test_full_window_never_excludes(self):
@@ -374,4 +451,11 @@ class TestExistenceLookups:
     def test_downhill(self, korea, calls):
         cache = ExistenceCache()
         downhill_bootstrap(korea, B=20, seed=3, cache=cache)
+        # one search looks each (model, support) up once, so all miss
+        assert cache.misses == len(cache.verdicts)
+        first = calls["check"]
+        # a second run on the same cache finds every verdict there
+        downhill_bootstrap(korea, B=20, seed=3, cache=cache)
+        assert cache.hits == calls["check"] - first
+        assert calls["fr_check"] == cache.misses == len(cache.verdicts)
         self.assert_counted(calls, cache, calls["check"])

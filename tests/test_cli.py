@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mseboot import glm, load_fixture, parse_table
-from mseboot.cli import main
+from mseboot.cli import EXIT_NO_MODEL, main
 from mseboot.io import DataFormatError, dump_table, load_table
 
 
@@ -204,6 +204,20 @@ class TestCli:
         assert json.loads(err)["message"] == (
             f"maximum order must be in 1..t-1, got l={max_order}"
         )
+
+    def test_downhill_without_a_model_on_the_original_exits_3(self, capsys, tmp_path):
+        # one cell seen by every list: no model has a finite BIC
+        path = tmp_path / "one_cell.csv"
+        path.write_text("X,Y,Z,count\n1,1,1,50\n")
+        code, out, err = run_cli(
+            capsys, "bootstrap", "--data", str(path), "--method", "downhill",
+            "--reps", "5",
+        )
+        assert code == EXIT_NO_MODEL and out == ""
+        assert json.loads(err) == {
+            "error": EXIT_NO_MODEL,
+            "message": "greedy search found no model with finite BIC",
+        }
 
     def test_downhill_starts_on_two_lists_exits_2(self, capsys, tmp_path):
         path = tmp_path / "two.csv"
