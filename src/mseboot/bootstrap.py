@@ -7,9 +7,13 @@ selection is repeated inside every replicate, optionally restricted to
 the models ranking best on the original data, searched greedily, or
 filtered by a goodness-of-fit window.
 
-Determinism: each replicate draws from its own generator seeded by
-(seed, replicate index).  Resamples are drawn in replicate order, then
-grouped by support, and each model is fitted once per group; the
+Determinism: replicate i draws its resample from its own generator,
+``PCG64(SeedSequence([seed, i]))`` (``replicate_rng`` is the reference
+definition).  ``resamples`` computes that ``SeedSequence`` hash for all
+replicates in one array pass (``_seedseq``) and seeds each replicate's
+fresh ``PCG64`` from its row, so the draws are the same; a negative
+seed is rejected before any fit.  Resamples are drawn in replicate
+order, then grouped by support, and each model is fitted once per group; the
 groups of all models are fitted together, one IRLS run per stack of
 equal design shape (``glm.fit_groups``).  Every replicate still gets
 exactly the estimate a fit of that table alone gives.  Jackknife tables
@@ -32,12 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._cephes import ndtr, ndtri
-from .core import CountTable, ModelSpec, support_key
+from ._seedseq import generate_states
+from .core import CountTable, ModelSpec
 from .existence import ExistenceCache
 from .glm import (
     ChisqResult,
@@ -60,20 +66,69 @@ DEFAULT_B = 1000
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one replicate."""
+    """Independent generator for one replicate: the reference definition
+    of what replicate ``index`` draws (``resamples`` draws the same)."""
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
 def resample(table: CountTable, rng: np.random.Generator) -> CountTable:
-    """Multinomial resample: same number of cases, probabilities from counts."""
+    """Multinomial resample: same number of cases, probabilities from counts.
+
+    The resample lists its cells in the order of ``table.counts``, so a
+    canonical table gives a canonical resample, built without checking
+    or sorting it again; any other goes through ``CountTable.from_counts``.
+    """
     if table.n_total == 0:
         raise ValueError("cannot resample an empty table")
-    masks = list(table.counts)
-    probs = np.array([table.counts[m] for m in masks], dtype=float)
-    draw = rng.multinomial(table.n_total, probs / probs.sum())
-    return CountTable.from_counts(
-        table.t, {m: int(k) for m, k in zip(masks, draw) if k > 0}
-    )
+    draw = rng.multinomial(table.n_total, table.cell_probabilities).tolist()
+    counts = {m: k for m, k in zip(table.counts, draw) if k}
+    if table.canonical:
+        return CountTable(table.t, counts)
+    return CountTable.from_counts(table.t, counts)
+
+
+class _ReplicateSeed:
+    """Stands in for ``SeedSequence([seed, i])`` when a ``PCG64`` seeds
+    itself from it: ``generate_state(4, np.uint64)`` returns the words
+    that sequence would, computed beforehand for all replicates at once.
+    Registered as numpy's ``ISeedSequence`` at the first draw.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a replicate seed holds exactly four uint64 words")
+        return self.state
+
+
+def resamples(table: CountTable, seed: int, B: int) -> list[CountTable]:
+    """``[resample(table, replicate_rng(seed, i)) for i in range(B)]``.
+
+    The ``SeedSequence`` hash of all B replicates is one array pass
+    (``_seedseq.generate_states``); each replicate's fresh ``PCG64`` seeds
+    itself from its row of that hash, so it draws what ``replicate_rng``
+    gives.  ``resample`` is still called once per replicate.
+    """
+    # imported at the first draw, not with the package: numpy.random
+    # would add to every start-up
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_ReplicateSeed)
+    return [
+        resample(table, Generator(PCG64(_ReplicateSeed(state))))
+        for state in generate_states(seed, np.arange(B))
+    ]
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed ``SeedSequence`` would refuse, before any fit."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def jackknife_tables(table: CountTable) -> list[tuple[int, CountTable]]:
@@ -233,10 +288,15 @@ def bca_interval(
 
 
 def _support_groups(tables: Sequence[CountTable]) -> list[list[int]]:
-    """Indices of the tables sharing each support, in order of first use."""
-    groups: dict[str, list[int]] = {}
+    """Indices of the tables sharing each support, in order of first use.
+
+    Tables are keyed by their cells in the order of ``counts``, which is
+    canonical for all but directly built tables; those may split a
+    support into more than one group, each fitted as any group is.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
     for i, table in enumerate(tables):
-        groups.setdefault(support_key(table), []).append(i)
+        groups.setdefault(tuple(table.counts), []).append(i)
     return list(groups.values())
 
 
@@ -323,6 +383,7 @@ def restricted_bootstrap(
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
+    _check_seed(seed)
     cache = cache if cache is not None else ExistenceCache()
     bics, _, fits = original_fits(table, space, cache, settings)
     ordering = space_ordering(space, bics, degree)
@@ -342,7 +403,7 @@ def restricted_bootstrap(
         bics, ests = _evaluate_models(top_models, tables, cache, settings)
         return [_select_from_eval(b, e) for b, e in zip(bics, ests)]
 
-    boot = selected([resample(table, replicate_rng(seed, i)) for i in range(B)])
+    boot = selected(resamples(table, seed, B))
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     jack = list(zip(jack_masks, selected(jack_tables)))
     comps = bca_components(boot, jack, table, m_hat)
@@ -372,26 +433,40 @@ class SweepState:
     filled_estimates: np.ndarray  # (B, n_top_high)
 
 
-def _record_fill(bics: np.ndarray, ests: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Fill per-restriction estimates from the record values of one row.
+def _record_fills(
+    bics: np.ndarray, ests: np.ndarray
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Per-restriction estimates of every row, from its record values.
 
-    Walking the decreasing sequence of prefix-argmin positions fills
-    every restriction size with the estimate of its best-ranked model.
-    Positions are 1-based in the returned record sequence.
+    A row's records are the positions whose BIC is below every earlier
+    one (finite BICs only; the others are +inf).  Entry (i, n - 1) of
+    the filled array is the estimate at row i's last record within its
+    first n models, which is their BIC minimum with ties to the earliest,
+    and NaN while that minimum is infinite.  Record positions are
+    returned 1-based, last first.
     """
-    nh = len(bics)
-    filled = np.full(nh, np.nan)
-    records: list[int] = []
-    j_prev = nh + 1
-    while j_prev > 1:
-        prefix = bics[: j_prev - 1]
-        j_k = int(np.argmin(prefix)) + 1
-        if math.isinf(bics[j_k - 1]):
-            break
-        records.append(j_k)
-        filled[j_k - 1 : j_prev - 1] = ests[j_k - 1]
-        j_prev = j_k
-    return tuple(records), filled
+    n_cols = bics.shape[1]
+    below = np.empty(bics.shape, dtype=bool)
+    below[:, 0] = bics[:, 0] < np.inf
+    below[:, 1:] = bics[:, 1:] < np.minimum.accumulate(bics, axis=1)[:, :-1]
+    last = np.maximum.accumulate(np.where(below, np.arange(n_cols), -1), axis=1)
+    picked = np.take_along_axis(ests, np.maximum(last, 0), axis=1)
+    filled = np.where(last >= 0, picked, np.nan)
+    # positions of each row's records, last first, read off the
+    # column-reversed mask
+    _, reversed_cols = np.nonzero(below[:, ::-1])
+    positions = iter((n_cols - reversed_cols).tolist())
+    records = tuple(
+        tuple(islice(positions, k)) for k in np.count_nonzero(below, axis=1).tolist()
+    )
+    return records, filled
+
+
+def _estimate_columns(filled: np.ndarray) -> list[list[float | None]]:
+    """Each column of ``filled`` as floats, None where not finite."""
+    cells = filled.astype(object)
+    cells[~np.isfinite(filled)] = None
+    return cells.T.tolist()
 
 
 def ntop_sweep(
@@ -411,6 +486,7 @@ def ntop_sweep(
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
+    _check_seed(seed)
     cache = cache if cache is not None else ExistenceCache()
     bics0, _, fits = original_fits(table, space, cache, settings)
     ordering = space_ordering(space, bics0, degree)
@@ -424,32 +500,21 @@ def ntop_sweep(
     n_top_high = min(n_top_high, len(space))
     top_models = [space.models[i] for i in ordering[:n_top_high]]
 
-    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
+    reps = resamples(table, seed, B)
     bic_array, est_array = _evaluate_models(top_models, reps, cache, settings)
-    filled_boot = np.empty_like(est_array)
-    records = []
-    for i in range(B):
-        rec, row = _record_fill(bic_array[i], est_array[i])
-        records.append(rec)
-        filled_boot[i] = row
+    records, filled_boot = _record_fills(bic_array, est_array)
 
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     jack_bics, jack_ests = _evaluate_models(top_models, jack_tables, cache, settings)
-    jack_filled_arr = np.array(
-        [_record_fill(b, e)[1] for b, e in zip(jack_bics, jack_ests)]
-    )
+    _, filled_jack = _record_fills(jack_bics, jack_ests)
 
-    state = SweepState(bic_array, est_array, tuple(records), filled_boot)
+    state = SweepState(bic_array, est_array, records, filled_boot)
+    boot_columns = _estimate_columns(filled_boot)
+    jack_columns = _estimate_columns(filled_jack)
     results: dict[int, IntervalResult] = {}
     for n_top in range(1, n_top_high + 1):
-        boot = [
-            float(v) if math.isfinite(v) else None
-            for v in filled_boot[:, n_top - 1]
-        ]
-        jack = [
-            (mask, float(v) if math.isfinite(v) else None)
-            for mask, v in zip(jack_masks, jack_filled_arr[:, n_top - 1])
-        ]
+        boot = boot_columns[n_top - 1]
+        jack = list(zip(jack_masks, jack_columns[n_top - 1]))
         comps = bca_components(boot, jack, table, m_hat)
         results[n_top] = IntervalResult(
             point_estimate=m_hat,
@@ -488,12 +553,12 @@ def _downhill_selected(
     for all of the round's groups in one ``check_many`` call, and the
     groups that pass are fitted by one ``fit_groups`` call.
     """
-    keys = [support_key(t) for t in tables]
+    keys = [tuple(t.counts) for t in tables]
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
 
     def evaluate(pairs: list[tuple[int, ModelSpec]]) -> list[float]:
         bics = [math.inf] * len(pairs)
-        groups: dict[tuple[frozenset[int], str], list[int]] = {}
+        groups: dict[tuple[frozenset[int], tuple[int, ...]], list[int]] = {}
         for n, (i, model) in enumerate(pairs):
             groups.setdefault((model.params, keys[i]), []).append(n)
         exists = cache.check_many(
@@ -544,13 +609,14 @@ def downhill_bootstrap(
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
+    _check_seed(seed)
     if l is None:
         l = table.t - 1
     cache = cache if cache is not None else ExistenceCache()
     if starts is None:
         starts = [ModelSpec.null_model(table.t)]
 
-    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
+    reps = resamples(table, seed, B)
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     found = _downhill_selected([table, *reps, *jack_tables], l, starts, cache, settings)
     if found[0] is None:
@@ -596,6 +662,7 @@ def chisq_bootstrap(
     """
     if B < 1:
         raise ValueError("need at least one bootstrap replication")
+    _check_seed(seed)
     cache = cache if cache is not None else ExistenceCache()
 
     def select(t: CountTable) -> ChisqResult | None:
@@ -616,7 +683,7 @@ def chisq_bootstrap(
     m_hat = chosen.fit.population_estimate
     assert m_hat is not None
 
-    boot = [estimate(resample(table, replicate_rng(seed, i))) for i in range(B)]
+    boot = [estimate(t) for t in resamples(table, seed, B)]
     jack = [(mask, estimate(jt)) for mask, jt in jackknife_tables(table)]
     comps = bca_components(boot, jack, table, m_hat)
     flags = comps.flags + (("replicates_excluded",) if comps.excluded_boot else ())
@@ -674,6 +741,7 @@ def diagnostics(
     # time and memory, and nothing else needs it
     from scipy import stats
 
+    _check_seed(seed)
     cache = cache if cache is not None else ExistenceCache()
     bics0, _, _ = original_fits(table, space, cache, settings)
     if not np.isfinite(bics0).any():
@@ -684,7 +752,7 @@ def diagnostics(
     pos1 = {j: p + 1 for p, j in enumerate(order1)}
     pos2 = {j: p + 1 for p, j in enumerate(order2)}
 
-    reps = [resample(table, replicate_rng(seed, i)) for i in range(B)]
+    reps = resamples(table, seed, B)
     rep_bics, _ = _evaluate_models(space.models, reps, cache, settings)
 
     def one(bics: np.ndarray) -> tuple[float | None, int | None]:

@@ -223,6 +223,8 @@ def cmd_bootstrap(args) -> int:
     n_top = _parse_ntop(args.ntop)
     if args.p_lo > args.p_hi:
         raise CliError(f"--p-lo ({args.p_lo}) must not exceed --p-hi ({args.p_hi})")
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     started = time.perf_counter()
     cache = ExistenceCache()
     sweep_rows = None

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ._cephes import log_factorial
 
 MAX_LISTS = 16
@@ -105,6 +107,24 @@ class CountTable:
     def support_key(self) -> str:
         """Canonical key equal for two tables iff their supports are equal."""
         return f"{self.t}:" + ",".join(format(mask, "x") for mask in sorted(self.support))
+
+    @cached_property
+    def canonical(self) -> bool:
+        """Whether ``counts`` holds valid histories of t lists in canonical
+        order, as ``from_counts`` leaves them."""
+        if not 1 <= self.t <= MAX_LISTS or not all(0 < m < 1 << self.t for m in self.counts):
+            return False
+        keys = list(map(canonical_key, self.counts))
+        return all(a < b for a, b in zip(keys, keys[1:]))
+
+    @cached_property
+    def cell_probabilities(self) -> np.ndarray:
+        """Each count over the sum of the counts, in the order of
+        ``counts`` (read-only): the cell probabilities of a resample."""
+        counts = np.array(list(self.counts.values()), dtype=float)
+        probs = counts / counts.sum()
+        probs.flags.writeable = False
+        return probs
 
     @cached_property
     def log_factorials(self) -> tuple[float, ...]:

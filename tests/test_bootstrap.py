@@ -28,7 +28,7 @@ from mseboot.bootstrap import (
     IntervalResult,
     _downhill_selected,
     _evaluate_models,
-    _record_fill,
+    _record_fills,
     adjusted_level,
     replicate_rng,
 )
@@ -192,7 +192,8 @@ class TestRecordFill:
         bics = rng.normal(size=n)
         bics[rng.random(n) < 0.3] = np.inf
         ests = rng.normal(size=n) * 100
-        records, filled = _record_fill(bics, ests)
+        records, filled = _record_fills(bics[None], ests[None])
+        filled = filled[0]
         for j in range(1, n + 1):
             prefix = bics[:j]
             k = int(np.argmin(prefix))
@@ -205,7 +206,7 @@ class TestRecordFill:
         rng = np.random.default_rng(99)
         bics = rng.normal(size=20)
         ests = rng.normal(size=20)
-        records, _ = _record_fill(bics, ests)
+        (records,), _ = _record_fills(bics[None], ests[None])
         assert list(records) == sorted(records, reverse=True)
         assert records[-1] == 1
 

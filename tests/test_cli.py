@@ -205,6 +205,23 @@ class TestCli:
             f"maximum order must be in 1..t-1, got l={max_order}"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bootstrap", "--sweep"], "--seed must be a non-negative integer, got -1"),
+        (["bootstrap", "--ntop", "2"], "--seed must be a non-negative integer, got -1"),
+        (["bootstrap", "--method", "downhill", "--starts", "2"],
+         "--seed must be a non-negative integer, got -1"),
+        (["bootstrap", "--method", "chisq"], "--seed must be a non-negative integer, got -1"),
+        (["diagnose"], "seed must be a non-negative integer, got -1"),
+    ])
+    def test_negative_seed_exits_2_before_any_fit(self, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(
+            capsys, *argv, "--data", "fixture:korea", "--reps", "5", "--seed", "-1",
+        )
+        assert code == 2 and out == "" and calls == []
+        assert json.loads(err)["message"] == message
+
     def test_downhill_without_a_model_on_the_original_exits_3(self, capsys, tmp_path):
         # one cell seen by every list: no model has a finite BIC
         path = tmp_path / "one_cell.csv"
