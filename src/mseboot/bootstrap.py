@@ -7,25 +7,29 @@ selection is repeated inside every replicate, optionally restricted to
 the models ranking best on the original data, searched greedily, or
 filtered by a goodness-of-fit window.
 
+Every driver has one shape.  ``_start`` checks B and the seed and
+supplies the existence cache, all before any fit.  The rule then
+selects on the original table, on all resamples and on all jackknife
+tables, and ``_intervals`` turns each column of replicate estimates into
+an ``IntervalResult``.  Restricting selection to the top n models of the
+original data's ranking is column n of the sweep over n: ``_ranked``
+fits the top models once and reads off the columns it is asked for,
+all of them for ``ntop_sweep`` and one for ``restricted_bootstrap``.
+
 Determinism: replicate i draws its resample from its own generator,
 ``PCG64(SeedSequence([seed, i]))`` (``replicate_rng`` is the reference
 definition).  ``resamples`` computes that ``SeedSequence`` hash for all
 replicates in one array pass (``_seedseq``) and seeds each replicate's
-fresh ``PCG64`` from its row, so the draws are the same; a negative
-seed is rejected before any fit.  Resamples are drawn in replicate
-order, then grouped by support, and each model is fitted once per group; the
-groups of all models are fitted together, one IRLS run per stack of
-equal design shape (``glm.fit_groups``).  Every replicate still gets
-exactly the estimate a fit of that table alone gives.  Jackknife tables
-are grouped the same way.  The greedy search does the same round by
-round: the searches of the original table, all replicates and all
-jackknife tables take one step together, and the models the round
-needs are checked and fitted once per (model, support).
-The ``workers`` arguments are accepted for compatibility and ignored:
-the one parallel step is inside ``glm``, whose thread pool solves one
-stack's least squares while the calling thread steps another stack, on
-the CPUs the process may use, with the same output for any number of
-them.
+fresh ``PCG64`` from its row, so the draws are the same.  Resamples are
+drawn in replicate order, then grouped by support, and each model is
+fitted once per group; the groups of all models are fitted together,
+one IRLS run per stack of equal design shape (``glm.fit_groups``).
+Every replicate still gets exactly the estimate a fit of that table
+alone gives.  Jackknife tables are grouped the same way, and the
+goodness-of-fit rule fits its tables the same way.  The greedy search
+does the same round by round: the searches of the original table, all
+replicates and all jackknife tables take one step together, and the
+models the round needs are checked and fitted once per (model, support).
 
 The normal CDF and its inverse in the BCa endpoints come from
 ``_cephes``, which gives the doubles ``scipy.special.ndtr`` and
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,9 +54,9 @@ from .glm import (
     FitResult,
     FitSettings,
     NoModelFoundError,
-    fit_candidates,
+    check_p_window,
+    chisq_choice,
     fit_groups,
-    select_by_chisq,
 )
 from .modelspace import (
     ModelSpace,
@@ -123,12 +127,6 @@ def resamples(table: CountTable, seed: int, B: int) -> list[CountTable]:
         resample(table, Generator(PCG64(_ReplicateSeed(state))))
         for state in generate_states(seed, np.arange(B))
     ]
-
-
-def _check_seed(seed: int) -> None:
-    """Reject a seed ``SeedSequence`` would refuse, before any fit."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def jackknife_tables(table: CountTable) -> list[tuple[int, CountTable]]:
@@ -283,21 +281,84 @@ def bca_interval(
 
 
 # ---------------------------------------------------------------------------
-# Model evaluation helpers shared by the drivers
+# The parts every driver shares
 # ---------------------------------------------------------------------------
 
 
-def _support_groups(tables: Sequence[CountTable]) -> list[list[int]]:
-    """Indices of the tables sharing each support, in order of first use.
+def _start(B: int, seed: int, cache: ExistenceCache | None) -> ExistenceCache:
+    """Reject B < 1 and a negative seed (which ``SeedSequence`` refuses)
+    before any fit; return ``cache``, or a fresh cache when it is None."""
+    if B < 1:
+        raise ValueError("need at least one bootstrap replication")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return cache if cache is not None else ExistenceCache()
+
+
+def _intervals(
+    table: CountTable,
+    m_hat: float,
+    jack_masks: Sequence[int],
+    columns: Iterable[tuple[int | None, Sequence[float | None], Sequence[float | None]]],
+    levels: Sequence[float],
+    flag_exclusions: bool = False,
+    **fields,
+) -> list[IntervalResult]:
+    """One ``IntervalResult`` per column of replicate estimates.
+
+    A column is (n_top, bootstrap estimates, jackknife estimates in the
+    order of ``jack_masks``); ``bca_components`` excludes the replicates
+    whose estimate is None or not finite.
+    ``fields`` are the results' method, B, seed and selected model.  With
+    ``flag_exclusions`` a column that excluded a bootstrap replicate is
+    flagged ``replicates_excluded``.
+    """
+    results = []
+    for n_top, boot, jack in columns:
+        comps = bca_components(boot, list(zip(jack_masks, jack)), table, m_hat)
+        excluded = flag_exclusions and comps.excluded_boot > 0
+        results.append(IntervalResult(
+            point_estimate=m_hat,
+            intervals=bca_interval(comps, m_hat, levels),
+            n_top=n_top,
+            z0_hat=comps.z0_hat,
+            a_hat=comps.a_hat,
+            excluded_boot=comps.excluded_boot,
+            excluded_jack=comps.excluded_jack,
+            flags=comps.flags + (("replicates_excluded",) if excluded else ()),
+            **fields,
+        ))
+    return results
+
+
+def _group_fits(
+    models: Sequence[ModelSpec],
+    tables: Sequence[CountTable],
+    cache: ExistenceCache,
+    settings: FitSettings,
+) -> Iterator[tuple[tuple[list[int], int], list[FitResult]]]:
+    """((table indices, model index), their fits) for every (support, model)
+    group whose MLE exists: supports in order of first use, models in
+    order within each, so each table meets its models in order.
 
     Tables are keyed by their cells in the order of ``counts``, which is
     canonical for all but directly built tables; those may split a
-    support into more than one group, each fitted as any group is.
+    support into more than one group, each fitted as any group is.  The
+    existence verdict depends only on the support, so it is checked once
+    per (model, support), all in one ``check_many`` call.  Every group
+    that passes is fitted by one ``fit_groups`` call, which stacks the
+    groups of equal design shape.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    supports: dict[tuple[int, ...], list[int]] = {}
     for i, table in enumerate(tables):
-        groups.setdefault(tuple(table.counts), []).append(i)
-    return list(groups.values())
+        supports.setdefault(tuple(table.counts), []).append(i)
+    pairs = [(rows, j) for rows in supports.values() for j in range(len(models))]
+    exists = cache.check_many([(models[j], tables[rows[0]]) for rows, j in pairs])
+    passed = [pair for pair, ok in zip(pairs, exists) if ok]
+    fitted = fit_groups(
+        [(models[j], [tables[i] for i in rows]) for rows, j in passed], settings
+    )
+    return zip(passed, fitted)
 
 
 def _evaluate_models(
@@ -307,120 +368,20 @@ def _evaluate_models(
     settings: FitSettings,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(BIC, population estimate) arrays of shape (tables, models); inf/nan
-    where not estimable.
-
-    The existence verdict depends only on the support, so it is checked
-    once per (model, support), all in one ``check_many`` call.  Every
-    (model, support) group that passes is fitted by one ``fit_groups``
-    call, which stacks the groups of equal design shape.
-    """
+    where not estimable."""
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
-    pairs = [(rows, j) for rows in _support_groups(tables) for j in range(len(models))]
-    exists = cache.check_many([(models[j], tables[rows[0]]) for rows, j in pairs])
-    passed = [pair for pair, ok in zip(pairs, exists) if ok]
-    fitted = fit_groups(
-        [(models[j], [tables[i] for i in rows]) for rows, j in passed], settings
-    )
-    for (rows, j), results in zip(passed, fitted):
-        for i, res in zip(rows, results):
+    for (group, j), results in _group_fits(models, tables, cache, settings):
+        for i, res in zip(group, results):
             if res.converged:
                 bics[i, j] = res.bic
                 ests[i, j] = res.population_estimate
     return bics, ests
 
 
-def _select_from_eval(bics: np.ndarray, ests: np.ndarray) -> float | None:
-    """Estimate of the BIC-minimal model; ties to the earliest position."""
-    j = int(np.argmin(bics))
-    if math.isinf(bics[j]):
-        return None
-    return float(ests[j])
-
-
-def original_fits(
-    table: CountTable,
-    space: ModelSpace,
-    cache: ExistenceCache,
-    settings: FitSettings,
-) -> tuple[np.ndarray, np.ndarray, list[FitResult]]:
-    """Fit the whole space on the original data, canonically ordered."""
-    exists = cache.check_many([(m, table) for m in space])
-    fits = list(fit_candidates(space.models, table, exists, settings))
-    bics = np.array([f.bic for f in fits])
-    ests = np.array(
-        [f.population_estimate if f.converged else np.nan for f in fits]
-    )
-    return bics, ests, fits
-
-
-def space_ordering(
-    space: ModelSpace, bics: Sequence[float], degree: int = 1
-) -> list[int]:
-    """Model indices best-first under the requested rank degree."""
-    return rank_order(space, bic_ranks(space, bics, K=degree), degree)
-
-
 # ---------------------------------------------------------------------------
-# Restricted bootstrap and the sweep over the restriction size
+# Restriction to the top-ranked models, for one size or a sweep of sizes
 # ---------------------------------------------------------------------------
-
-
-def restricted_bootstrap(
-    table: CountTable,
-    space: ModelSpace,
-    B: int = DEFAULT_B,
-    n_top: int | None = None,
-    levels: Sequence[float] = DEFAULT_LEVELS,
-    seed: int = 0,
-    degree: int = 1,
-    workers: int = 1,
-    settings: FitSettings = FitSettings(),
-    cache: ExistenceCache | None = None,
-) -> IntervalResult:
-    """Bootstrap with per-replicate selection restricted to the models
-    ranking best on the original data; ``n_top=None`` considers them all.
-    """
-    if B < 1:
-        raise ValueError("need at least one bootstrap replication")
-    _check_seed(seed)
-    cache = cache if cache is not None else ExistenceCache()
-    bics, _, fits = original_fits(table, space, cache, settings)
-    ordering = space_ordering(space, bics, degree)
-    best = fits[ordering[0]]
-    if not best.converged:
-        raise NoModelFoundError("no model has a finite BIC on the original data")
-    m_hat = best.population_estimate
-    assert m_hat is not None
-    if n_top is None:
-        n_top = len(space)
-    n_top = min(n_top, len(space))
-    if n_top < 1:
-        raise ValueError("n_top must be at least 1")
-    top_models = [space.models[i] for i in ordering[:n_top]]
-
-    def selected(tables: Sequence[CountTable]) -> list[float | None]:
-        bics, ests = _evaluate_models(top_models, tables, cache, settings)
-        return [_select_from_eval(b, e) for b, e in zip(bics, ests)]
-
-    boot = selected(resamples(table, seed, B))
-    jack_masks, jack_tables = zip(*jackknife_tables(table))
-    jack = list(zip(jack_masks, selected(jack_tables)))
-    comps = bca_components(boot, jack, table, m_hat)
-    return IntervalResult(
-        point_estimate=m_hat,
-        intervals=bca_interval(comps, m_hat, levels),
-        method="degree2" if degree == 2 else "bic",
-        B=B,
-        seed=seed,
-        n_top=n_top,
-        selected_model=best.model.notation(),
-        z0_hat=comps.z0_hat,
-        a_hat=comps.a_hat,
-        excluded_boot=comps.excluded_boot,
-        excluded_jack=comps.excluded_jack,
-        flags=comps.flags,
-    )
 
 
 @dataclass(frozen=True)
@@ -462,11 +423,79 @@ def _record_fills(
     return records, filled
 
 
-def _estimate_columns(filled: np.ndarray) -> list[list[float | None]]:
-    """Each column of ``filled`` as floats, None where not finite."""
-    cells = filled.astype(object)
-    cells[~np.isfinite(filled)] = None
-    return cells.T.tolist()
+def _ranked(
+    table: CountTable,
+    space: ModelSpace,
+    B: int,
+    sizes: Sequence[int],
+    levels: Sequence[float],
+    seed: int,
+    degree: int,
+    method: str,
+    settings: FitSettings,
+    cache: ExistenceCache | None,
+) -> tuple[SweepState, list[IntervalResult]]:
+    """The bootstrap with each replicate's selection restricted to the top
+    n models of the original data's ranking, for each n in ``sizes``
+    (none above the size of the space).
+
+    The space is fitted on the original table, and the top ``max(sizes)``
+    models on every resample and every jackknife table.  The restriction
+    to the top n reads column n of the record fills, and BCa runs only
+    for the sizes asked for.
+    """
+    cache = _start(B, seed, cache)
+    if min(sizes, default=0) < 1:
+        raise ValueError("n_top must be at least 1")
+    (bics,), (ests,) = _evaluate_models(space.models, [table], cache, settings)
+    ordering = rank_order(space, bic_ranks(space, bics, K=degree), degree)
+    m_hat = float(ests[ordering[0]])
+    if math.isnan(m_hat):
+        raise NoModelFoundError("no model has a finite BIC on the original data")
+    top_models = [space.models[i] for i in ordering[: max(sizes)]]
+
+    bic_array, est_array = _evaluate_models(
+        top_models, resamples(table, seed, B), cache, settings
+    )
+    records, filled_boot = _record_fills(bic_array, est_array)
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    _, filled_jack = _record_fills(
+        *_evaluate_models(top_models, jack_tables, cache, settings)
+    )
+
+    # NaN marks an excluded replicate, as None does
+    picked = [n - 1 for n in sizes]
+    results = _intervals(
+        table, m_hat, jack_masks,
+        zip(sizes, filled_boot[:, picked].T.tolist(), filled_jack[:, picked].T.tolist()),
+        levels,
+        method=method, B=B, seed=seed,
+        selected_model=space.models[ordering[0]].notation(),
+    )
+    return SweepState(bic_array, est_array, records, filled_boot), results
+
+
+def restricted_bootstrap(
+    table: CountTable,
+    space: ModelSpace,
+    B: int = DEFAULT_B,
+    n_top: int | None = None,
+    levels: Sequence[float] = DEFAULT_LEVELS,
+    seed: int = 0,
+    degree: int = 1,
+    settings: FitSettings = FitSettings(),
+    cache: ExistenceCache | None = None,
+) -> IntervalResult:
+    """Bootstrap with per-replicate selection restricted to the models
+    ranking best on the original data; ``n_top=None`` considers them all.
+    This is column ``n_top`` of ``ntop_sweep``.
+    """
+    n_top = len(space) if n_top is None else min(n_top, len(space))
+    method = "degree2" if degree == 2 else "bic"
+    _, (result,) = _ranked(
+        table, space, B, [n_top], levels, seed, degree, method, settings, cache
+    )
+    return result
 
 
 def ntop_sweep(
@@ -477,60 +506,18 @@ def ntop_sweep(
     levels: Sequence[float] = DEFAULT_LEVELS,
     seed: int = 0,
     degree: int = 1,
-    workers: int = 1,
     settings: FitSettings = FitSettings(),
     cache: ExistenceCache | None = None,
 ) -> tuple[SweepState, dict[int, IntervalResult]]:
     """Intervals for every restriction size up to ``n_top_high`` from a
     single pass of model evaluations per replicate.
     """
-    if B < 1:
-        raise ValueError("need at least one bootstrap replication")
-    _check_seed(seed)
-    cache = cache if cache is not None else ExistenceCache()
-    bics0, _, fits = original_fits(table, space, cache, settings)
-    ordering = space_ordering(space, bics0, degree)
-    best = fits[ordering[0]]
-    if not best.converged:
-        raise NoModelFoundError("no model has a finite BIC on the original data")
-    m_hat = best.population_estimate
-    assert m_hat is not None
-    if n_top_high is None:
-        n_top_high = len(space)
-    n_top_high = min(n_top_high, len(space))
-    top_models = [space.models[i] for i in ordering[:n_top_high]]
-
-    reps = resamples(table, seed, B)
-    bic_array, est_array = _evaluate_models(top_models, reps, cache, settings)
-    records, filled_boot = _record_fills(bic_array, est_array)
-
-    jack_masks, jack_tables = zip(*jackknife_tables(table))
-    jack_bics, jack_ests = _evaluate_models(top_models, jack_tables, cache, settings)
-    _, filled_jack = _record_fills(jack_bics, jack_ests)
-
-    state = SweepState(bic_array, est_array, records, filled_boot)
-    boot_columns = _estimate_columns(filled_boot)
-    jack_columns = _estimate_columns(filled_jack)
-    results: dict[int, IntervalResult] = {}
-    for n_top in range(1, n_top_high + 1):
-        boot = boot_columns[n_top - 1]
-        jack = list(zip(jack_masks, jack_columns[n_top - 1]))
-        comps = bca_components(boot, jack, table, m_hat)
-        results[n_top] = IntervalResult(
-            point_estimate=m_hat,
-            intervals=bca_interval(comps, m_hat, levels),
-            method="sweep",
-            B=B,
-            seed=seed,
-            n_top=n_top,
-            selected_model=best.model.notation(),
-            z0_hat=comps.z0_hat,
-            a_hat=comps.a_hat,
-            excluded_boot=comps.excluded_boot,
-            excluded_jack=comps.excluded_jack,
-            flags=comps.flags,
-        )
-    return state, results
+    n_high = len(space) if n_top_high is None else min(n_top_high, len(space))
+    sizes = range(1, n_high + 1)
+    state, results = _ranked(
+        table, space, B, sizes, levels, seed, degree, "sweep", settings, cache
+    )
+    return state, dict(zip(sizes, results))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +578,6 @@ def downhill_bootstrap(
     levels: Sequence[float] = DEFAULT_LEVELS,
     seed: int = 0,
     starts: Sequence[ModelSpec] | None = None,
-    workers: int = 1,
     settings: FitSettings = FitSettings(),
     cache: ExistenceCache | None = None,
 ) -> IntervalResult:
@@ -607,12 +593,9 @@ def downhill_bootstrap(
     when ``l`` is outside 1..t-1, and ``NoModelFoundError`` once the
     search ends when the original table has no model with finite BIC.
     """
-    if B < 1:
-        raise ValueError("need at least one bootstrap replication")
-    _check_seed(seed)
+    cache = _start(B, seed, cache)
     if l is None:
         l = table.t - 1
-    cache = cache if cache is not None else ExistenceCache()
     if starts is None:
         starts = [ModelSpec.null_model(table.t)]
 
@@ -623,22 +606,11 @@ def downhill_bootstrap(
         raise NoModelFoundError("greedy search found no model with finite BIC")
     best_model, _, m_hat = found[0]
     estimates = [None if f is None else f[2] for f in found[1:]]
-    boot = estimates[:B]
-    jack = list(zip(jack_masks, estimates[B:]))
-    comps = bca_components(boot, jack, table, m_hat)
-    return IntervalResult(
-        point_estimate=m_hat,
-        intervals=bca_interval(comps, m_hat, levels),
-        method="downhill",
-        B=B,
-        seed=seed,
-        selected_model=best_model.notation(),
-        z0_hat=comps.z0_hat,
-        a_hat=comps.a_hat,
-        excluded_boot=comps.excluded_boot,
-        excluded_jack=comps.excluded_jack,
-        flags=comps.flags,
+    (result,) = _intervals(
+        table, m_hat, jack_masks, [(None, estimates[:B], estimates[B:])], levels,
+        method="downhill", B=B, seed=seed, selected_model=best_model.notation(),
     )
+    return result
 
 
 def chisq_bootstrap(
@@ -649,7 +621,6 @@ def chisq_bootstrap(
     seed: int = 0,
     p_lo: float = 0.05,
     p_hi: float = 0.3,
-    workers: int = 1,
     settings: FitSettings = FitSettings(),
     cache: ExistenceCache | None = None,
 ) -> IntervalResult:
@@ -657,25 +628,28 @@ def chisq_bootstrap(
 
     Replicates where no model falls in the p-value window are excluded
     and counted; the resulting interval therefore carries a validity
-    caveat (the exclusions are reported, not imputed).  Existence over
-    the space is checked for each table in one ``check_many`` call.
+    caveat (the exclusions are reported, not imputed).  The original
+    table, the resamples and the jackknife tables are each selected on
+    by one grouped check and fit of the space (``_group_fits``), and
+    ``glm.chisq_choice`` picks each table's model from its fits.
     """
-    if B < 1:
-        raise ValueError("need at least one bootstrap replication")
-    _check_seed(seed)
-    cache = cache if cache is not None else ExistenceCache()
+    cache = _start(B, seed, cache)
+    check_p_window(p_lo, p_hi)
 
-    def select(t: CountTable) -> ChisqResult | None:
-        exists = dict(zip(space.models, cache.check_many([(m, t) for m in space])))
-        return select_by_chisq(
-            space.models, t, p_lo, p_hi, lambda m, _: exists[m], settings
-        )
+    def select(tables: Sequence[CountTable]) -> list[ChisqResult | None]:
+        fits: list[list[FitResult]] = [[] for _ in tables]
+        for (group, _), results in _group_fits(space.models, tables, cache, settings):
+            for i, res in zip(group, results):
+                fits[i].append(res)
+        # each table's fits are let go once its choice is made: the Pearson
+        # statistics build every fit's alpha and mu
+        fits.reverse()
+        return [chisq_choice(fits.pop(), t, p_lo, p_hi) for t in tables]
 
-    def estimate(t: CountTable) -> float | None:
-        res = select(t)
-        return None if res is None else res.fit.population_estimate
+    def estimates(tables: Sequence[CountTable]) -> list[float | None]:
+        return [None if c is None else c.fit.population_estimate for c in select(tables)]
 
-    chosen = select(table)
+    (chosen,) = select([table])
     if chosen is None:
         raise NoModelFoundError(
             "no model falls in the requested p-value window on the original data"
@@ -683,23 +657,14 @@ def chisq_bootstrap(
     m_hat = chosen.fit.population_estimate
     assert m_hat is not None
 
-    boot = [estimate(t) for t in resamples(table, seed, B)]
-    jack = [(mask, estimate(jt)) for mask, jt in jackknife_tables(table)]
-    comps = bca_components(boot, jack, table, m_hat)
-    flags = comps.flags + (("replicates_excluded",) if comps.excluded_boot else ())
-    return IntervalResult(
-        point_estimate=m_hat,
-        intervals=bca_interval(comps, m_hat, levels),
-        method="chisq",
-        B=B,
-        seed=seed,
-        selected_model=chosen.model.notation(),
-        z0_hat=comps.z0_hat,
-        a_hat=comps.a_hat,
-        excluded_boot=comps.excluded_boot,
-        excluded_jack=comps.excluded_jack,
-        flags=flags,
+    boot = estimates(resamples(table, seed, B))
+    jack_masks, jack_tables = zip(*jackknife_tables(table))
+    (result,) = _intervals(
+        table, m_hat, jack_masks, [(None, boot, estimates(jack_tables))], levels,
+        flag_exclusions=True,
+        method="chisq", B=B, seed=seed, selected_model=chosen.model.notation(),
     )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +692,6 @@ def diagnostics(
     B: int = DEFAULT_B,
     seed: int = 0,
     ntop_grid: Sequence[int] = (1, 5, 10, 50, 100),
-    workers: int = 1,
     settings: FitSettings = FitSettings(),
     cache: ExistenceCache | None = None,
 ) -> DiagnosticsReport:
@@ -735,15 +699,20 @@ def diagnostics(
 
     For each replicate: the Spearman correlation over models where both
     fits exist, and the position of the replicate's best model in the
-    degree-1 and degree-2 orderings of the original data.
+    degree-1 and degree-2 orderings of the original data.  A B below 1,
+    a negative seed or a ``ntop_grid`` entry below 1 is rejected before
+    any fit.
     """
+    cache = _start(B, seed, cache)
+    if min(ntop_grid, default=1) < 1:
+        raise ValueError(
+            f"ntop_grid entries must be at least 1, got {', '.join(map(str, ntop_grid))}"
+        )
     # imported here: scipy.stats is a large share of the package's import
     # time and memory, and nothing else needs it
     from scipy import stats
 
-    _check_seed(seed)
-    cache = cache if cache is not None else ExistenceCache()
-    bics0, _, _ = original_fits(table, space, cache, settings)
+    (bics0,), _ = _evaluate_models(space.models, [table], cache, settings)
     if not np.isfinite(bics0).any():
         raise NoModelFoundError("no model has a finite BIC on the original data")
     rank_table = bic_ranks(space, bics0, K=2)

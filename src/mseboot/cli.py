@@ -225,6 +225,8 @@ def cmd_bootstrap(args) -> int:
         raise CliError(f"--p-lo ({args.p_lo}) must not exceed --p-hi ({args.p_hi})")
     if args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.starts < 0:
+        raise CliError(f"--starts must be a non-negative integer, got {args.starts}")
     started = time.perf_counter()
     cache = ExistenceCache()
     sweep_rows = None
@@ -237,14 +239,13 @@ def cmd_bootstrap(args) -> int:
             n_pairs = min(5, table.t * (table.t - 1) // 2)
             starts += random_order2_starts(table.t, n_pairs, args.starts, start_rng)
         result = downhill_bootstrap(
-            table, l, args.reps, levels, args.seed, starts,
-            workers=args.workers, settings=settings, cache=cache,
+            table, l, args.reps, levels, args.seed, starts, settings, cache
         )
     elif args.method == "chisq":
         space = enumerate_models(table.t, l)
         result = chisq_bootstrap(
             table, space, args.reps, levels, args.seed,
-            args.p_lo, args.p_hi, args.workers, settings, cache,
+            args.p_lo, args.p_hi, settings, cache,
         )
     else:
         degree = 2 if args.method == "degree2" else 1
@@ -252,14 +253,14 @@ def cmd_bootstrap(args) -> int:
         if args.sweep:
             _, per_ntop = ntop_sweep(
                 table, space, args.reps, n_top, levels, args.seed,
-                degree, args.workers, settings, cache,
+                degree, settings, cache,
             )
             sweep_rows = per_ntop
             result = per_ntop[max(per_ntop)]
         else:
             result = restricted_bootstrap(
                 table, space, args.reps, n_top, levels, args.seed,
-                degree, args.workers, settings, cache,
+                degree, settings, cache,
             )
     elapsed = time.perf_counter() - started
     # timing goes to stderr so the canonical output is byte-reproducible
@@ -308,9 +309,7 @@ def cmd_diagnose(args) -> int:
     except ValueError:
         raise CliError(f"invalid --ntop-grid {args.ntop_grid!r}") from None
     space = enumerate_models(table.t, l)
-    report = diagnostics(
-        table, space, args.reps, args.seed, grid, args.workers, settings
-    )
+    report = diagnostics(table, space, args.reps, args.seed, grid, settings)
     payload = {
         "lists": names,
         "n_total": table.n_total,
@@ -368,9 +367,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 WORKERS_HELP = (
-    "accepted for compatibility; has no effect (IRLS fits overlap their "
-    "least-squares solves across every CPU of the affinity mask, which "
-    "taskset limits; output is the same for any CPU count)"
+    "accepted so that existing command lines still work; has no effect "
+    "(IRLS fits overlap their least-squares solves across every CPU of the "
+    "affinity mask, which taskset limits; output is the same for any CPU count)"
 )
 
 

@@ -968,32 +968,28 @@ def pearson_chisq(fit_result: FitResult, table: CountTable) -> tuple[float, int]
     return float(stat), df
 
 
-def select_by_chisq(
-    candidates: Iterable[ModelSpec],
-    table: CountTable,
-    p_lo: float = 0.05,
-    p_hi: float = 0.3,
-    existence_checker: Callable[[ModelSpec, CountTable], bool] | None = None,
-    settings: FitSettings = FitSettings(),
-) -> ChisqResult | None:
-    """Choose the model minimizing chi-squared per degree of freedom
-    among those whose goodness-of-fit p-value falls in [p_lo, p_hi].
-
-    Models with no residual degrees of freedom are never candidates.
-    Without a checker existence is decided as in ``select_best_bic``, and
-    the candidates that pass are likewise fitted together.
-    Returns None when the window admits no model at all.
-    """
+def check_p_window(p_lo: float, p_hi: float) -> None:
+    """Reject a p-value window that is not a subinterval of [0, 1]."""
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"invalid p-value window [{p_lo}, {p_hi}]")
+
+
+def chisq_choice(
+    fits: Iterable[FitResult], table: CountTable, p_lo: float, p_hi: float
+) -> ChisqResult | None:
+    """The fit with the smallest chi-squared per degree of freedom among
+    the converged ``fits`` whose goodness-of-fit p-value falls in
+    [p_lo, p_hi]; ties go to the first.
+
+    Models with no residual degrees of freedom are never candidates.
+    Returns None when the window admits no fit at all.
+    """
     # imported here: scipy.special is a large share of the package's import
-    # time, and only this selector needs a chi-squared tail
+    # time, and only this rule needs a chi-squared tail
     from scipy import special
 
-    candidates = list(candidates)
-    exists = _verdicts(existence_checker, candidates, table)
     best: ChisqResult | None = None
-    for res in fit_candidates(candidates, table, exists, settings):
+    for res in fits:
         if not res.converged:
             continue
         stat, df = pearson_chisq(res, table)
@@ -1006,3 +1002,27 @@ def select_by_chisq(
         if best is None or cand.ratio < best.ratio:
             best = cand
     return best
+
+
+def select_by_chisq(
+    candidates: Iterable[ModelSpec],
+    table: CountTable,
+    p_lo: float = 0.05,
+    p_hi: float = 0.3,
+    existence_checker: Callable[[ModelSpec, CountTable], bool] | None = None,
+    settings: FitSettings = FitSettings(),
+) -> ChisqResult | None:
+    """Choose the model minimizing chi-squared per degree of freedom
+    among those whose goodness-of-fit p-value falls in [p_lo, p_hi]
+    (``chisq_choice`` over the candidates' fits, in order).
+
+    Without a checker existence is decided as in ``select_best_bic``, and
+    the candidates that pass are likewise fitted together.
+    Returns None when the window admits no model at all.
+    """
+    check_p_window(p_lo, p_hi)
+    candidates = list(candidates)
+    exists = _verdicts(existence_checker, candidates, table)
+    return chisq_choice(
+        fit_candidates(candidates, table, exists, settings), table, p_lo, p_hi
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -36,6 +37,12 @@ from mseboot.glm import FitSettings
 from mseboot.modelspace import ModelSpaceError
 
 from conftest import KOREA_COUNTS, TABLE1, random_table
+from driver_oracle import (
+    oracle_chisq_bootstrap,
+    oracle_diagnostics,
+    oracle_ntop_sweep,
+    oracle_restricted_bootstrap,
+)
 
 
 def three_search_downhill(table, l=None, B=1000, levels=DEFAULT_LEVELS,
@@ -232,11 +239,6 @@ class TestRestrictedBootstrap:
         b = restricted_bootstrap(korea, korea_space, B=50, n_top=2, seed=7)
         assert a == b
 
-    def test_worker_count_invariant(self, korea, korea_space):
-        a = restricted_bootstrap(korea, korea_space, B=50, seed=8, workers=1)
-        b = restricted_bootstrap(korea, korea_space, B=50, seed=8, workers=4)
-        assert a == b
-
     def test_degree_orderings_agree_at_extremes(self, korea, korea_space):
         # identical at n_top = 1 and n_top = |space| for the same seed
         for n_top in (1, len(korea_space)):
@@ -256,9 +258,10 @@ class TestSweep:
         B = 20
         cache = ExistenceCache()
         state, results = ntop_sweep(table, korea_space, B=B, seed=seed, cache=cache)
-        # oracle: re-select directly among the top-j models per replicate
+        # oracle: the frozen restricted bootstrap re-selects directly among
+        # the top-j models per replicate
         for j in (1, 2, len(korea_space)):
-            direct = restricted_bootstrap(
+            direct = oracle_restricted_bootstrap(
                 table, korea_space, B=B, n_top=j, seed=seed, cache=cache
             )
             assert results[j].intervals == direct.intervals
@@ -398,6 +401,25 @@ class TestDiagnostics:
             assert (p1 == 1) == (p2 == 1)
             assert p2 <= len(korea_space)
 
+    @pytest.mark.parametrize("B", [0, -3])
+    def test_rejects_non_positive_replications_before_any_fit(
+        self, B, korea, korea_space, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="at least one bootstrap replication"):
+            diagnostics(korea, korea_space, B=B, seed=1)
+        assert calls == []
+
+    def test_rejects_grid_entries_below_one_before_any_fit(
+        self, korea, korea_space, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="got 0, -4"):
+            diagnostics(korea, korea_space, B=5, seed=1, ntop_grid=(0, -4))
+        assert calls == []
+
     def test_rho_close_to_one_for_large_counts(self):
         # huge counts make replicates nearly identical to the original
         big = CountTable.from_counts(
@@ -446,8 +468,14 @@ class TestExistenceLookups:
         cache, B = ExistenceCache(), 20
         chisq_bootstrap(korea, korea_space, B=B, seed=3, p_lo=0.0, p_hi=1.0,
                         cache=cache)
-        n_tables = 1 + B + len(jackknife_tables(korea))
-        self.assert_counted(calls, cache, len(korea_space) * n_tables)
+        reps = [resample(korea, replicate_rng(3, i)) for i in range(B)]
+        jack = [t for _, t in jackknife_tables(korea)]
+        # the space once on the original table, then once per support of
+        # the resamples and of the jackknife tables
+        supports = len({support_key(t) for t in reps}) + len(
+            {support_key(t) for t in jack}
+        )
+        self.assert_counted(calls, cache, len(korea_space) * (1 + supports))
 
     def test_downhill(self, korea, calls):
         cache = ExistenceCache()
@@ -460,3 +488,79 @@ class TestExistenceLookups:
         assert cache.hits == calls["check"] - first
         assert calls["fr_check"] == cache.misses == len(cache.verdicts)
         self.assert_counted(calls, cache, calls["check"])
+
+
+class TestOneDriver:
+    """Every driver equals its frozen body from before the drivers shared
+    one head, one ranked body and one BCa tail (``driver_oracle``)."""
+
+    @staticmethod
+    def table(name):
+        if name == "korea":
+            return CountTable.from_counts(3, KOREA_COUNTS), enumerate_models(3, 2)
+        return CountTable.from_counts(4, TABLE1["n1"]), enumerate_models(4, 3)
+
+    @pytest.mark.parametrize("name, B", [("korea", 200), ("table1_n1", 40)])
+    @pytest.mark.parametrize("n_top", [1, 10, None])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_restricted(self, name, B, n_top, degree):
+        table, space = self.table(name)
+        kwargs = dict(B=B, n_top=n_top, seed=7, degree=degree)
+        want = oracle_restricted_bootstrap(table, space, **kwargs)
+        assert restricted_bootstrap(table, space, **kwargs) == want
+
+    @pytest.mark.parametrize("name, B", [("korea", 200), ("table1_n1", 40)])
+    @pytest.mark.parametrize("n_top_high", [1, 10, None])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_sweep(self, name, B, n_top_high, degree):
+        table, space = self.table(name)
+        kwargs = dict(B=B, n_top_high=n_top_high, seed=7, degree=degree)
+        want_state, want = oracle_ntop_sweep(table, space, **kwargs)
+        state, got = ntop_sweep(table, space, **kwargs)
+        assert got == want
+        for field in ("bic_array", "estimate_array", "filled_estimates"):
+            assert np.array_equal(
+                getattr(state, field), getattr(want_state, field), equal_nan=True
+            )
+        assert state.record_indices == want_state.record_indices
+
+    @pytest.mark.parametrize("case", ["korea", "sparse"])
+    def test_chisq(self, case):
+        if case == "korea":
+            table, space = self.table("korea")
+        else:
+            # a sparse four-list table on which the window admits no
+            # model for some replicates
+            table = random_table(np.random.default_rng(1), 4, zero_prob=0.4)
+            space = enumerate_models(4, 2)
+        want = oracle_chisq_bootstrap(table, space, B=40, seed=1)
+        assert chisq_bootstrap(table, space, B=40, seed=1) == want
+        if case == "sparse":
+            assert want.excluded_boot > 0 and "replicates_excluded" in want.flags
+
+    @pytest.mark.parametrize("name, B", [("korea", 200), ("table1_n1", 40)])
+    def test_diagnostics(self, name, B):
+        table, space = self.table(name)
+        kwargs = dict(B=B, seed=7, ntop_grid=(1, 2, 10, 500))
+        assert diagnostics(table, space, **kwargs) == oracle_diagnostics(
+            table, space, **kwargs
+        )
+
+    def test_downhill(self):
+        table, _ = self.table("table1_n1")
+        assert downhill_bootstrap(table, B=20, seed=7) == three_search_downhill(
+            table, B=20, seed=7
+        )
+
+    def test_restricted_is_one_column_of_the_sweep(self, monkeypatch):
+        table, space = self.table("table1_n1")
+        columns = []
+        bca = bootstrap.bca_components
+        monkeypatch.setattr(
+            bootstrap, "bca_components", lambda *a: columns.append(a) or bca(*a)
+        )
+        got = restricted_bootstrap(table, space, B=40, n_top=10, seed=7)
+        _, sweep = ntop_sweep(table, space, B=40, n_top_high=10, seed=7)
+        # BCa runs for the one column asked for, then for all ten
+        assert len(columns) == 1 + 10
+        assert dataclasses.replace(got, method="sweep") == sweep[10]

@@ -222,6 +222,23 @@ class TestCli:
         assert code == 2 and out == "" and calls == []
         assert json.loads(err)["message"] == message
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--reps", "-3"], "need at least one bootstrap replication"),
+        (["diagnose", "--reps", "0"], "need at least one bootstrap replication"),
+        (["diagnose", "--ntop-grid", "0,-4"],
+         "ntop_grid entries must be at least 1, got 0, -4"),
+        (["bootstrap", "--method", "downhill", "--starts", "-2"],
+         "--starts must be a non-negative integer, got -2"),
+    ])
+    def test_non_positive_counts_exit_2_before_any_fit(
+        self, capsys, monkeypatch, argv, message
+    ):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        code, out, err = run_cli(capsys, *argv, "--data", "fixture:korea")
+        assert code == 2 and out == "" and calls == []
+        assert json.loads(err)["message"] == message
+
     def test_downhill_without_a_model_on_the_original_exits_3(self, capsys, tmp_path):
         # one cell seen by every list: no model has a finite BIC
         path = tmp_path / "one_cell.csv"
