@@ -338,27 +338,25 @@ def _group_fits(
     settings: FitSettings,
 ) -> Iterator[tuple[tuple[list[int], int], list[FitResult]]]:
     """((table indices, model index), their fits) for every (support, model)
-    group whose MLE exists: supports in order of first use, models in
-    order within each, so each table meets its models in order.
+    group: supports in order of first use, models in order within each,
+    so each table meets its models in order.  A group whose MLE does not
+    exist has ``fr_failed`` fits.
 
     Tables are keyed by their cells in the order of ``counts``, which is
     canonical for all but directly built tables; those may split a
     support into more than one group, each fitted as any group is.  The
     existence verdict depends only on the support, so it is checked once
-    per (model, support), all in one ``check_many`` call.  Every group
-    that passes is fitted by one ``fit_groups`` call, which stacks the
-    groups of equal design shape.
+    per (model, support): one ``fit_groups`` call checks all groups and
+    fits those that pass, stacking the groups of equal design shape.
     """
     supports: dict[tuple[int, ...], list[int]] = {}
     for i, table in enumerate(tables):
         supports.setdefault(tuple(table.counts), []).append(i)
     pairs = [(rows, j) for rows in supports.values() for j in range(len(models))]
-    exists = cache.check_many([(models[j], tables[rows[0]]) for rows, j in pairs])
-    passed = [pair for pair, ok in zip(pairs, exists) if ok]
     fitted = fit_groups(
-        [(models[j], [tables[i] for i in rows]) for rows, j in passed], settings
+        [(models[j], [tables[i] for i in rows]) for rows, j in pairs], settings, cache
     )
-    return zip(passed, fitted)
+    return zip(pairs, fitted)
 
 
 def _evaluate_models(
@@ -536,9 +534,9 @@ def _downhill_selected(
     per table, or None.
 
     The searches of all tables advance in lockstep.  Each round's models
-    are grouped by (model, support): existence is checked once per group,
-    for all of the round's groups in one ``check_many`` call, and the
-    groups that pass are fitted by one ``fit_groups`` call.
+    are grouped by (model, support), and one ``fit_groups`` call checks
+    existence once per group, for all of the round's groups, and fits the
+    groups that pass.
     """
     keys = [tuple(t.counts) for t in tables]
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
@@ -548,15 +546,12 @@ def _downhill_selected(
         groups: dict[tuple[frozenset[int], tuple[int, ...]], list[int]] = {}
         for n, (i, model) in enumerate(pairs):
             groups.setdefault((model.params, keys[i]), []).append(n)
-        exists = cache.check_many(
-            [(pairs[rows[0]][1], tables[pairs[rows[0]][0]]) for rows in groups.values()]
-        )
-        passed = [rows for rows, ok in zip(groups.values(), exists) if ok]
         fitted = fit_groups(
-            [(pairs[rows[0]][1], [tables[pairs[n][0]] for n in rows]) for rows in passed],
-            settings,
+            [(pairs[rows[0]][1], [tables[pairs[n][0]] for n in rows])
+             for rows in groups.values()],
+            settings, cache,
         )
-        for rows, results in zip(passed, fitted):
+        for rows, results in zip(groups.values(), fitted):
             model = pairs[rows[0]][1]
             for n, res in zip(rows, results):
                 if res.converged:

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .core import CountTable, ModelSpec, history_to_str
 from .existence import ExistenceCache
-from .glm import FitSettings, NoModelFoundError, fit_or_reject, select_best_bic
+from .glm import STATUS_FR_FAILED, FitSettings, NoModelFoundError, fit, select_best_bic
 from .io import FIXTURES, DataFormatError, dump_table, load_fixture, load_table
 from .modelspace import (
     ModelSpaceError,
@@ -157,14 +157,12 @@ def cmd_fit(args) -> int:
     table, names = _load_data(args)
     settings = _settings(args)
     l = args.max_order if args.max_order is not None else table.t - 1
-    cache = ExistenceCache()
     if args.model == "best":
         space = enumerate_models(table.t, l)
-        exists = dict(zip(space.models, cache.check_many([(m, table) for m in space])))
-        fr_failures = [m.notation() for m in space if not exists[m]]
-        model, res = select_best_bic(
-            space.models, table, lambda m, _: exists[m], settings
-        )
+        cache = ExistenceCache()
+        exists = cache.check_many([(m, table) for m in space])
+        fr_failures = [m.notation() for m, ok in zip(space, exists) if not ok]
+        model, res = select_best_bic(space.models, table, cache, settings)
     else:
         # a named model is checked alone: its space may be far too large
         # to enumerate
@@ -175,8 +173,8 @@ def cmd_fit(args) -> int:
                 f"model {model.notation()} has order {model.max_order}, "
                 f"above the maximum order l={l}"
             )
-        fr_failures = [] if cache.check(model, table) else [model.notation()]
-        res = fit_or_reject(model, table, cache.check, settings)
+        res = fit(model, table, settings)
+        fr_failures = [model.notation()] if res.status == STATUS_FR_FAILED else []
     payload = {
         "lists": names,
         "n_total": table.n_total,

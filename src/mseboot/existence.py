@@ -778,9 +778,3 @@ class ExistenceCache:
             self.check(model, table, solved.get(key))
             for (model, table), key in zip(pairs, keys)
         ]
-
-
-def cached_fr_check(
-    model: ModelSpec, table: CountTable, cache: ExistenceCache
-) -> bool:
-    return cache.check(model, table)

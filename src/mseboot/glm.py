@@ -5,20 +5,27 @@ the sparsity reduction: parameters whose marginal count is zero are
 recorded as -inf and the cells forced to zero by them are dropped before
 the numerical fit.  Estimates therefore live in [-inf, inf).
 
+Existence is checked where fitting starts.  ``fit_groups`` validates its
+(model, group) problems, decides for all of them in one
+``ExistenceCache.check_many`` call whether the extended MLE exists, and
+solves only those where it does; the others get ``fr_failed`` results
+with no estimate.  ``fit``, ``fit_group``, ``select_best_bic`` and
+``select_by_chisq`` all fit through it.  Below it, ``solve_groups`` and
+``solve_group`` are the unchecked numeric engine.
+
 Tables that share a support share the reduction and the design matrix,
-so ``solve_group`` fits one model to a whole group of them; ``fit`` is
-its one-table case.  ``solve_groups`` takes many such (model, group)
-problems at once and stacks those whose designs have the same shape
-(retained cells x estimable parameters), whatever their model or
-support, up to ``STACK_ELEMENTS`` design elements a stack (a larger
-group is cut into pieces of rows): one IRLS run iterates a whole stack,
-one design and one count vector per row.  ``solve_group`` is its
-one-problem case, so there is one IRLS loop.  Each row's least-squares
-step is still its own LAPACK ``dgelsd`` solve, as ``scipy.linalg.lstsq``
-would make it, and its own matrix-vector product; numpy's stacked
-``lstsq`` kernel makes the solves of all rows in one call per iteration.
-Normal equations would be faster and would change the last bits of the
-estimates.
+so ``solve_group`` fits one model to a whole group of them.
+``solve_groups`` takes many such (model, group) problems at once and
+stacks those whose designs have the same shape (retained cells x
+estimable parameters), whatever their model or support, up to
+``STACK_ELEMENTS`` design elements a stack (a larger group is cut into
+pieces of rows): one IRLS run iterates a whole stack, one design and one
+count vector per row.  ``solve_group`` is its one-problem case, so there
+is one IRLS loop.  Each row's least-squares step is still its own LAPACK
+``dgelsd`` solve, as ``scipy.linalg.lstsq`` would make it, and its own
+matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
+of all rows in one call per iteration.  Normal equations would be faster
+and would change the last bits of the estimates.
 
 The IRLS run is a generator that yields each iteration's least-squares
 request, and ``_pipeline`` keeps a few runs in flight at once: one more
@@ -35,10 +42,10 @@ thread.  A row's solve does not depend on the other rows of its request,
 so the output is the same for any CPU count, bit for bit; on one CPU one
 run is in flight, every request is solved inline and no pool is made.
 
-``fit`` turns one solved row into a ``FitResult``.  It reads the row's
-scalars from lists its group converts once, and a converged result
-builds its ``alpha`` and ``mu`` dicts only when they are read, as the
-bootstrap selectors read neither.
+``fit`` with a ``solved`` row turns that row into a ``FitResult``.  It
+reads the row's scalars from lists its group converts once, and a
+converged result builds its ``alpha`` and ``mu`` dicts only when they
+are read, as the bootstrap selectors read neither.
 
 The BIC is likewise the scalar loop's, bit for bit: logarithms come from
 ``math.log``, called on each value in a C loop (``np.frompyfunc``;
@@ -57,13 +64,17 @@ import os
 from concurrent import futures
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Callable, Generator, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._cephes import log_factorial
 from .core import CountTable, ModelSpec, canonical_key, marginal_count
+
+if TYPE_CHECKING:
+    # existence imports this module's sparsity reduction
+    from .existence import ExistenceCache
 
 STATUS_CONVERGED = "converged"
 STATUS_NOT_CONVERGED = "not_converged"
@@ -562,6 +573,21 @@ class _Posed:
     log_factorials: np.ndarray  # like Y
 
 
+def _support_cells(tables: Sequence[CountTable]) -> list[int]:
+    """The positive cells a group's tables share, or a ``ValueError`` for
+    an empty group, tables of different supports or all-zero tables."""
+    if not tables:
+        raise ValueError("cannot fit an empty group")
+    # counts are stored in canonical cell order, so tables sharing a
+    # support list their cells in the same order
+    cells = list(tables[0].counts)
+    if any(list(t.counts) != cells for t in tables):
+        raise ValueError("tables fitted as a group must share one support")
+    if tables[0].n_total == 0:
+        raise ValueError("cannot fit an empty table")
+    return cells
+
+
 def _pose(
     model: ModelSpec, tables: Sequence[CountTable], rows: dict
 ) -> _Posed | GroupSolution:
@@ -572,17 +598,9 @@ def _pose(
     rows and log n! rows, so a group fitted with several models converts
     its counts once.
     """
-    if not tables:
-        raise ValueError("cannot fit an empty group")
     key = tuple(map(id, tables))
     if key not in rows:
-        # counts are stored in canonical cell order, so tables sharing a
-        # support list their cells in the same order
-        cells = list(tables[0].counts)
-        if any(list(t.counts) != cells for t in tables):
-            raise ValueError("tables fitted as a group must share one support")
-        if tables[0].n_total == 0:
-            raise ValueError("cannot fit an empty table")
+        cells = _support_cells(tables)
         counts = np.array([list(t.counts.values()) for t in tables], dtype=float)
         log_factorials = np.array([t.log_factorials for t in tables])
         # shared by the posed groups of every model fitted on these tables
@@ -804,22 +822,24 @@ def fit(
     settings: FitSettings = FitSettings(),
     solved: tuple[GroupSolution, int] | None = None,
 ) -> FitResult:
-    """Extended maximum likelihood fit of one model by IRLS.
+    """Extended maximum likelihood fit of one model by IRLS, or a
+    ``fr_failed`` result with no estimate when the extended MLE does not
+    exist on ``table``.
 
-    This is the one-table case of ``solve_group``.  ``solved`` passes a
-    group solution that already holds ``table`` at the given row; the
-    result is then read from that row instead of solving again.  The
-    row's scalars come from ``GroupSolution.scalars``, converted once per
-    group, and a converged result builds ``alpha`` and ``mu`` from the row
-    only when they are read.
-
-    Callers normally verify the existence criterion first; without it the
-    fit may diverge, which is detected via the coefficient floor and
-    reported as non-convergence.
+    This is the one-table case of ``fit_group``, which checks existence
+    on a fresh ``ExistenceCache``; ``fit_groups`` and the two selectors
+    check it the same way.  ``solved`` is only for a row of a
+    ``solve_groups`` solution that already holds ``table``, at the given
+    index: the result is then read from that row, unchecked, instead of
+    solving again.  The row's scalars come from
+    ``GroupSolution.scalars``, converted once per group, and a converged
+    result builds ``alpha`` and ``mu`` from the row only when they are
+    read.  A fit that still diverges is detected via the coefficient
+    floor and reported as non-convergence.
     """
-    solution, i = solved if solved is not None else (
-        solve_group(model, [table], settings), 0
-    )
+    if solved is None:
+        return fit_group(model, [table], settings)[0]
+    solution, i = solved
     flags, change, first_deviance, deviance, nll, intercept = solution.scalars
     if flags[i] is not None:
         return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change[i],
@@ -844,21 +864,41 @@ def fit(
 def fit_groups(
     problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
     settings: FitSettings = FitSettings(),
+    cache: ExistenceCache | None = None,
 ) -> Iterator[list[FitResult]]:
     """``fit`` on every table of every (model, tables sharing one support)
     problem, in order, one problem's list of results at a time.
 
-    All problems are solved by ``solve_groups`` when the first list is
-    asked for, in one IRLS run per stack of equal design shape.  Each
-    table's result is still made by a call to ``fit``, so anything
-    wrapping ``fit`` sees one call per table, made as its list is taken;
-    each call reads its row from the group's scalars, converted once
-    (``GroupSolution.scalars``), and leaves ``alpha`` and ``mu`` to be
-    built if they are read.
+    When the first list is asked for, every group is validated, then
+    existence is decided for all problems in one ``check_many`` call on
+    ``cache`` (a fresh ``ExistenceCache`` when it is None), on each
+    group's first table: the verdict depends only on the support.  A
+    problem whose extended MLE does not exist gets a ``fr_failed`` result
+    per table, with no estimate.  The others are solved by one
+    ``solve_groups`` call, in one IRLS run per stack of equal design
+    shape.  Each of their tables' results is still made by a call to
+    ``fit``, so anything wrapping ``fit`` sees one call per table, made as
+    its list is taken; each call reads its row from the group's scalars,
+    converted once (``GroupSolution.scalars``), and leaves ``alpha`` and
+    ``mu`` to be built if they are read.
     """
     problems = list(problems)
-    solutions = solve_groups(problems, settings)
-    for (model, tables), solution in zip(problems, solutions):
+    for _, tables in problems:
+        _support_cells(tables)
+    if cache is None:
+        # existence imports this module's sparsity reduction
+        from .existence import ExistenceCache
+
+        cache = ExistenceCache()
+    exists = cache.check_many([(model, tables[0]) for model, tables in problems])
+    solutions = iter(
+        solve_groups([p for p, ok in zip(problems, exists) if ok], settings)
+    )
+    for (model, tables), ok in zip(problems, exists):
+        if not ok:
+            yield [FitResult(model, STATUS_FR_FAILED) for _ in tables]
+            continue
+        solution = next(solutions)
         yield [fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
 
 
@@ -866,76 +906,30 @@ def fit_group(
     model: ModelSpec,
     tables: Sequence[CountTable],
     settings: FitSettings = FitSettings(),
+    cache: ExistenceCache | None = None,
 ) -> list[FitResult]:
     """``fit`` on every table of a group sharing one support, with a single
-    IRLS run for the whole group: the one-problem case of ``fit_groups``."""
-    return next(fit_groups([(model, tables)], settings))
-
-
-def fit_or_reject(
-    model: ModelSpec,
-    table: CountTable,
-    existence_checker: Callable[[ModelSpec, CountTable], bool] | None,
-    settings: FitSettings = FitSettings(),
-) -> FitResult:
-    """Fit with the existence criterion applied first.  Without a checker
-    existence is decided on a fresh ``ExistenceCache``."""
-    if not _verdicts(existence_checker, [model], table)[0]:
-        return FitResult(model, STATUS_FR_FAILED)
-    return fit(model, table, settings)
-
-
-def _verdicts(
-    existence_checker: Callable[[ModelSpec, CountTable], bool] | None,
-    candidates: Sequence[ModelSpec],
-    table: CountTable,
-) -> list[bool]:
-    """Whether each candidate's MLE exists on ``table``: by
-    ``existence_checker``, or when it is None by one ``check_many`` over
-    the candidates on a fresh cache."""
-    if existence_checker is not None:
-        return [existence_checker(m, table) for m in candidates]
-    # existence imports this module's sparsity reduction
-    from .existence import ExistenceCache
-
-    return ExistenceCache().check_many([(m, table) for m in candidates])
-
-
-def fit_candidates(
-    candidates: Sequence[ModelSpec],
-    table: CountTable,
-    exists: Sequence[bool],
-    settings: FitSettings = FitSettings(),
-) -> Iterator[FitResult]:
-    """Each candidate's fit on ``table``, in order, or a ``fr_failed``
-    result where ``exists`` says its MLE does not exist.  The candidates
-    that exist are fitted by one ``fit_groups`` call."""
-    fitted = fit_groups(
-        [(m, [table]) for m, ok in zip(candidates, exists) if ok], settings
-    )
-    for model, ok in zip(candidates, exists):
-        yield next(fitted)[0] if ok else FitResult(model, STATUS_FR_FAILED)
+    existence check and a single IRLS run for the whole group: the
+    one-problem case of ``fit_groups``."""
+    return next(fit_groups([(model, tables)], settings, cache))
 
 
 def select_best_bic(
     candidates: Iterable[ModelSpec],
     table: CountTable,
-    existence_checker: Callable[[ModelSpec, CountTable], bool] | None = None,
+    cache: ExistenceCache | None = None,
     settings: FitSettings = FitSettings(),
 ) -> tuple[ModelSpec, FitResult]:
     """Fit every candidate and return the BIC minimizer.
 
-    Candidates failing the existence check or the fit get an infinite
-    BIC; without a checker existence is decided as in ``fit_or_reject``,
-    for all candidates in one batch.  The candidates that pass are fitted
-    together (``fit_candidates``).  Ties go to the earliest candidate in
-    the given (canonical) order.  Raises NoModelFoundError when nothing
-    attains a finite BIC.
+    The candidates are checked and fitted together by one ``fit_groups``
+    call on ``cache``; those failing the existence check or the fit get
+    an infinite BIC.  Ties go to the earliest candidate in the given
+    (canonical) order.  Raises NoModelFoundError when nothing attains a
+    finite BIC.
     """
-    candidates = list(candidates)
-    exists = _verdicts(existence_checker, candidates, table)
     best: tuple[ModelSpec, FitResult] | None = None
-    for res in fit_candidates(candidates, table, exists, settings):
+    for [res] in fit_groups([(m, [table]) for m in candidates], settings, cache):
         if res.bic < (best[1].bic if best is not None else math.inf):
             best = (res.model, res)
     if best is None or math.isinf(best[1].bic):
@@ -1009,20 +1003,17 @@ def select_by_chisq(
     table: CountTable,
     p_lo: float = 0.05,
     p_hi: float = 0.3,
-    existence_checker: Callable[[ModelSpec, CountTable], bool] | None = None,
+    cache: ExistenceCache | None = None,
     settings: FitSettings = FitSettings(),
 ) -> ChisqResult | None:
     """Choose the model minimizing chi-squared per degree of freedom
     among those whose goodness-of-fit p-value falls in [p_lo, p_hi]
     (``chisq_choice`` over the candidates' fits, in order).
 
-    Without a checker existence is decided as in ``select_best_bic``, and
-    the candidates that pass are likewise fitted together.
-    Returns None when the window admits no model at all.
+    The candidates are checked and fitted together as in
+    ``select_best_bic``.  Returns None when the window admits no model at
+    all.
     """
     check_p_window(p_lo, p_hi)
-    candidates = list(candidates)
-    exists = _verdicts(existence_checker, candidates, table)
-    return chisq_choice(
-        fit_candidates(candidates, table, exists, settings), table, p_lo, p_hi
-    )
+    fits = fit_groups([(m, [table]) for m in candidates], settings, cache)
+    return chisq_choice((res for [res] in fits), table, p_lo, p_hi)

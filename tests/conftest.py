@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mseboot import CountTable, ModelSpec, enumerate_models
+from mseboot import glm
 
 # The bundled Korea table (described under "Bundled data" in README.md):
 # lists B, C, D mapped to bits 1, 2, 4.
@@ -56,3 +57,18 @@ def random_table(rng: np.random.Generator, t: int, mean: float = 8.0,
     if not counts:
         counts[1] = 1
     return CountTable.from_counts(t, counts)
+
+
+def unchecked_fits(problems, settings=glm.FitSettings()):
+    """Each (model, tables sharing one support) problem's fits with no
+    existence check, as lists of ``FitResult``: the IRLS engine's own
+    outcomes (``glm.solve_groups``), ``diverged``, ``parameter_redundant``
+    and ``no_cells_left`` rows included, each read by ``glm.fit`` from its
+    solved row."""
+    problems = list(problems)
+    return [
+        [glm.fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
+        for (model, tables), solution in zip(
+            problems, glm.solve_groups(problems, settings)
+        )
+    ]

@@ -3,9 +3,11 @@
 This is ``modelspace.downhill_search`` and ``bootstrap._downhill_estimate``
 as they stood before the searches of many tables advanced together: one
 table at a time, one start after another, every model fitted alone
-through ``fit_or_reject``.  It is kept unchanged on purpose; the lockstep
-search must select the same model with the same BIC and estimate, and
-fit the same (table, model) pairs.
+through ``fit_or_reject`` (now ``fit_group`` on a one-table group, which
+checks existence first as ``fit_or_reject`` did).  It is kept unchanged
+on purpose but for that call; the lockstep search must select the same
+model with the same BIC and estimate, and fit the same (table, model)
+pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 
 from mseboot.core import CountTable, ModelSpec
 from mseboot.existence import ExistenceCache
-from mseboot.glm import FitResult, FitSettings, fit_or_reject
+from mseboot.glm import FitResult, FitSettings, fit_group
 from mseboot.modelspace import neighbors
 
 
@@ -80,7 +82,7 @@ def oracle_downhill_estimate(
     fits: dict[frozenset[int], FitResult] = {}
 
     def bic_of(model: ModelSpec) -> float:
-        res = fit_or_reject(model, table, cache.check, settings)
+        [res] = fit_group(model, [table], settings, cache)
         fits[model.params] = res
         if fitted is not None and res.status != "fr_failed":
             fitted.add(model.params)

@@ -2,12 +2,14 @@
 
 These are ``restricted_bootstrap``, ``ntop_sweep``, ``chisq_bootstrap``
 and ``diagnostics`` as they stood when each driver had its own body: the
-original table fitted through ``fit_candidates``, the restricted
+original table fitted through ``fit_candidates`` (now one ``fit_groups``
+call, which checks existence first as the callers of ``fit_candidates``
+did), the restricted
 bootstrap selecting per replicate by ``argmin`` over its own evaluation
 arrays, chisq checking and selecting one table at a time, and every
 driver building its own ``IntervalResult``.  They are kept unchanged on
-purpose; the shared driver must give equal results, and the same
-``SweepState`` arrays.
+purpose but for those calls; the shared driver must give equal results,
+and the same ``SweepState`` arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from mseboot.glm import (
     ChisqResult,
     FitSettings,
     NoModelFoundError,
-    fit_candidates,
     fit_groups,
     pearson_chisq,
 )
@@ -53,12 +54,10 @@ def _evaluate_models(models, tables, cache, settings):
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
     pairs = [(rows, j) for rows in _support_groups(tables) for j in range(len(models))]
-    exists = cache.check_many([(models[j], tables[rows[0]]) for rows, j in pairs])
-    passed = [pair for pair, ok in zip(pairs, exists) if ok]
     fitted = fit_groups(
-        [(models[j], [tables[i] for i in rows]) for rows, j in passed], settings
+        [(models[j], [tables[i] for i in rows]) for rows, j in pairs], settings, cache
     )
-    for (rows, j), results in zip(passed, fitted):
+    for (rows, j), results in zip(pairs, fitted):
         for i, res in zip(rows, results):
             if res.converged:
                 bics[i, j] = res.bic
@@ -74,8 +73,7 @@ def _select_from_eval(bics, ests):
 
 
 def original_fits(table, space, cache, settings):
-    exists = cache.check_many([(m, table) for m in space])
-    fits = list(fit_candidates(space.models, table, exists, settings))
+    fits = [r for [r] in fit_groups([(m, [table]) for m in space], settings, cache)]
     bics = np.array([f.bic for f in fits])
     ests = np.array(
         [f.population_estimate if f.converged else np.nan for f in fits]
@@ -202,11 +200,11 @@ def oracle_ntop_sweep(
     return state, results
 
 
-def _select_by_chisq(candidates, table, p_lo, p_hi, exists, settings):
+def _select_by_chisq(candidates, table, p_lo, p_hi, cache, settings):
     from scipy import special
 
     best = None
-    for res in fit_candidates(candidates, table, exists, settings):
+    for [res] in fit_groups([(m, [table]) for m in candidates], settings, cache):
         if not res.converged:
             continue
         stat, df = pearson_chisq(res, table)
@@ -237,8 +235,7 @@ def oracle_chisq_bootstrap(
     cache = cache if cache is not None else ExistenceCache()
 
     def select(t: CountTable) -> ChisqResult | None:
-        exists = cache.check_many([(m, t) for m in space])
-        return _select_by_chisq(space.models, t, p_lo, p_hi, exists, settings)
+        return _select_by_chisq(space.models, t, p_lo, p_hi, cache, settings)
 
     def estimate(t: CountTable) -> float | None:
         res = select(t)

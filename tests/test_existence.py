@@ -17,9 +17,7 @@ from mseboot import (
     CountTable,
     ExistenceCache,
     ModelSpec,
-    cached_fr_check,
     enumerate_models,
-    fit,
     fr_check,
     lp_max_s,
 )
@@ -38,7 +36,7 @@ from mseboot.existence import (
     simplex_max,
 )
 
-from conftest import TABLE1, random_table
+from conftest import TABLE1, random_table, unchecked_fits
 
 
 def vertex_enumeration_max(c, A, b):
@@ -235,7 +233,7 @@ class TestFrCheck:
             for model in space:
                 if fr_check(model, table):
                     continue
-                res = fit(model, table)
+                [[res]] = unchecked_fits([(model, [table])])
                 if not res.converged:
                     continue
                 assert min(res.mu.values()) < 1e-4
@@ -245,9 +243,9 @@ class TestCache:
     def test_hit_on_second_query(self, korea):
         cache = ExistenceCache()
         model = ModelSpec.from_notation("[12,23]", 3)
-        cached_fr_check(model, korea, cache)
+        cache.check(model, korea)
         assert cache.misses == 1
-        cached_fr_check(model, korea, cache)
+        cache.check(model, korea)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_doubled_table_shares_entry(self, korea):
@@ -256,25 +254,25 @@ class TestCache:
             3, {m: 2 * n for m, n in korea.counts.items()}
         )
         model = ModelSpec.from_notation("[12,13]", 3)
-        v1 = cached_fr_check(model, korea, cache)
-        v2 = cached_fr_check(model, doubled, cache)
+        v1 = cache.check(model, korea)
+        v2 = cache.check(model, doubled)
         assert v1 == v2
         assert cache.misses == 1 and cache.hits == 1
 
     def test_support_change_triggers_fresh_check(self, korea):
         cache = ExistenceCache()
         model = ModelSpec.from_notation("[12,23]", 3)
-        cached_fr_check(model, korea, cache)
+        cache.check(model, korea)
         counts = dict(korea.counts)
         counts[0b010] = 0  # a singleton with count dropping to zero
         shrunk = CountTable.from_counts(3, counts)
-        cached_fr_check(model, shrunk, cache)
+        cache.check(model, shrunk)
         assert cache.misses == 2
 
     def test_verdicts_match_uncached(self, korea, korea_space):
         cache = ExistenceCache()
         for m in korea_space:
-            assert cached_fr_check(m, korea, cache) == fr_check(m, korea)
+            assert cache.check(m, korea) == fr_check(m, korea)
 
     def test_decided_counts_every_miss(self, korea, korea_space, table1, monkeypatch):
         # without the null-space route, the program decides the pairs the

@@ -27,7 +27,7 @@ from mseboot.glm import (
     log_likelihood,
 )
 
-from conftest import random_table
+from conftest import random_table, unchecked_fits
 
 
 class TestReduction:
@@ -235,7 +235,7 @@ class TestFit:
         for _ in range(20):
             table = random_table(rng, 4, zero_prob=0.3)
             model = ModelSpec.from_generators(4, [0b0011, 0b1100])
-            res = fit(model, table)
+            [[res]] = unchecked_fits([(model, [table])])
             assert "deviance_increase" not in res.flags
 
     def test_population_estimate_exceeds_observed(self):
@@ -251,14 +251,26 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(ModelSpec.null_model(2), table)
 
-    def test_group_must_share_one_support(self, korea):
-        from mseboot.glm import fit_group
+    def test_group_must_share_one_support(self, korea, monkeypatch):
+        from mseboot import ExistenceCache
+        from mseboot.glm import fit_group, fit_groups
 
         shrunk = CountTable.from_counts(3, {**korea.counts, 0b001: 0})
         with pytest.raises(ValueError):
             fit_group(ModelSpec.null_model(3), [korea, shrunk])
         with pytest.raises(ValueError):
             fit_group(ModelSpec.null_model(3), [])
+
+        # every group is validated before existence is checked for any
+        def no_check(self, pairs):
+            raise AssertionError("existence checked before validation")
+
+        monkeypatch.setattr(ExistenceCache, "check_many", no_check)
+        empty = CountTable.from_counts(3, {1: 0, 2: 0})
+        for bad in ([korea, shrunk], [], [empty]):
+            problems = [(ModelSpec.null_model(3), [korea]), (ModelSpec.null_model(3), bad)]
+            with pytest.raises(ValueError):
+                next(fit_groups(problems))
 
 
 class TestBic:
@@ -305,12 +317,10 @@ class TestBic:
 
 class TestSelectBestBic:
     def test_korea_winner(self, korea, korea_space):
-        from mseboot import ExistenceCache, cached_fr_check
+        from mseboot import ExistenceCache
 
         cache = ExistenceCache()
-        model, res = select_best_bic(
-            korea_space.models, korea, lambda m, t: cached_fr_check(m, t, cache)
-        )
+        model, res = select_best_bic(korea_space.models, korea, cache=cache)
         assert model.notation() == "[12,23]"
         assert res.population_estimate == pytest.approx(157.2, abs=0.05)
 
@@ -330,26 +340,33 @@ class TestSelectBestBic:
             assert chosen == oracle
 
     def test_all_infinite_raises(self, korea, korea_space):
+        from mseboot import ExistenceCache, support_key
+
+        # a cache that holds a failing verdict for every candidate
+        cache = ExistenceCache()
+        cache.verdicts.update(
+            {(m.params, support_key(korea)): False for m in korea_space}
+        )
         with pytest.raises(NoModelFoundError):
-            select_best_bic(korea_space.models, korea, lambda m, t: False)
+            select_best_bic(korea_space.models, korea, cache=cache)
 
     def test_no_checker_still_checks_existence(self, table1):
         # unchecked, [24,123] wins on n4 with an estimate of 5.9e13 although
         # its maximum likelihood estimate does not exist
         from mseboot import ExistenceCache
-        from mseboot.glm import STATUS_FR_FAILED, fit_or_reject
+        from mseboot.glm import STATUS_FR_FAILED
 
         table = table1["n4"]
         space = enumerate_models(4, 3)
         model, res = select_best_bic(space, table)
         assert model.notation() == "[1,2,3,4]"
         assert res.population_estimate == pytest.approx(190.48, abs=0.01)
-        assert (model, res) == select_best_bic(space, table, ExistenceCache().check)
+        assert (model, res) == select_best_bic(space, table, ExistenceCache())
         unchecked = ModelSpec.from_notation("[24,123]", 4)
-        assert fit_or_reject(unchecked, table, None).status == STATUS_FR_FAILED
+        assert fit(unchecked, table).status == STATUS_FR_FAILED
         chosen = select_by_chisq(space, table, 0.0, 1.0)
         assert chosen.model.notation() == "[4,13,23]"  # [14,24,123] unchecked
-        assert chosen == select_by_chisq(space, table, 0.0, 1.0, ExistenceCache().check)
+        assert chosen == select_by_chisq(space, table, 0.0, 1.0, ExistenceCache())
 
 
 class TestSelectByChisq:

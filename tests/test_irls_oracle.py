@@ -10,11 +10,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mseboot import CountTable, ModelSpec, enumerate_models, fit, support_key
+from mseboot import CountTable, ModelSpec, enumerate_models, support_key
 from mseboot.bootstrap import replicate_rng, resample
-from mseboot.glm import FitSettings, bic_from_mu, fit_group
+from mseboot.glm import FitSettings, bic_from_mu
 
-from conftest import KOREA_COUNTS, TABLE1, random_table
+from conftest import KOREA_COUNTS, TABLE1, random_table, unchecked_fits
 from irls_oracle import oracle_bic_from_mu, oracle_fit
 
 FIXTURES = {"korea": (3, KOREA_COUNTS)} | {
@@ -44,9 +44,10 @@ def check_against_oracle(table, models, n_resamples, seed):
     )
     mixed = 0
     for model in models:
-        assert outcome(fit(model, table)) == outcome(oracle_fit(model, table))
+        [[alone]] = unchecked_fits([(model, [table])])
+        assert outcome(alone) == outcome(oracle_fit(model, table))
         for group in groups:
-            got = fit_group(model, group)
+            [got] = unchecked_fits([(model, group)])
             assert len(got) == len(group)
             for t, res in zip(group, got):
                 assert outcome(res) == outcome(oracle_fit(model, t))
@@ -71,7 +72,7 @@ def test_sparse_random_tables_match_oracle_without_existence_gate():
     for k in range(15):
         table = random_table(rng, 4, zero_prob=0.5)
         mixed += check_against_oracle(table, models, 4, seed=k)
-        outcomes |= {fit(m, table).flags for m in models}
+        outcomes |= {r.flags for [r] in unchecked_fits((m, [table]) for m in models)}
     assert mixed > 0
     assert {(), ("diverged",), ("parameter_redundant",)} <= outcomes
 

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import irls_oracle
-from mseboot import CountTable, ModelSpec, enumerate_models, support_key
+from mseboot import CountTable, ModelSpec, enumerate_models, fr_check, support_key
 from mseboot import glm
 from mseboot.bootstrap import replicate_rng, resample
-from mseboot.glm import FitSettings, ReducedProblem, fit_group, fit_groups, solve_groups
+from mseboot.glm import FitSettings, ReducedProblem, fit_groups, solve_groups
 
-from conftest import KOREA_COUNTS, random_table
+from conftest import KOREA_COUNTS, random_table, unchecked_fits
 from irls_oracle import oracle_fit
 
 # its reduction is emptied by ``emptied_reduction``, as no valid table
@@ -107,13 +107,13 @@ def test_mixed_batch_matches_each_group_alone_and_the_oracle(
     settings, emptied_reduction, stacks
 ):
     problems = mixed_problems()
-    batch = list(fit_groups(problems, settings))
+    batch = unchecked_fits(problems, settings)
     assert len(batch) == len(problems)
     batch_stacks = list(stacks)
     flags = set()
     for (model, group), got in zip(problems, batch):
         assert [outcome(r) for r in got] == [
-            outcome(r) for r in fit_group(model, group, settings)
+            outcome(r) for r in unchecked_fits([(model, group)], settings)[0]
         ]
         assert [outcome(r) for r in got] == [
             outcome(oracle_fit(model, t, settings)) for t in group
@@ -145,12 +145,12 @@ def test_small_stack_cap_changes_nothing(monkeypatch, stacks):
     korea = CountTable.from_counts(3, KOREA_COUNTS)
     big = max(resample_groups(korea, 40, seed=9), key=len)
     problems = [(ModelSpec.null_model(3), big)] + mixed_problems()
-    uncapped = [[outcome(r) for r in got] for got in fit_groups(problems)]
+    uncapped = [[outcome(r) for r in got] for got in unchecked_fits(problems)]
     stacks.clear()
     cap = 400
     assert len(big) * 7 * 4 > cap
     monkeypatch.setattr(glm, "STACK_ELEMENTS", cap)
-    capped = [[outcome(r) for r in got] for got in fit_groups(problems)]
+    capped = [[outcome(r) for r in got] for got in unchecked_fits(problems)]
     assert capped == uncapped
     # no stack exceeds the cap, the group larger than it included
     assert all(size <= cap for _, size, _, _ in stacks)
@@ -237,12 +237,15 @@ def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
     monkeypatch.setattr(glm, "solve_groups", counting_solve)
     fitted = fit_groups(problems)
     assert calls == [] and solves == []
-    for model, group in problems:
+    exists = [fr_check(m, g[0]) for m, g in problems]
+    assert not all(exists)
+    for (model, group), ok in zip(problems, exists):
         before = len(calls)
         next(fitted)
-        assert calls[before:] == [model] * len(group)
+        # a problem with no MLE is neither solved nor fitted
+        assert calls[before:] == ([model] * len(group) if ok else [])
     # one solve for the whole batch, not one per group
-    assert solves == [len(problems)]
+    assert solves == [sum(exists)]
 
 
 def test_empty_batch():
