@@ -23,7 +23,14 @@ from pathlib import Path
 from . import __version__
 from .core import CountTable, ModelSpec, history_to_str
 from .existence import ExistenceCache
-from .glm import STATUS_FR_FAILED, FitSettings, NoModelFoundError, fit, select_best_bic
+from .glm import (
+    STATUS_FR_FAILED,
+    FitSettings,
+    NoModelFoundError,
+    fit,
+    fit_groups,
+    lowest_bic,
+)
 from .io import FIXTURES, DataFormatError, dump_table, load_fixture, load_table
 from .modelspace import (
     ModelSpaceError,
@@ -159,10 +166,11 @@ def cmd_fit(args) -> int:
     l = args.max_order if args.max_order is not None else table.t - 1
     if args.model == "best":
         space = enumerate_models(table.t, l)
-        cache = ExistenceCache()
-        exists = cache.check_many([(m, table) for m in space])
-        fr_failures = [m.notation() for m, ok in zip(space, exists) if not ok]
-        model, res = select_best_bic(space.models, table, cache, settings)
+        # one check and fit per model: the failing ones are listed from
+        # the same fits the BIC is taken from
+        fits = [res for [res] in fit_groups([(m, [table]) for m in space], settings)]
+        fr_failures = [r.model.notation() for r in fits if r.status == STATUS_FR_FAILED]
+        model, res = lowest_bic(fits)
     else:
         # a named model is checked alone: its space may be far too large
         # to enumerate

@@ -101,7 +101,9 @@ class CountTable:
 
     @cached_property
     def support(self) -> frozenset[int]:
-        return frozenset(self.counts)
+        """The cells with a positive count; a table built directly may
+        also list cells at 0."""
+        return frozenset(mask for mask, n in self.counts.items() if n > 0)
 
     @cached_property
     def support_key(self) -> str:

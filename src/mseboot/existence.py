@@ -15,10 +15,12 @@ nonzero and of one sign on the zero cells.
 1. ``FAST_PATH``: every retained cell is positive, so the data vector
    itself is such an x; or the reduction leaves no cell at all.
 2. ``RANK``: the incidence rows of the positive cells have full column
-   rank, proved exactly by elimination modulo the prime ``RANK_PRIME``.
-   Then no nonzero y = A w vanishes on the positive cells, so nothing
-   rules a direction out and the estimate exists.  This route only ever
-   says True; when the proof comes up short the next route runs.
+   rank, proved exactly by elimination over GF(2), on rows packed into
+   Python ints, and when that comes up short by elimination modulo the
+   prime ``RANK_PRIME``.  Then no nonzero y = A w vanishes on the positive
+   cells, so nothing rules a direction out and the estimate exists.  This
+   route only ever says True; when both proofs come up short the next
+   route runs.
 3. ``NULL_SPACE``: the w with A w = 0 on the positive cells are w = N u
    for an exact integer basis N of that null space, so the question is
    whether some u makes V u = A_Z N u nonzero and of one sign.  After
@@ -44,8 +46,9 @@ nonzero and of one sign on the zero cells.
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
 the support of the table.  ``ExistenceCache.check_many`` answers a list
-of pairs at once: it tries the rank proof and the null-space route on
-every miss as it poses it, and the programs of the misses that remain
+of pairs at once: it poses every miss on one indicator table per
+distinct support, tries the rank proof and the null-space route on each
+miss as it poses it, and the programs of the misses that remain
 are independent, so ``float_solve`` stacks them as the blocks of one
 block-diagonal program and solves up to ``CHUNK`` of them per HiGHS
 call.  Each block is still certified on its own; a block that does not
@@ -103,25 +106,53 @@ MAX_DENOMINATOR = 10**4
 CHUNK = 64
 
 
-@dataclass(frozen=True)
 class ExistenceProblem:
     """Marginal-matching LP data for one reduced (model, table) pair.
 
-    ``contains[i, j]`` is True when parameter j is contained in cell i;
-    ``matrix`` and ``incidence`` are the same cells x parameters 0/1
-    array as floats and as integer tuples, and ``params_of_cell`` lists
-    the parameters each cell contains; each is made when first read.
+    ``omega`` and ``theta`` are the retained cells and the estimable
+    parameters.  ``nu`` holds the parameters' marginal counts on the table
+    the problem was built on; only ``lp_max_s`` reads them, so they are
+    summed when first read.  ``contains[i, j]`` is True when parameter j
+    is contained in cell i; ``matrix`` and ``incidence`` are the same
+    cells x parameters 0/1 array as floats and as integer tuples, and
+    ``params_of_cell`` lists the parameters each cell contains; each is
+    made when first read.  Problems compare equal when ``omega``,
+    ``theta`` and ``nu`` are.
     """
 
-    omega: tuple[int, ...]
-    theta: tuple[int, ...]
-    nu: tuple[int, ...]
+    def __init__(
+        self,
+        omega: tuple[int, ...],
+        theta: tuple[int, ...],
+        nu: tuple[int, ...] | None = None,
+        *,
+        table: CountTable | None = None,
+    ) -> None:
+        self.omega = omega
+        self.theta = theta
+        self._table = table
+        if nu is not None:
+            self.nu = tuple(nu)
 
     @staticmethod
     def build(model: ModelSpec, table: CountTable) -> "ExistenceProblem":
         red = reduce_for_sparsity(model, table)
-        nu = tuple(marginal_count(table, th) for th in red.theta_dagger)
-        return ExistenceProblem(red.omega_dagger, red.theta_dagger, nu)
+        return ExistenceProblem(red.omega_dagger, red.theta_dagger, table=table)
+
+    @cached_property
+    def nu(self) -> tuple[int, ...]:
+        return tuple(marginal_count(self._table, th) for th in self.theta)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.omega, self.theta, self.nu) == (other.omega, other.theta, other.nu)
+
+    def __hash__(self) -> int:
+        return hash((self.omega, self.theta))
+
+    def __repr__(self) -> str:
+        return f"ExistenceProblem(omega={self.omega!r}, theta={self.theta!r})"
 
     @cached_property
     def contains(self) -> np.ndarray:
@@ -140,8 +171,10 @@ class ExistenceProblem:
         return [[j for j, a in enumerate(row) if a] for row in self.incidence]
 
     def zero_cells(self, table: CountTable) -> list[int]:
-        """Positions in ``omega`` of the retained cells ``table`` leaves at 0."""
-        return [i for i, w in enumerate(self.omega) if table.count(w) == 0]
+        """Positions in ``omega`` of the retained cells outside ``table``'s
+        support."""
+        positive = table.support
+        return [i for i, w in enumerate(self.omega) if w not in positive]
 
 
 def simplex_max(
@@ -500,23 +533,49 @@ def _proves_failure(
     return any(on_zero) and (min(on_zero) >= 0 or max(on_zero) <= 0)
 
 
+def _rank_mod_2(contains: np.ndarray) -> int:
+    """Rank over GF(2) of a boolean matrix, each row eliminated as a Python
+    int whose bit j is column j; the rows left once the rank is full are
+    not read."""
+    n_cols = contains.shape[1]
+    packed = np.packbits(contains, axis=1, bitorder="little")
+    # leading bit -> the reduced row kept for it
+    basis: dict[int, int] = {}
+    for row in packed:
+        if len(basis) == n_cols:
+            break
+        bits = int.from_bytes(row.tobytes(), "little")
+        while bits:
+            lead = bits.bit_length()
+            kept = basis.get(lead)
+            if kept is None:
+                basis[lead] = bits
+                break
+            bits ^= kept
+    return len(basis)
+
+
 def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
     """Whether the incidence rows of the positive cells provably have full
     column rank, which proves that the estimate exists.
 
     Full column rank means A w = 0 on the positive cells only for w = 0,
     so no y = A w can vanish there and rule a direction out.  The proof is
-    Gaussian elimination modulo ``RANK_PRIME`` on int64 arrays: a full
-    rank modulo the prime names a square minor that is nonzero modulo it,
-    hence a nonzero integer.  False proves nothing: the rank is short, or
-    the prime divides every full minor.
+    Gaussian elimination over GF(2) on rows packed into Python ints, and
+    when that falls short, modulo ``RANK_PRIME`` on int64 arrays.  A full
+    rank modulo 2 or the prime names a square minor that is odd, or
+    nonzero modulo the prime, hence a nonzero integer.  False proves
+    nothing: the rank is short, or the prime divides every full minor.
     """
     positive = np.ones(len(problem.omega), dtype=bool)
     positive[list(zero)] = False
-    m = problem.contains[positive].astype(np.int64)
-    n_rows, n_cols = m.shape
+    contains = problem.contains[positive]
+    n_rows, n_cols = contains.shape
     if n_rows < n_cols:
         return False
+    if _rank_mod_2(contains) == n_cols:
+        return True
+    m = contains.astype(np.int64)
     for j in range(n_cols):
         nonzero = np.flatnonzero(m[j:, j])
         if not nonzero.size:
@@ -620,9 +679,12 @@ def certify(
     return None
 
 
-# a pair's problem, the verdict and route of ``prove`` on it (None when
-# not tried) and its float solution from a batched ``float_solve``
-Solved = tuple[ExistenceProblem, tuple[bool | None, str] | None, FloatSolution | None]
+# a pair's problem, the positions of its zero cells, the verdict and route
+# of ``prove`` on it (None when not tried) and its float solution from a
+# batched ``float_solve``
+Solved = tuple[
+    ExistenceProblem, list[int], tuple[bool | None, str] | None, FloatSolution | None
+]
 
 
 def prove(problem: ExistenceProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
@@ -653,11 +715,11 @@ def fr_check(
     ``null_space_verdict`` decides; when it declines ``certify`` decides,
     and ``lp_max_s`` when it cannot.
 
-    ``solved`` passes the problem already built for this pair, what
-    ``prove`` said on it (None when not tried) and its float solution
-    from a batched ``float_solve`` (None when it was not solved); when
-    that solution does not certify, the problem is solved again on its
-    own before ``lp_max_s`` runs.  ``tally``, when given, counts the
+    ``solved`` passes the problem already built for this pair, its zero
+    cells, what ``prove`` said on it (None when not tried) and its float
+    solution from a batched ``float_solve`` (None when it was not solved);
+    when that solution does not certify, the problem is solved again on
+    its own before ``lp_max_s`` runs.  ``tally``, when given, counts the
     route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
     ``CERTIFIED`` or ``FALLBACK``.
     """
@@ -672,17 +734,17 @@ def fr_check(
 
 def _full_support(table: CountTable) -> bool:
     """Every cell of ``table`` is positive, hence every retained one."""
-    return len(table.counts) == (1 << table.t) - 1
+    return len(table.support) == (1 << table.t) - 1
 
 
 def _decide(
     model: ModelSpec, table: CountTable, solved: Solved | None
 ) -> tuple[bool, str]:
     """``fr_check``'s verdict and route on a table with a zero cell."""
-    problem, proved, batched = solved if solved is not None else (
-        ExistenceProblem.build(model, table), None, None
-    )
-    zero = problem.zero_cells(table)
+    if solved is None:
+        problem = ExistenceProblem.build(model, table)
+        solved = problem, problem.zero_cells(table), None, None
+    problem, zero, proved, batched = solved
     if not problem.omega or not zero:
         return bool(problem.omega), FAST_PATH
     verdict, route = proved or prove(problem, zero)
@@ -726,8 +788,8 @@ class ExistenceCache:
     ) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
         ``fr_check``, holds the problem built on the indicator of
-        ``table``'s support, what ``prove`` said on it and its batched
-        float solution."""
+        ``table``'s support, its zero cells, what ``prove`` said on it and
+        its batched float solution."""
         key = (model.params, support_key(table))
         cached = self.verdicts.get(key)
         if cached is not None:
@@ -747,33 +809,35 @@ class ExistenceCache:
     ) -> list[bool]:
         """``check`` on every (model, table) pair, in order.
 
-        The problems of all distinct misses on tables with a zero cell
-        are built first, the exact routes (``prove``) are tried on those
-        the fast path does not settle, and those they decline go to one
-        ``float_solve`` call, made only when there are any; each pair is
-        then looked up by ``check``, so hits, misses and the calls to
-        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
+        Each distinct miss on a table with a zero cell is posed first: its
+        problem is built on one indicator table per distinct support, its
+        zero cells are read off that table's support, and the exact routes
+        (``prove``) are tried on it unless the fast path settles it.
+        Those they decline go to one ``float_solve`` call, made only when
+        there are any; each pair is then looked up by ``check``, so hits,
+        misses and the calls to ``check`` and ``fr_check`` are what a loop
+        over ``check`` gives.
         """
         keys = [(model.params, support_key(table)) for model, table in pairs]
-        posed: dict[tuple[frozenset[int], str], tuple[ExistenceProblem, list[int]]] = {}
-        for (model, table), key in zip(pairs, keys):
-            if key in self.verdicts or key in posed or _full_support(table):
-                continue
-            indicator = _indicator(table)
-            problem = ExistenceProblem.build(model, indicator)
-            posed[key] = (problem, problem.zero_cells(indicator))
+        indicators: dict[str, CountTable] = {}
         solved: dict[tuple[frozenset[int], str], Solved] = {}
         asked = []
-        for key, (problem, zero) in posed.items():
+        for (model, table), key in zip(pairs, keys):
+            if key in self.verdicts or key in solved or _full_support(table):
+                continue
+            indicator = indicators.get(key[1])
+            if indicator is None:
+                indicator = indicators[key[1]] = _indicator(table)
+            problem = ExistenceProblem.build(model, indicator)
+            zero = problem.zero_cells(indicator)
             proved = prove(problem, zero) if problem.omega and zero else None
-            solved[key] = (problem, proved, None)
+            solved[key] = (problem, zero, proved, None)
             if proved and proved[0] is None:
                 asked.append(key)
         if asked:
-            blocks = [(posed[k][0].matrix, posed[k][1]) for k in asked]
+            blocks = [(solved[k][0].matrix, solved[k][1]) for k in asked]
             for key, sol in zip(asked, float_solve(blocks)):
-                problem, proved, _ = solved[key]
-                solved[key] = (problem, proved, sol)
+                solved[key] = (*solved[key][:3], sol)
         return [
             self.check(model, table, solved.get(key))
             for (model, table), key in zip(pairs, keys)

@@ -70,7 +70,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._cephes import log_factorial
-from .core import CountTable, ModelSpec, canonical_key, marginal_count
+from .core import CountTable, ModelSpec, canonical_key
 
 if TYPE_CHECKING:
     # existence imports this module's sparsity reduction
@@ -203,13 +203,15 @@ def reduce_for_sparsity(model: ModelSpec, table: CountTable) -> ReducedProblem:
 
     A parameter is dropped when no observed case includes all its lists;
     every cell containing such a parameter is removed too (those cells
-    necessarily hold zero counts).
+    necessarily hold zero counts).  Only the support is read: a parameter
+    lives as soon as one positive cell contains it.
     """
+    positive = table.support
     # a parameter that is itself a positive cell has a positive marginal
     dead = frozenset(
         theta
         for theta in model.params
-        if table.counts.get(theta, 0) <= 0 and marginal_count(table, theta) == 0
+        if theta not in positive and not any(w & theta == theta for w in positive)
     )
     theta_dagger = tuple(p for p in model.sorted_params if p not in dead)
     omega_dagger = canonical_cells(table.t)
@@ -573,52 +575,84 @@ class _Posed:
     log_factorials: np.ndarray  # like Y
 
 
-def _support_cells(tables: Sequence[CountTable]) -> list[int]:
-    """The positive cells a group's tables share, or a ``ValueError`` for
-    an empty group, tables of different supports or all-zero tables."""
+def _support_cells(tables: Sequence[CountTable]) -> tuple[int, ...]:
+    """The cells a group's tables list, or a ``ValueError`` for an empty
+    group, tables of different supports or all-zero tables."""
     if not tables:
         raise ValueError("cannot fit an empty group")
     # counts are stored in canonical cell order, so tables sharing a
     # support list their cells in the same order
-    cells = list(tables[0].counts)
-    if any(list(t.counts) != cells for t in tables):
+    cells = tuple(tables[0].counts)
+    if any(tuple(t.counts) != cells for t in tables):
         raise ValueError("tables fitted as a group must share one support")
     if tables[0].n_total == 0:
         raise ValueError("cannot fit an empty table")
     return cells
 
 
-def _pose(
-    model: ModelSpec, tables: Sequence[CountTable], rows: dict
-) -> _Posed | GroupSolution:
-    """Reduction, design and counts of one group, or its solution when no
-    row can be iterated.
+class _Validated(list):
+    """Problems whose groups are validated: ``fit_groups`` hands them to
+    ``solve_groups`` with ``rows``, its ``_group_rows`` entries, so no
+    group is validated or converted twice."""
 
-    ``rows`` maps the identities of a group's tables to their cells, count
-    rows and log n! rows, so a group fitted with several models converts
-    its counts once.
+    rows: dict
+
+
+def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
+    """A group's cells, count rows and log n! rows, made once per group.
+
+    ``rows`` maps the identities of a group's tables to them, so a group
+    fitted with several models converts its counts once; making an entry
+    validates the group (``_support_cells``).
     """
     key = tuple(map(id, tables))
-    if key not in rows:
+    entry = rows.get(key)
+    if entry is None:
         cells = _support_cells(tables)
         counts = np.array([list(t.counts.values()) for t in tables], dtype=float)
         log_factorials = np.array([t.log_factorials for t in tables])
         # shared by the posed groups of every model fitted on these tables
         counts.flags.writeable = log_factorials.flags.writeable = False
-        rows[key] = cells, counts, log_factorials
-    cells, counts, log_factorials = rows[key]
+        entry = rows[key] = cells, counts, log_factorials
+    return entry
+
+
+def _pose(
+    model: ModelSpec, tables: Sequence[CountTable], rows: dict, designs: dict
+) -> _Posed | GroupSolution:
+    """Reduction, design and counts of one group, or its solution when no
+    row can be iterated.
+
+    ``rows`` holds the groups' ``_group_rows`` entries.  ``designs`` maps
+    each (retained cells, estimable parameters) pair to its read-only
+    design and whether that has full column rank, so problems posing the
+    same design share one array and one rank test.
+    """
+    cells, counts, log_factorials = _group_rows(tables, rows)
     red = reduce_for_sparsity(model, tables[0])
     if not red.omega_dagger:
         return _stopped(red, len(tables), "no_cells_left")
-    X = design_matrix(red.omega_dagger, red.theta_dagger)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    design = red.omega_dagger, red.theta_dagger
+    if design not in designs:
+        X = design_matrix(*design)
+        X.flags.writeable = False
+        designs[design] = X, np.linalg.matrix_rank(X) == X.shape[1]
+    X, full_rank = designs[design]
+    if not full_rank:
         return _stopped(red, len(tables), "parameter_redundant")
-    # every positive cell is retained, in the same order: a dead parameter
-    # has no positive cell containing it
-    if len(cells) == len(red.omega_dagger):
+    # the counts are in the order of the retained cells when the group
+    # lists exactly those: a dead parameter has no positive cell containing
+    # it, so every positive cell is retained
+    if cells == red.omega_dagger:
         return _Posed(red, X, counts, log_factorials)
     column = {w: k for k, w in enumerate(red.omega_dagger)}
-    positive = [column[w] for w in cells]
+    positive = [column.get(w) for w in cells]
+    if None in positive:
+        # a dropped cell holds a zero count, which only a table built
+        # directly lists
+        kept = [k for k, c in enumerate(positive) if c is not None]
+        positive = [positive[k] for k in kept]
+        counts, log_factorials = counts[:, kept], log_factorials[:, kept]
     Y = np.zeros((len(tables), len(red.omega_dagger)))
     Y[:, positive] = counts
     # a retained zero cell adds log 0! = 0
@@ -747,11 +781,12 @@ def solve_groups(
     """``solve_group`` on every (model, tables sharing one support) problem,
     with one IRLS run per stack of equal design shape.
 
-    Each group is reduced, designed and rank-checked on its own.  The
-    groups whose designs have the same (retained cells, estimable
-    parameters) shape are then stacked, one design and one count vector
-    per table, up to ``STACK_ELEMENTS`` elements a stack (a larger group
-    is cut into pieces of rows), and iterated together; ``_pipeline``
+    Each group is validated and reduced on its own, and each distinct
+    design is built and rank-checked once per call.  The groups whose
+    designs have the same (retained cells, estimable parameters) shape
+    are then stacked, one design and one count vector per table, up to
+    ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
+    pieces of rows), and iterated together; ``_pipeline``
     keeps a few stacks in flight at once, so one stack's step overlaps
     another's least squares.  Every row is still its own ``dgelsd`` solve
     and its own matrix-vector product, so each solution equals the one
@@ -759,9 +794,11 @@ def solve_groups(
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
-    rows: dict = {}
+    # problems from ``fit_groups`` come with their groups' rows
+    rows: dict = getattr(problems, "rows", {})
+    designs: dict = {}
     for k, (model, tables) in enumerate(problems):
-        p = _pose(model, tables, rows)
+        p = _pose(model, tables, rows, designs)
         if isinstance(p, GroupSolution):
             solutions[k] = p
         else:
@@ -869,31 +906,33 @@ def fit_groups(
     """``fit`` on every table of every (model, tables sharing one support)
     problem, in order, one problem's list of results at a time.
 
-    When the first list is asked for, every group is validated, then
-    existence is decided for all problems in one ``check_many`` call on
-    ``cache`` (a fresh ``ExistenceCache`` when it is None), on each
-    group's first table: the verdict depends only on the support.  A
-    problem whose extended MLE does not exist gets a ``fr_failed`` result
-    per table, with no estimate.  The others are solved by one
-    ``solve_groups`` call, in one IRLS run per stack of equal design
-    shape.  Each of their tables' results is still made by a call to
-    ``fit``, so anything wrapping ``fit`` sees one call per table, made as
+    When the first list is asked for, every group is validated and its
+    counts converted, once per group (``_group_rows``), then existence is
+    decided for all problems in one ``check_many`` call on ``cache`` (a
+    fresh ``ExistenceCache`` when it is None), on each group's first
+    table: the verdict depends only on the support.  A problem whose
+    extended MLE does not exist gets a ``fr_failed`` result per table,
+    with no estimate.  The others are solved by one ``solve_groups`` call,
+    which reuses the converted counts, in one IRLS run per stack of equal
+    design shape.  Each of their tables' results is still made by a call
+    to ``fit``, so anything wrapping ``fit`` sees one call per table, made as
     its list is taken; each call reads its row from the group's scalars,
     converted once (``GroupSolution.scalars``), and leaves ``alpha`` and
     ``mu`` to be built if they are read.
     """
     problems = list(problems)
+    rows: dict = {}
     for _, tables in problems:
-        _support_cells(tables)
+        _group_rows(tables, rows)
     if cache is None:
         # existence imports this module's sparsity reduction
         from .existence import ExistenceCache
 
         cache = ExistenceCache()
     exists = cache.check_many([(model, tables[0]) for model, tables in problems])
-    solutions = iter(
-        solve_groups([p for p, ok in zip(problems, exists) if ok], settings)
-    )
+    solving = _Validated(p for p, ok in zip(problems, exists) if ok)
+    solving.rows = rows
+    solutions = iter(solve_groups(solving, settings))
     for (model, tables), ok in zip(problems, exists):
         if not ok:
             yield [FitResult(model, STATUS_FR_FAILED) for _ in tables]
@@ -924,12 +963,19 @@ def select_best_bic(
 
     The candidates are checked and fitted together by one ``fit_groups``
     call on ``cache``; those failing the existence check or the fit get
-    an infinite BIC.  Ties go to the earliest candidate in the given
-    (canonical) order.  Raises NoModelFoundError when nothing attains a
-    finite BIC.
+    an infinite BIC.  ``lowest_bic`` picks among the fits: ties go to the
+    earliest candidate in the given (canonical) order, and nothing
+    attaining a finite BIC raises NoModelFoundError.
     """
+    fits = fit_groups([(m, [table]) for m in candidates], settings, cache)
+    return lowest_bic(res for [res] in fits)
+
+
+def lowest_bic(fits: Iterable[FitResult]) -> tuple[ModelSpec, FitResult]:
+    """The model and fit with the smallest BIC, the first on ties.  Raises
+    NoModelFoundError when no fit has a finite BIC."""
     best: tuple[ModelSpec, FitResult] | None = None
-    for [res] in fit_groups([(m, [table]) for m in candidates], settings, cache):
+    for res in fits:
         if res.bic < (best[1].bic if best is not None else math.inf):
             best = (res.model, res)
     if best is None or math.isinf(best[1].bic):

@@ -86,6 +86,21 @@ class TestCli:
         assert abs(payload["population_estimate"] - 157.2) < 0.05
         assert payload["fr_failing_models"] == ["[12,13]", "[12,13,23]"]
 
+    def test_fit_best_checks_each_model_once(self, capsys, monkeypatch):
+        # the failing list and the BIC come from one check and fit per model
+        from mseboot import ExistenceCache, enumerate_models
+
+        checks = []
+        check = ExistenceCache.check
+        monkeypatch.setattr(ExistenceCache, "check", lambda self, model, table, solved=None:
+                            checks.append(model) or check(self, model, table, solved))
+        code, out, _ = run_cli(capsys, "fit", "--data", "fixture:table1_n4", "--model", "best")
+        assert code == 0
+        space = enumerate_models(4, 3)
+        assert len(checks) == len(space) and set(checks) == set(space.models)
+        golden = Path(__file__).parent / "data" / "golden" / "table1_n4_fit_best.json"
+        assert out.encode("utf-8") == golden.read_bytes()
+
     def test_fit_fr_failing_model_reported(self, capsys):
         code, out, _ = run_cli(
             capsys, "fit", "--data", "fixture:korea", "--model", "[12,13]"

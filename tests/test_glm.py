@@ -272,6 +272,42 @@ class TestFit:
             with pytest.raises(ValueError):
                 next(fit_groups(problems))
 
+    @pytest.mark.parametrize("entry", ["fit_groups", "fit_group", "solve_groups", "solve_group"])
+    @pytest.mark.parametrize("bad", ["empty group", "mixed supports", "all-zero table"])
+    def test_each_entry_point_rejects_a_bad_group(self, korea, entry, bad):
+        group = {
+            "empty group": [],
+            "mixed supports": [korea, CountTable.from_counts(3, {**korea.counts, 0b001: 0})],
+            "all-zero table": [CountTable.from_counts(3, {1: 0})],
+        }[bad]
+        model = ModelSpec.null_model(3)
+        call = {
+            "fit_groups": lambda: next(glm.fit_groups([(model, [korea]), (model, group)])),
+            "fit_group": lambda: glm.fit_group(model, group),
+            "solve_groups": lambda: glm.solve_groups([(model, [korea]), (model, group)]),
+            "solve_group": lambda: glm.solve_group(model, group),
+        }[entry]
+        with pytest.raises(ValueError):
+            call()
+
+    def test_fit_groups_validates_each_group_once(self, table1, monkeypatch):
+        from mseboot.bootstrap import replicate_rng, resample
+
+        by_support = {}
+        for i in range(40):
+            r = resample(table1["n2"], replicate_rng(3, i))
+            by_support.setdefault(tuple(r.counts), []).append(r)
+        groups = list(by_support.values())
+        # groups failing the existence check for every model are validated too
+        problems = [(m, g) for m in enumerate_models(4, 2).models[::3] for g in groups]
+        validated = []
+        real = glm._support_cells
+        monkeypatch.setattr(glm, "_support_cells",
+                            lambda tables: validated.append(id(tables)) or real(tables))
+        results = list(glm.fit_groups(problems))
+        assert sorted(validated) == sorted(map(id, groups))
+        assert any(r.converged for group in results for r in group)
+
 
 class TestBic:
     def test_penalty_difference_with_shared_mu(self, korea):

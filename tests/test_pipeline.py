@@ -249,9 +249,9 @@ def test_count_rows_are_made_once_per_group(monkeypatch):
     caches = []
     real_pose = glm._pose
 
-    def recording_pose(model, tables, rows):
+    def recording_pose(model, tables, rows, designs):
         caches.append(rows)
-        return real_pose(model, tables, rows)
+        return real_pose(model, tables, rows, designs)
 
     monkeypatch.setattr(glm, "_pose", recording_pose)
     solve_groups(problems)
