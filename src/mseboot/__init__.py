@@ -5,7 +5,6 @@ from .core import (
     ModelSpec,
     is_hierarchical,
     marginal_count,
-    support_key,
 )
 from .modelspace import (
     ModelSpace,
@@ -18,19 +17,17 @@ from .modelspace import (
     random_order2_starts,
     rank_order,
 )
+from .sparsity import ReducedProblem, reduce_for_sparsity
 from .glm import (
     FitResult,
     FitSettings,
     NoModelFoundError,
-    ReducedProblem,
     fit,
-    reduce_for_sparsity,
     select_best_bic,
     select_by_chisq,
 )
 from .existence import (
     ExistenceCache,
-    ExistenceProblem,
     fr_check,
     lp_max_s,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "CountTable",
     "DiagnosticsReport",
     "ExistenceCache",
-    "ExistenceProblem",
     "FitResult",
     "FitSettings",
     "IntervalResult",
@@ -97,5 +93,4 @@ __all__ = [
     "restricted_bootstrap",
     "select_best_bic",
     "select_by_chisq",
-    "support_key",
 ]

@@ -21,12 +21,13 @@ Determinism: replicate i draws its resample from its own generator,
 definition).  ``resamples`` computes that ``SeedSequence`` hash for all
 replicates in one array pass (``_seedseq``) and seeds each replicate's
 fresh ``PCG64`` from its row, so the draws are the same.  Resamples are
-drawn in replicate order, then grouped by support, and each model is
-fitted once per group; the groups of all models are fitted together,
-one IRLS run per stack of equal design shape (``glm.fit_groups``).
-Every replicate still gets exactly the estimate a fit of that table
-alone gives.  Jackknife tables are grouped the same way, and the
-goodness-of-fit rule fits its tables the same way.  The greedy search
+drawn in replicate order, then grouped by ``CountTable.support``, and
+each model is checked and fitted once per group; the groups of all
+models are fitted together, one IRLS run per stack of equal design shape
+(``glm.fit_groups``).  Every replicate still gets exactly the estimate a
+fit of that table alone gives.  Jackknife tables are grouped the same
+way, and the goodness-of-fit rule fits its tables the same way, in
+slices of ``CHISQ_SLICE`` tables.  The greedy search
 does the same round by round: the searches of the original table, all
 replicates and all jackknife tables take one step together, and the
 models the round needs are checked and fitted once per (model, support).
@@ -67,6 +68,10 @@ from .modelspace import (
 
 DEFAULT_LEVELS = (0.8, 0.95)
 DEFAULT_B = 1000
+# most resamples or jackknife tables ``chisq_bootstrap`` selects on at
+# once: every fit of a slice is held until the slice's choices are made,
+# so a slice bounds the memory that would otherwise grow with B x models
+CHISQ_SLICE = 128
 
 
 def replicate_rng(seed: int, index: int) -> np.random.Generator:
@@ -342,16 +347,14 @@ def _group_fits(
     so each table meets its models in order.  A group whose MLE does not
     exist has ``fr_failed`` fits.
 
-    Tables are keyed by their cells in the order of ``counts``, which is
-    canonical for all but directly built tables; those may split a
-    support into more than one group, each fitted as any group is.  The
-    existence verdict depends only on the support, so it is checked once
+    Tables are grouped by ``CountTable.support``.  The existence verdict
+    and the reduction depend only on the support, so they are made once
     per (model, support): one ``fit_groups`` call checks all groups and
     fits those that pass, stacking the groups of equal design shape.
     """
-    supports: dict[tuple[int, ...], list[int]] = {}
+    supports: dict[frozenset[int], list[int]] = {}
     for i, table in enumerate(tables):
-        supports.setdefault(tuple(table.counts), []).append(i)
+        supports.setdefault(table.support, []).append(i)
     pairs = [(rows, j) for rows in supports.values() for j in range(len(models))]
     fitted = fit_groups(
         [(models[j], [tables[i] for i in rows]) for rows, j in pairs], settings, cache
@@ -538,14 +541,13 @@ def _downhill_selected(
     existence once per group, for all of the round's groups, and fits the
     groups that pass.
     """
-    keys = [tuple(t.counts) for t in tables]
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
 
     def evaluate(pairs: list[tuple[int, ModelSpec]]) -> list[float]:
         bics = [math.inf] * len(pairs)
-        groups: dict[tuple[frozenset[int], tuple[int, ...]], list[int]] = {}
+        groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
         for n, (i, model) in enumerate(pairs):
-            groups.setdefault((model.params, keys[i]), []).append(n)
+            groups.setdefault((model.params, tables[i].support), []).append(n)
         fitted = fit_groups(
             [(pairs[rows[0]][1], [tables[pairs[n][0]] for n in rows])
              for rows in groups.values()],
@@ -624,9 +626,11 @@ def chisq_bootstrap(
     Replicates where no model falls in the p-value window are excluded
     and counted; the resulting interval therefore carries a validity
     caveat (the exclusions are reported, not imputed).  The original
-    table, the resamples and the jackknife tables are each selected on
-    by one grouped check and fit of the space (``_group_fits``), and
-    ``glm.chisq_choice`` picks each table's model from its fits.
+    table, and the resamples and the jackknife tables in slices of
+    ``CHISQ_SLICE`` tables, are each selected on by one grouped check and
+    fit of the space (``_group_fits``), and ``glm.chisq_choice`` picks
+    each table's model from its fits.  A fit depends only on its table,
+    so the slicing does not change a bit of the result.
     """
     cache = _start(B, seed, cache)
     check_p_window(p_lo, p_hi)
@@ -642,7 +646,11 @@ def chisq_bootstrap(
         return [chisq_choice(fits.pop(), t, p_lo, p_hi) for t in tables]
 
     def estimates(tables: Sequence[CountTable]) -> list[float | None]:
-        return [None if c is None else c.fit.population_estimate for c in select(tables)]
+        return [
+            None if c is None else c.fit.population_estimate
+            for first in range(0, len(tables), CHISQ_SLICE)
+            for c in select(tables[first:first + CHISQ_SLICE])
+        ]
 
     (chosen,) = select([table])
     if chosen is None:

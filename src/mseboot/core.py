@@ -102,13 +102,10 @@ class CountTable:
     @cached_property
     def support(self) -> frozenset[int]:
         """The cells with a positive count; a table built directly may
-        also list cells at 0."""
+        also list cells at 0.  Everything that depends only on which cells
+        are positive (the existence verdict, the sparsity reduction, the
+        grouping of tables for a fit) is keyed by it."""
         return frozenset(mask for mask, n in self.counts.items() if n > 0)
-
-    @cached_property
-    def support_key(self) -> str:
-        """Canonical key equal for two tables iff their supports are equal."""
-        return f"{self.t}:" + ",".join(format(mask, "x") for mask in sorted(self.support))
 
     @cached_property
     def canonical(self) -> bool:
@@ -176,12 +173,6 @@ def is_hierarchical(params: Iterable[int], t: int) -> bool:
         if any(sub not in pset for sub in subsets(theta)):
             return False
     return True
-
-
-def support_key(table: CountTable) -> str:
-    """Canonical key equal for two tables iff their supports are equal,
-    computed once per table."""
-    return table.support_key
 
 
 @dataclass(frozen=True)

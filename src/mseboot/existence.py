@@ -45,16 +45,18 @@ nonzero and of one sign on the zero cells.
 
 Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
-the support of the table.  ``ExistenceCache.check_many`` answers a list
-of pairs at once: it poses every miss on one indicator table per
-distinct support, tries the rank proof and the null-space route on each
-miss as it poses it, and the programs of the misses that remain
-are independent, so ``float_solve`` stacks them as the blocks of one
-block-diagonal program and solves up to ``CHUNK`` of them per HiGHS
-call.  Each block is still certified on its own; a block that does not
-certify is solved again alone before ``lp_max_s`` is tried.  SciPy's
-``optimize`` and ``sparse`` modules are imported by the first
-``float_solve`` call, not with this module.
+``CountTable.support``.  The problem every route reads is the pair's
+``sparsity.ReducedProblem``, posed once per (model, support) on the
+table it is asked about; the cache keeps it beside the verdict, and
+``glm.fit_groups`` fits from it.  ``ExistenceCache.check_many`` answers
+a list of pairs at once: it reduces every miss with a zero cell, tries
+the rank proof and the null-space route on it, and the programs of the
+misses that remain are independent, so ``float_solve`` stacks them as
+the blocks of one block-diagonal program and solves up to ``CHUNK`` of
+them per HiGHS call.  Each block is still certified on its own; a block
+that does not certify is solved again alone before ``lp_max_s`` is
+tried.  SciPy's ``optimize`` and ``sparse`` modules are imported by the
+first ``float_solve`` call, not with this module.
 """
 
 from __future__ import annotations
@@ -62,15 +64,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CountTable, ModelSpec, marginal_count, support_key
-from .glm import containment, reduce_for_sparsity
+from .core import CountTable, ModelSpec, marginal_count
+from .sparsity import ReducedProblem, reduce_for_sparsity
 
 INFEASIBLE = "infeasible"
 OPTIMAL = "optimal"
@@ -104,77 +105,6 @@ MAX_DENOMINATOR = 10**4
 # stack costs a third or less per program of solving them one by one,
 # while stacks of many hundreds cost more per program and hold more memory
 CHUNK = 64
-
-
-class ExistenceProblem:
-    """Marginal-matching LP data for one reduced (model, table) pair.
-
-    ``omega`` and ``theta`` are the retained cells and the estimable
-    parameters.  ``nu`` holds the parameters' marginal counts on the table
-    the problem was built on; only ``lp_max_s`` reads them, so they are
-    summed when first read.  ``contains[i, j]`` is True when parameter j
-    is contained in cell i; ``matrix`` and ``incidence`` are the same
-    cells x parameters 0/1 array as floats and as integer tuples, and
-    ``params_of_cell`` lists the parameters each cell contains; each is
-    made when first read.  Problems compare equal when ``omega``,
-    ``theta`` and ``nu`` are.
-    """
-
-    def __init__(
-        self,
-        omega: tuple[int, ...],
-        theta: tuple[int, ...],
-        nu: tuple[int, ...] | None = None,
-        *,
-        table: CountTable | None = None,
-    ) -> None:
-        self.omega = omega
-        self.theta = theta
-        self._table = table
-        if nu is not None:
-            self.nu = tuple(nu)
-
-    @staticmethod
-    def build(model: ModelSpec, table: CountTable) -> "ExistenceProblem":
-        red = reduce_for_sparsity(model, table)
-        return ExistenceProblem(red.omega_dagger, red.theta_dagger, table=table)
-
-    @cached_property
-    def nu(self) -> tuple[int, ...]:
-        return tuple(marginal_count(self._table, th) for th in self.theta)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.omega, self.theta, self.nu) == (other.omega, other.theta, other.nu)
-
-    def __hash__(self) -> int:
-        return hash((self.omega, self.theta))
-
-    def __repr__(self) -> str:
-        return f"ExistenceProblem(omega={self.omega!r}, theta={self.theta!r})"
-
-    @cached_property
-    def contains(self) -> np.ndarray:
-        return containment(self.omega, self.theta)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.contains.astype(float)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.contains.astype(int).tolist()))
-
-    @cached_property
-    def params_of_cell(self) -> list[list[int]]:
-        return [[j for j, a in enumerate(row) if a] for row in self.incidence]
-
-    def zero_cells(self, table: CountTable) -> list[int]:
-        """Positions in ``omega`` of the retained cells outside ``table``'s
-        support."""
-        positive = table.support
-        return [i for i, w in enumerate(self.omega) if w not in positive]
 
 
 def simplex_max(
@@ -267,8 +197,10 @@ def simplex_max(
     return OPTIMAL, value, z
 
 
-def lp_max_s(problem: ExistenceProblem) -> tuple[str, Fraction | None]:
-    """Maximum slack s over x with A^T x = nu and x >= s elementwise.
+def lp_max_s(problem: ReducedProblem, table: CountTable) -> tuple[str, Fraction | None]:
+    """Maximum slack s over x with A^T x = nu and x >= s elementwise, where
+    ``nu`` holds the marginal counts of the estimable parameters on
+    ``table``.
 
     Substituting y = x - s*1 (y >= 0) and splitting the free s gives a
     standard-form LP.  The all-ones parameter column bounds s above, so
@@ -276,8 +208,8 @@ def lp_max_s(problem: ExistenceProblem) -> tuple[str, Fraction | None]:
     This is the exact path ``fr_check`` falls back on when the float
     solve cannot be certified.
     """
-    n_cells = len(problem.omega)
-    n_params = len(problem.theta)
+    n_cells = len(problem.omega_dagger)
+    n_params = len(problem.theta_dagger)
     if n_cells == 0:
         return INFEASIBLE, None
     # columns: y_1..y_ncells, s_plus, s_minus
@@ -290,7 +222,7 @@ def lp_max_s(problem: ExistenceProblem) -> tuple[str, Fraction | None]:
         + [Fraction(colsum[j]), Fraction(-colsum[j])]
         for j in range(n_params)
     ]
-    b = [Fraction(v) for v in problem.nu]
+    b = [Fraction(marginal_count(table, th)) for th in problem.theta_dagger]
     c = [Fraction(0)] * n_cells + [Fraction(1), Fraction(-1)]
     status, value, _ = simplex_max(c, A, b)
     if status != OPTIMAL:
@@ -555,7 +487,7 @@ def _rank_mod_2(contains: np.ndarray) -> int:
     return len(basis)
 
 
-def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
+def proves_full_rank(problem: ReducedProblem, zero: Sequence[int]) -> bool:
     """Whether the incidence rows of the positive cells provably have full
     column rank, which proves that the estimate exists.
 
@@ -567,7 +499,7 @@ def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
     nonzero modulo the prime, hence a nonzero integer.  False proves
     nothing: the rank is short, or the prime divides every full minor.
     """
-    positive = np.ones(len(problem.omega), dtype=bool)
+    positive = np.ones(len(problem.omega_dagger), dtype=bool)
     positive[list(zero)] = False
     contains = problem.contains[positive]
     n_rows, n_cols = contains.shape
@@ -590,7 +522,7 @@ def proves_full_rank(problem: ExistenceProblem, zero: Sequence[int]) -> bool:
     return True
 
 
-def null_space_verdict(problem: ExistenceProblem, zero: Sequence[int]) -> bool | None:
+def null_space_verdict(problem: ReducedProblem, zero: Sequence[int]) -> bool | None:
     """Whether the estimate exists, decided exactly on the null space of
     the positive cells' incidence rows; None when the route declines.
 
@@ -609,8 +541,8 @@ def null_space_verdict(problem: ExistenceProblem, zero: Sequence[int]) -> bool |
     ``NULL_SPACE_MAX_ENTRIES`` incidence entries, and one needing more
     than ``NULL_SPACE_MAX_SUBSETS`` sets of rows.
     """
-    n_params = len(problem.theta)
-    if len(problem.omega) * n_params > NULL_SPACE_MAX_ENTRIES:
+    n_params = len(problem.theta_dagger)
+    if len(problem.omega_dagger) * n_params > NULL_SPACE_MAX_ENTRIES:
         return None
     zero_set = set(zero)
     basis = _null_space(
@@ -648,11 +580,11 @@ def null_space_verdict(problem: ExistenceProblem, zero: Sequence[int]) -> bool |
 
 
 def certify(
-    problem: ExistenceProblem, zero: Sequence[int], sol: FloatSolution | None
+    problem: ReducedProblem, zero: Sequence[int], sol: FloatSolution | None
 ) -> bool | None:
     """The float solution's verdict once an exact certificate confirms it.
 
-    ``zero`` lists the positions in ``problem.omega`` of the retained
+    ``zero`` lists the positions in ``problem.omega_dagger`` of the retained
     cells with a zero count, and ``sol`` is ``float_solve``'s answer for
     them.  Rounding is tried first and the exact vertex of the active set
     second; None when neither verifies or there is no float solution.
@@ -662,7 +594,7 @@ def certify(
     if sol.t > ACTIVE_TOL:
         cells_of_param = [
             [i for i, row in enumerate(problem.incidence) if row[j]]
-            for j in range(len(problem.theta))
+            for j in range(len(problem.theta_dagger))
         ]
         if _proves_existence(_rounded(sol.z), cells_of_param, zero) or (
             _proves_existence(_primal_vertex(sol, cells_of_param, zero),
@@ -679,15 +611,19 @@ def certify(
     return None
 
 
+# an ``ExistenceCache`` key: the model's parameters, which name the number
+# of lists, and the table's support
+Key = tuple[frozenset[int], frozenset[int]]
+
 # a pair's problem, the positions of its zero cells, the verdict and route
 # of ``prove`` on it (None when not tried) and its float solution from a
 # batched ``float_solve``
 Solved = tuple[
-    ExistenceProblem, list[int], tuple[bool | None, str] | None, FloatSolution | None
+    ReducedProblem, list[int], tuple[bool | None, str] | None, FloatSolution | None
 ]
 
 
-def prove(problem: ExistenceProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
+def prove(problem: ReducedProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
     """The verdict of the exact routes and the route that reached it:
     ``RANK`` or ``NULL_SPACE``, or None and ``CERTIFIED`` when both
     decline and the program must decide."""
@@ -715,7 +651,7 @@ def fr_check(
     ``null_space_verdict`` decides; when it declines ``certify`` decides,
     and ``lp_max_s`` when it cannot.
 
-    ``solved`` passes the problem already built for this pair, its zero
+    ``solved`` passes the pair's reduction, the positions of its zero
     cells, what ``prove`` said on it (None when not tried) and its float
     solution from a batched ``float_solve`` (None when it was not solved);
     when that solution does not certify, the problem is solved again on
@@ -741,12 +677,9 @@ def _decide(
     model: ModelSpec, table: CountTable, solved: Solved | None
 ) -> tuple[bool, str]:
     """``fr_check``'s verdict and route on a table with a zero cell."""
-    if solved is None:
-        problem = ExistenceProblem.build(model, table)
-        solved = problem, problem.zero_cells(table), None, None
-    problem, zero, proved, batched = solved
-    if not problem.omega or not zero:
-        return bool(problem.omega), FAST_PATH
+    problem, zero, proved, batched = solved or _posed(model, table)
+    if not problem.omega_dagger or not zero:
+        return bool(problem.omega_dagger), FAST_PATH
     verdict, route = proved or prove(problem, zero)
     if verdict is None:
         verdict = certify(problem, zero, batched)
@@ -754,28 +687,37 @@ def _decide(
             (alone,) = float_solve([(problem.matrix, zero)])
             verdict = certify(problem, zero, alone)
         if verdict is None:
-            status, s_star = lp_max_s(problem)
+            status, s_star = lp_max_s(problem, table)
             verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
     return verdict, route
 
 
-def _indicator(table: CountTable) -> CountTable:
-    """The 0/1 table of ``table``'s support."""
-    return CountTable.from_counts(table.t, {w: 1 for w in table.support})
+def _posed(model: ModelSpec, table: CountTable) -> Solved:
+    """The pair's reduction and the positions of its zero cells, with what
+    ``prove`` says on it unless the fast path settles it, and no float
+    solution yet."""
+    problem = reduce_for_sparsity(model, table)
+    zero = problem.zero_cells(table)
+    proved = prove(problem, zero) if problem.omega_dagger and zero else None
+    return problem, zero, proved, None
 
 
 @dataclass
 class ExistenceCache:
     """Verdict cache keyed by (model, support).
 
+    A key is ``(model.params, table.support)``, as the verdict depends
+    only on which cells are positive.  ``reductions`` holds, under the
+    same keys, the ``ReducedProblem`` of every pair the cache has
+    reduced, so each (model, support) is reduced once for the check and
+    the fit.
     ``hits`` and ``misses`` count lookups; ``decided`` counts how the
     misses were settled, under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
-    ``CERTIFIED`` and ``FALLBACK``.  Verdicts are computed on the 0/1
-    indicator of the support, since they depend only on which cells are
-    positive.
+    ``CERTIFIED`` and ``FALLBACK``.
     """
 
-    verdicts: dict[tuple[frozenset[int], str], bool] = field(default_factory=dict)
+    verdicts: dict[Key, bool] = field(default_factory=dict)
+    reductions: dict[Key, ReducedProblem] = field(default_factory=dict, init=False)
     hits: int = 0
     misses: int = 0
     decided: Counter = field(default_factory=Counter)
@@ -787,51 +729,56 @@ class ExistenceCache:
         solved: Solved | None = None,
     ) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
-        ``fr_check``, holds the problem built on the indicator of
-        ``table``'s support, its zero cells, what ``prove`` said on it and
-        its batched float solution."""
-        key = (model.params, support_key(table))
+        ``fr_check``, holds the pair's reduction, its zero cells, what
+        ``prove`` said on it and its batched float solution; the reduction
+        is kept."""
+        key = (model.params, table.support)
         cached = self.verdicts.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         if solved is None and not _full_support(table):
-            verdict = fr_check(model, _indicator(table), self.decided)
-        else:
-            # fr_check decides a full support without reading a count
-            verdict = fr_check(model, table, self.decided, solved)
+            solved = _posed(model, table)
+        verdict = fr_check(model, table, self.decided, solved)
         self.verdicts[key] = verdict
+        if solved is not None:
+            # the fit reads the three fields only: the incidence arrays
+            # the routes built are let go with ``solved``
+            self.reductions[key] = replace(solved[0])
         self.misses += 1
         return verdict
+
+    def reduction(self, model: ModelSpec, table: CountTable) -> ReducedProblem:
+        """The reduction of (model, ``table``'s support): the one a check
+        made, or one made now and kept, as for a full support, which the
+        fast path decides without reducing."""
+        key = (model.params, table.support)
+        red = self.reductions.get(key)
+        if red is None:
+            red = self.reductions[key] = reduce_for_sparsity(model, table)
+        return red
 
     def check_many(
         self, pairs: Sequence[tuple[ModelSpec, CountTable]]
     ) -> list[bool]:
         """``check`` on every (model, table) pair, in order.
 
-        Each distinct miss on a table with a zero cell is posed first: its
-        problem is built on one indicator table per distinct support, its
-        zero cells are read off that table's support, and the exact routes
-        (``prove``) are tried on it unless the fast path settles it.
-        Those they decline go to one ``float_solve`` call, made only when
-        there are any; each pair is then looked up by ``check``, so hits,
-        misses and the calls to ``check`` and ``fr_check`` are what a loop
-        over ``check`` gives.
+        Each distinct miss on a table with a zero cell is posed first
+        (``_posed``): it is reduced, its zero cells are read off the
+        table's support, and the exact routes (``prove``) are tried on it
+        unless the fast path settles it.  Those they decline go to one
+        ``float_solve`` call, made only when there are any; each pair is
+        then looked up by ``check``, so hits, misses and the calls to
+        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
         """
-        keys = [(model.params, support_key(table)) for model, table in pairs]
-        indicators: dict[str, CountTable] = {}
-        solved: dict[tuple[frozenset[int], str], Solved] = {}
+        keys = [(model.params, table.support) for model, table in pairs]
+        solved: dict[Key, Solved] = {}
         asked = []
         for (model, table), key in zip(pairs, keys):
             if key in self.verdicts or key in solved or _full_support(table):
                 continue
-            indicator = indicators.get(key[1])
-            if indicator is None:
-                indicator = indicators[key[1]] = _indicator(table)
-            problem = ExistenceProblem.build(model, indicator)
-            zero = problem.zero_cells(indicator)
-            proved = prove(problem, zero) if problem.omega and zero else None
-            solved[key] = (problem, zero, proved, None)
+            solved[key] = _posed(model, table)
+            proved = solved[key][2]
             if proved and proved[0] is None:
                 asked.append(key)
         if asked:

@@ -5,23 +5,25 @@ the sparsity reduction: parameters whose marginal count is zero are
 recorded as -inf and the cells forced to zero by them are dropped before
 the numerical fit.  Estimates therefore live in [-inf, inf).
 
-Existence is checked where fitting starts.  ``fit_groups`` validates its
-(model, group) problems, decides for all of them in one
+The reduction (``sparsity.reduce_for_sparsity``) and the design depend
+only on the table's support, and so does existence.  ``fit_groups``
+validates its (model, group) problems, decides for all of them in one
 ``ExistenceCache.check_many`` call whether the extended MLE exists, and
-solves only those where it does; the others get ``fr_failed`` results
-with no estimate.  ``fit``, ``fit_group``, ``select_best_bic`` and
-``select_by_chisq`` all fit through it.  Below it, ``solve_groups`` and
-``solve_group`` are the unchecked numeric engine.
+solves only those where it does, from the reductions the cache keeps:
+each (model, support) is reduced once for the check and the fit.  The
+others get ``fr_failed`` results with no estimate.  ``fit``,
+``fit_group``, ``select_best_bic`` and ``select_by_chisq`` all fit
+through it.  Below it, ``solve_groups`` is the unchecked numeric engine,
+which reduces each problem itself when it is called directly.
 
 Tables that share a support share the reduction and the design matrix,
-so ``solve_group`` fits one model to a whole group of them.
-``solve_groups`` takes many such (model, group) problems at once and
-stacks those whose designs have the same shape (retained cells x
-estimable parameters), whatever their model or support, up to
-``STACK_ELEMENTS`` design elements a stack (a larger group is cut into
-pieces of rows): one IRLS run iterates a whole stack, one design and one
-count vector per row.  ``solve_group`` is its one-problem case, so there
-is one IRLS loop.  Each row's least-squares step is still its own LAPACK
+so one (model, group) problem fits one model to a whole group of them.
+``solve_groups`` takes many such problems at once and stacks those whose
+designs have the same shape (retained cells x estimable parameters),
+whatever their model or support, up to ``STACK_ELEMENTS`` design
+elements a stack (a larger group is cut into pieces of rows): one IRLS
+run iterates a whole stack, one design and one count vector per row.
+Each row's least-squares step is still its own LAPACK
 ``dgelsd`` solve, as ``scipy.linalg.lstsq`` would make it, and its own
 matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
 of all rows in one call per iteration.  Normal equations would be faster
@@ -63,18 +65,16 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import TYPE_CHECKING, Generator, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._cephes import log_factorial
 from .core import CountTable, ModelSpec, canonical_key
-
-if TYPE_CHECKING:
-    # existence imports this module's sparsity reduction
-    from .existence import ExistenceCache
+from .existence import ExistenceCache
+from .sparsity import ReducedProblem, design_matrix, reduce_for_sparsity
 
 STATUS_CONVERGED = "converged"
 STATUS_NOT_CONVERGED = "not_converged"
@@ -97,15 +97,6 @@ class FitSettings:
     # Count all model parameters in the BIC penalty, or only the ones
     # actually estimated (the -inf ones excluded).
     count_all_params: bool = True
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Outcome of the sparsity reduction for one (model, table) pair."""
-
-    theta_dagger: tuple[int, ...]
-    omega_dagger: tuple[int, ...]
-    minus_infinity_params: frozenset[int]
 
 
 class FitResult:
@@ -192,47 +183,6 @@ class FitResult:
         return f"FitResult({fields})"
 
 
-@cache
-def canonical_cells(t: int) -> tuple[int, ...]:
-    """The 2^t - 1 non-empty histories of t lists, in canonical order."""
-    return tuple(sorted(range(1, 1 << t), key=canonical_key))
-
-
-def reduce_for_sparsity(model: ModelSpec, table: CountTable) -> ReducedProblem:
-    """Split parameters into estimable ones and those fixed at -inf.
-
-    A parameter is dropped when no observed case includes all its lists;
-    every cell containing such a parameter is removed too (those cells
-    necessarily hold zero counts).  Only the support is read: a parameter
-    lives as soon as one positive cell contains it.
-    """
-    positive = table.support
-    # a parameter that is itself a positive cell has a positive marginal
-    dead = frozenset(
-        theta
-        for theta in model.params
-        if theta not in positive and not any(w & theta == theta for w in positive)
-    )
-    theta_dagger = tuple(p for p in model.sorted_params if p not in dead)
-    omega_dagger = canonical_cells(table.t)
-    if dead:
-        omega_dagger = tuple(
-            w for w in omega_dagger if not any(d & w == d for d in dead)
-        )
-    return ReducedProblem(theta_dagger, omega_dagger, dead)
-
-
-def containment(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:
-    """Boolean cells x parameters array: parameter j is contained in cell i."""
-    theta = np.asarray(theta, dtype=np.int64)
-    return (np.asarray(omega, dtype=np.int64)[:, None] & theta) == theta
-
-
-def design_matrix(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:
-    """0/1 incidence of parameter-contained-in-cell."""
-    return containment(omega, theta).astype(float)
-
-
 def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Deviance of each row (the last axis holds the cells)."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,7 +258,7 @@ def bic_from_mu(
 
     Cells outside the fitted set contribute nothing (their count and
     fitted mean are both zero).  This is the one-row case of the BIC
-    ``solve_group`` computes for a whole group.
+    ``solve_groups`` computes for a whole group.
     """
     counts = [table.count(w) for w in mu]
     nll = _neg_log_likelihood(
@@ -576,41 +526,55 @@ class _Posed:
 
 
 def _support_cells(tables: Sequence[CountTable]) -> tuple[int, ...]:
-    """The cells a group's tables list, or a ``ValueError`` for an empty
-    group, tables of different supports or all-zero tables."""
+    """The positive cells of a group's tables in canonical order, or a
+    ``ValueError`` for an empty group, tables of different supports or
+    all-zero tables."""
     if not tables:
         raise ValueError("cannot fit an empty group")
-    # counts are stored in canonical cell order, so tables sharing a
-    # support list their cells in the same order
-    cells = tuple(tables[0].counts)
-    if any(tuple(t.counts) != cells for t in tables):
+    support = tables[0].support
+    if any(t.support != support for t in tables):
         raise ValueError("tables fitted as a group must share one support")
-    if tables[0].n_total == 0:
+    if not support:
         raise ValueError("cannot fit an empty table")
-    return cells
+    return tuple(sorted(support, key=canonical_key))
 
 
 class _Validated(list):
     """Problems whose groups are validated: ``fit_groups`` hands them to
-    ``solve_groups`` with ``rows``, its ``_group_rows`` entries, so no
-    group is validated or converted twice."""
+    ``solve_groups`` with ``rows``, its ``_group_rows`` entries, and
+    ``reduced``, each problem's reduction from the existence cache, so no
+    group is validated or converted twice and no pair is reduced twice."""
 
     rows: dict
+    reduced: list[ReducedProblem]
 
 
 def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
-    """A group's cells, count rows and log n! rows, made once per group.
+    """A group's cells, count rows and log n! rows, in the canonical order
+    of its support, made once per group.
 
     ``rows`` maps the identities of a group's tables to them, so a group
     fitted with several models converts its counts once; making an entry
-    validates the group (``_support_cells``).
+    validates the group (``_support_cells``).  A table listing exactly
+    those cells gives its counts as they are; one built directly, which
+    may list a zero cell or list its cells out of order, is read cell by
+    cell.
     """
     key = tuple(map(id, tables))
     entry = rows.get(key)
     if entry is None:
         cells = _support_cells(tables)
-        counts = np.array([list(t.counts.values()) for t in tables], dtype=float)
-        log_factorials = np.array([t.log_factorials for t in tables])
+        counts, log_factorials = [], []
+        for t in tables:
+            if tuple(t.counts) == cells:
+                counts.append(list(t.counts.values()))
+                log_factorials.append(t.log_factorials)
+            else:
+                row = [t.counts[w] for w in cells]
+                counts.append(row)
+                log_factorials.append(list(map(log_factorial, row)))
+        counts = np.array(counts, dtype=float)
+        log_factorials = np.array(log_factorials)
         # shared by the posed groups of every model fitted on these tables
         counts.flags.writeable = log_factorials.flags.writeable = False
         entry = rows[key] = cells, counts, log_factorials
@@ -618,18 +582,24 @@ def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
 
 
 def _pose(
-    model: ModelSpec, tables: Sequence[CountTable], rows: dict, designs: dict
+    model: ModelSpec,
+    tables: Sequence[CountTable],
+    rows: dict,
+    designs: dict,
+    red: ReducedProblem | None = None,
 ) -> _Posed | GroupSolution:
     """Reduction, design and counts of one group, or its solution when no
     row can be iterated.
 
-    ``rows`` holds the groups' ``_group_rows`` entries.  ``designs`` maps
-    each (retained cells, estimable parameters) pair to its read-only
-    design and whether that has full column rank, so problems posing the
-    same design share one array and one rank test.
+    ``rows`` holds the groups' ``_group_rows`` entries.  ``red`` is the
+    pair's reduction when the caller has it; otherwise it is made here.
+    ``designs`` maps each (retained cells, estimable parameters) pair to
+    its read-only design and whether that has full column rank, so
+    problems posing the same design share one array and one rank test.
     """
     cells, counts, log_factorials = _group_rows(tables, rows)
-    red = reduce_for_sparsity(model, tables[0])
+    if red is None:
+        red = reduce_for_sparsity(model, tables[0])
     if not red.omega_dagger:
         return _stopped(red, len(tables), "no_cells_left")
     design = red.omega_dagger, red.theta_dagger
@@ -640,19 +610,12 @@ def _pose(
     X, full_rank = designs[design]
     if not full_rank:
         return _stopped(red, len(tables), "parameter_redundant")
-    # the counts are in the order of the retained cells when the group
-    # lists exactly those: a dead parameter has no positive cell containing
-    # it, so every positive cell is retained
     if cells == red.omega_dagger:
         return _Posed(red, X, counts, log_factorials)
+    # a dead parameter has no positive cell containing it, so every
+    # positive cell is retained
     column = {w: k for k, w in enumerate(red.omega_dagger)}
-    positive = [column.get(w) for w in cells]
-    if None in positive:
-        # a dropped cell holds a zero count, which only a table built
-        # directly lists
-        kept = [k for k, c in enumerate(positive) if c is not None]
-        positive = [positive[k] for k in kept]
-        counts, log_factorials = counts[:, kept], log_factorials[:, kept]
+    positive = [column[w] for w in cells]
     Y = np.zeros((len(tables), len(red.omega_dagger)))
     Y[:, positive] = counts
     # a retained zero cell adds log 0! = 0
@@ -778,11 +741,13 @@ def solve_groups(
     problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
     settings: FitSettings = FitSettings(),
 ) -> list[GroupSolution]:
-    """``solve_group`` on every (model, tables sharing one support) problem,
-    with one IRLS run per stack of equal design shape.
+    """IRLS for each model on every table of its (model, tables sharing one
+    support) problem, with one IRLS run per stack of equal design shape;
+    solution i is problem i's, row k of it table k's.
 
-    Each group is validated and reduced on its own, and each distinct
-    design is built and rank-checked once per call.  The groups whose
+    Each group is validated and reduced on its own (problems from
+    ``fit_groups`` come reduced), and each distinct design is built and
+    rank-checked once per call.  The groups whose
     designs have the same (retained cells, estimable parameters) shape
     are then stacked, one design and one count vector per table, up to
     ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
@@ -790,15 +755,21 @@ def solve_groups(
     keeps a few stacks in flight at once, so one stack's step overlaps
     another's least squares.  Every row is still its own ``dgelsd`` solve
     and its own matrix-vector product, so each solution equals the one
-    ``solve_group`` gives the problem alone, bit for bit.
+    the problem gets alone, and each row the one its table gets alone,
+    bit for bit.  Rows leave the iteration as they converge or diverge,
+    and the BIC sums of the settled rows are computed together at the
+    end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and a
+    left-to-right sum over the cells).
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
-    # problems from ``fit_groups`` come with their groups' rows
+    # problems from ``fit_groups`` come with their groups' rows and their
+    # reductions
     rows: dict = getattr(problems, "rows", {})
+    reduced = getattr(problems, "reduced", [None] * len(problems))
     designs: dict = {}
     for k, (model, tables) in enumerate(problems):
-        p = _pose(model, tables, rows, designs)
+        p = _pose(model, tables, rows, designs, reduced[k])
         if isinstance(p, GroupSolution):
             solutions[k] = p
         else:
@@ -830,27 +801,6 @@ def solve_groups(
             *(a[0] if len(a) == 1 else np.concatenate(a) for a in fields),
         )
     return solutions
-
-
-def solve_group(
-    model: ModelSpec,
-    tables: Sequence[CountTable],
-    settings: FitSettings = FitSettings(),
-) -> GroupSolution:
-    """IRLS for one model on every table of a group sharing one support.
-
-    The reduction, design matrix and rank check depend only on the
-    support, so they are computed once.  The elementwise steps run on a
-    (tables, cells) array, and each row's weighted least-squares step is
-    still its own LAPACK ``dgelsd`` solve, made for all rows in one numpy
-    call per iteration, so every row is the result the loop would give on
-    that table alone.  Rows leave the iteration as they converge or
-    diverge.  The BIC sums of the settled rows are computed together at
-    the end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and
-    a left-to-right sum over the cells).  This is the one-problem case of
-    ``solve_groups``, which stacks the rows of many such groups.
-    """
-    return solve_groups([(model, tables)], settings)[0]
 
 
 def fit(
@@ -913,7 +863,8 @@ def fit_groups(
     table: the verdict depends only on the support.  A problem whose
     extended MLE does not exist gets a ``fr_failed`` result per table,
     with no estimate.  The others are solved by one ``solve_groups`` call,
-    which reuses the converted counts, in one IRLS run per stack of equal
+    which reuses the converted counts and the reductions the cache keeps
+    (``ExistenceCache.reduction``), in one IRLS run per stack of equal
     design shape.  Each of their tables' results is still made by a call
     to ``fit``, so anything wrapping ``fit`` sees one call per table, made as
     its list is taken; each call reads its row from the group's scalars,
@@ -925,13 +876,11 @@ def fit_groups(
     for _, tables in problems:
         _group_rows(tables, rows)
     if cache is None:
-        # existence imports this module's sparsity reduction
-        from .existence import ExistenceCache
-
         cache = ExistenceCache()
     exists = cache.check_many([(model, tables[0]) for model, tables in problems])
     solving = _Validated(p for p, ok in zip(problems, exists) if ok)
     solving.rows = rows
+    solving.reduced = [cache.reduction(model, tables[0]) for model, tables in solving]
     solutions = iter(solve_groups(solving, settings))
     for (model, tables), ok in zip(problems, exists):
         if not ok:

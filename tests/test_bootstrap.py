@@ -21,7 +21,6 @@ from mseboot import (
     resample,
     restricted_bootstrap,
     select_best_bic,
-    support_key,
 )
 from mseboot import bootstrap, existence, glm
 from mseboot.bootstrap import (
@@ -379,6 +378,30 @@ class TestChisqBootstrap:
                 excluded += 1
         assert res.excluded_boot == excluded
 
+    def test_fits_are_held_one_slice_at_a_time(self, monkeypatch):
+        # a sparse table on which the window excludes some replicates
+        table = random_table(np.random.default_rng(1), 4, zero_prob=0.4)
+        space = enumerate_models(4, 2)
+        B, jack = 40, len(table.counts)
+        held = []
+        fit_groups = bootstrap.fit_groups
+
+        def recording(problems, settings, cache):
+            held.append(len({id(t) for _, tables in problems for t in tables}))
+            return fit_groups(problems, settings, cache)
+
+        monkeypatch.setattr(bootstrap, "fit_groups", recording)
+        monkeypatch.setattr(bootstrap, "CHISQ_SLICE", B + jack)
+        unsliced = chisq_bootstrap(table, space, B=B, seed=1)
+        assert held == [1, B, jack]
+        held.clear()
+        monkeypatch.setattr(bootstrap, "CHISQ_SLICE", 16)
+        assert chisq_bootstrap(table, space, B=B, seed=1) == unsliced
+        assert max(held) == 16 and held[0] == 1
+        assert len(held) == 1 + math.ceil(B / 16) + math.ceil(jack / 16)
+        assert sum(held) == 1 + B + jack
+        assert unsliced.excluded_boot > 0
+
 
 class TestDiagnostics:
     def test_containment_at_full_space_is_B(self, korea, korea_space):
@@ -459,8 +482,8 @@ class TestExistenceLookups:
         jack = [t for _, t in jackknife_tables(korea)]
         # the space once on the original table, then the top models once
         # per support of the resamples and of the jackknife tables
-        supports = len({support_key(t) for t in reps}) + len(
-            {support_key(t) for t in jack}
+        supports = len({t.support for t in reps}) + len(
+            {t.support for t in jack}
         )
         self.assert_counted(calls, cache, len(korea_space) + n_top * supports)
 
@@ -472,8 +495,8 @@ class TestExistenceLookups:
         jack = [t for _, t in jackknife_tables(korea)]
         # the space once on the original table, then once per support of
         # the resamples and of the jackknife tables
-        supports = len({support_key(t) for t in reps}) + len(
-            {support_key(t) for t in jack}
+        supports = len({t.support for t in reps}) + len(
+            {t.support for t in jack}
         )
         self.assert_counted(calls, cache, len(korea_space) * (1 + supports))
 

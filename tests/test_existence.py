@@ -17,11 +17,14 @@ from mseboot import (
     CountTable,
     ExistenceCache,
     ModelSpec,
+    ReducedProblem,
     enumerate_models,
     fr_check,
     lp_max_s,
+    marginal_count,
+    reduce_for_sparsity,
 )
-from mseboot import existence, support_key
+from mseboot import existence
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.existence import (
     CERTIFIED,
@@ -31,7 +34,6 @@ from mseboot.existence import (
     NULL_SPACE,
     OPTIMAL,
     RANK,
-    ExistenceProblem,
     FloatSolution,
     simplex_max,
 )
@@ -145,13 +147,13 @@ class TestLpMaxS:
         rng = np.random.default_rng(1)
         table = random_table(rng, 3)
         model = ModelSpec.from_generators(3, [0b011])
-        problem = ExistenceProblem.build(model, table)
-        status, s = lp_max_s(problem)
+        problem = reduce_for_sparsity(model, table)
+        status, s = lp_max_s(problem, table)
         assert status == OPTIMAL
         assert s >= min(table.counts.values())
 
     def test_table1_n2_not_positive(self, table1, abcd_model):
-        status, s = lp_max_s(ExistenceProblem.build(abcd_model, table1["n2"]))
+        status, s = lp_max_s(reduce_for_sparsity(abcd_model, table1["n2"]), table1["n2"])
         assert status == OPTIMAL
         assert s <= 0
 
@@ -161,18 +163,18 @@ class TestLpMaxS:
         table = random_table(rng, 3, zero_prob=0.5)
         space = enumerate_models(3, 2)
         model = space.models[int(rng.integers(len(space)))]
-        problem = ExistenceProblem.build(model, table)
-        if not problem.omega:
+        problem = reduce_for_sparsity(model, table)
+        if not problem.omega_dagger:
             return
-        n_cells = len(problem.omega)
+        n_cells = len(problem.omega_dagger)
         colsum = [sum(problem.incidence[i][j] for i in range(n_cells))
-                  for j in range(len(problem.theta))]
+                  for j in range(len(problem.theta_dagger))]
         A = [[Fraction(problem.incidence[i][j]) for i in range(n_cells)]
              + [Fraction(colsum[j]), Fraction(-colsum[j])]
-             for j in range(len(problem.theta))]
-        b = [Fraction(v) for v in problem.nu]
+             for j in range(len(problem.theta_dagger))]
+        b = [Fraction(marginal_count(table, th)) for th in problem.theta_dagger]
         c = [Fraction(0)] * n_cells + [Fraction(1), Fraction(-1)]
-        status, s = lp_max_s(problem)
+        status, s = lp_max_s(problem, table)
         oracle = vertex_enumeration_max(c, A, b)
         if status == OPTIMAL:
             assert s == oracle
@@ -205,8 +207,8 @@ class TestFrCheck:
         assert fr_check(ModelSpec.null_model(2), t2) is True
 
     def test_empty_cell_set_is_infeasible(self):
-        problem = ExistenceProblem(omega=(), theta=(0,), nu=(5,))
-        status, s = lp_max_s(problem)
+        problem = ReducedProblem((0,), (), frozenset())
+        status, s = lp_max_s(problem, CountTable.from_counts(2, {1: 5}))
         assert status == INFEASIBLE and s is None
 
     @pytest.mark.parametrize("seed", range(40))
@@ -293,10 +295,9 @@ class TestCache:
         assert len(table.support) == 63
         models = enumerate_models(6, 2).models[::100]
         builds = []
-        build = ExistenceProblem.build
-        monkeypatch.setattr(ExistenceProblem, "build", staticmethod(
-            lambda model, table: builds.append(model) or build(model, table)
-        ))
+        build = existence.reduce_for_sparsity
+        monkeypatch.setattr(existence, "reduce_for_sparsity",
+                            lambda model, table: builds.append(model) or build(model, table))
         cache = ExistenceCache()
         assert cache.check_many([(m, table) for m in models]) == [True] * len(models)
         assert cache.decided == {FAST_PATH: len(models)}
@@ -308,10 +309,10 @@ class TestCache:
 @functools.cache
 def exact_verdict(model, table):
     """The exact-rational simplex's answer, the oracle for ``fr_check``."""
-    problem = ExistenceProblem.build(model, table)
-    if not problem.omega:
+    problem = reduce_for_sparsity(model, table)
+    if not problem.omega_dagger:
         return False
-    status, s = lp_max_s(problem)
+    status, s = lp_max_s(problem, table)
     return status == OPTIMAL and s > 0
 
 
@@ -347,7 +348,7 @@ def assert_agrees(models, tables, batch_certifies=True):
             ranked = tally[RANK]
             verdict = fr_check(model, table, tally)
             assert verdict == exact_verdict(model, table), (
-                model.notation(), support_key(table)
+                model.notation(), table.support
             )
             assert verdict or tally[RANK] == ranked
     assert tally[FALLBACK] == 0
@@ -388,10 +389,10 @@ class TestCertifiedCheck:
     @pytest.mark.parametrize("name", sorted(TABLE1))
     def test_table1_and_resample_supports(self, name):
         table = CountTable.from_counts(4, TABLE1[name])
-        supports = {support_key(table): table}
+        supports = {table.support: table}
         for i in range(50):
             r = resample(table, replicate_rng(len(name) + 3, i))
-            supports.setdefault(support_key(r), r)
+            supports.setdefault(r.support, r)
         tally = assert_agrees(enumerate_models(4, 3).models, supports.values())
         assert tally[CERTIFIED] > 0 and tally[RANK] > 0
 
@@ -448,7 +449,7 @@ class TestCertifiedCheck:
         exact_lp = existence.lp_max_s
         monkeypatch.setattr(existence, "float_solve", wrong)
         monkeypatch.setattr(
-            existence, "lp_max_s", lambda p: lp_calls.append(p) or exact_lp(p)
+            existence, "lp_max_s", lambda p, t: lp_calls.append(p) or exact_lp(p, t)
         )
         cache = ExistenceCache()
         assert cache.check(abcd_model, table1[name]) is exists
@@ -477,17 +478,18 @@ class TestCertifiedCheck:
         # verdict, also when solved alone; only that pair falls back
         table = table1["n2"]
         models = enumerate_models(4, 3).models
-        indicator = CountTable.from_counts(4, {w: 1 for w in table.support})
         # models differing only in parameters the reduction drops pose the
-        # same problem; the target's must be posed by it alone, and the
-        # rank proof must leave it to the float solve
-        problems = [ExistenceProblem.build(m, indicator) for m in models]
+        # same cells and parameters; the target's must be posed by it
+        # alone, and the rank proof must leave it to the float solve
+        problems = [reduce_for_sparsity(m, table) for m in models]
+        posed = [(p.omega_dagger, p.theta_dagger) for p in problems]
         target, problem = next(
             (m, p) for m, p in zip(models, problems)
-            if problems.count(p) == 1 and p.omega and p.zero_cells(indicator)
-            and not existence.proves_full_rank(p, p.zero_cells(indicator))
+            if posed.count((p.omega_dagger, p.theta_dagger)) == 1
+            and p.omega_dagger and p.zero_cells(table)
+            and not existence.proves_full_rank(p, p.zero_cells(table))
         )
-        target_zero = problem.zero_cells(indicator)
+        target_zero = problem.zero_cells(table)
         exists = exact_verdict(target, table)
         solve = existence.float_solve
         spoiled = []
@@ -507,7 +509,7 @@ class TestCertifiedCheck:
         exact_lp = existence.lp_max_s
         monkeypatch.setattr(existence, "float_solve", one_wrong)
         monkeypatch.setattr(
-            existence, "lp_max_s", lambda p: lp_calls.append(p) or exact_lp(p)
+            existence, "lp_max_s", lambda p, t: lp_calls.append(p) or exact_lp(p, t)
         )
         cache = ExistenceCache()
         pairs = [(m, table) for m in models]
@@ -534,7 +536,7 @@ class TestCertifiedCheck:
         assert tally == {RANK: 1}
         # fewer positive cells than parameters: the rank proof cannot hold
         sparse = sparse_table(6, 15, seed=1)
-        assert len(sparse.support) < len(ExistenceProblem.build(all_pairs(6), sparse).theta)
+        assert len(sparse.support) < len(reduce_for_sparsity(all_pairs(6), sparse).theta_dagger)
         tally = assert_agrees([all_pairs(6)], [sparse])
         assert tally == {CERTIFIED: 1}
 
@@ -576,10 +578,10 @@ class TestNullSpaceRoute:
     @pytest.mark.parametrize("name", sorted(TABLE1))
     def test_table1_and_resample_supports(self, name):
         table = CountTable.from_counts(4, TABLE1[name])
-        supports = {support_key(table): table}
+        supports = {table.support: table}
         for i in range(50):
             r = resample(table, replicate_rng(len(name) + 3, i))
-            supports.setdefault(support_key(r), r)
+            supports.setdefault(r.support, r)
         tally = assert_agrees(enumerate_models(4, 3).models, supports.values())
         assert tally[NULL_SPACE] > 0 and tally[RANK] > 0
         assert tally[CERTIFIED] == tally[FALLBACK] == 0
@@ -626,15 +628,15 @@ class TestNullSpaceRoute:
             for _ in range(n_tables):
                 table = random_table(rng, t, zero_prob=0.4)
                 for model in models:
-                    problem = ExistenceProblem.build(model, table)
+                    problem = reduce_for_sparsity(model, table)
                     zero = problem.zero_cells(table)
-                    if (not problem.omega or not zero
+                    if (not problem.omega_dagger or not zero
                             or existence.proves_full_rank(problem, zero)):
                         continue
                     before = len(certificates)
                     verdict = existence.null_space_verdict(problem, zero)
                     assert verdict == exact_verdict(model, table), (
-                        model.notation(), support_key(table)
+                        model.notation(), table.support
                     )
                     assert certificates[before:] == ([] if verdict else [True])
                     decided[verdict] += 1
@@ -647,8 +649,8 @@ class TestNullSpaceRoute:
         # zero cell
         model = ModelSpec.from_notation("[12]", 3)
         table = CountTable.from_counts(3, {0b001: 4, 0b011: 2})
-        problem = ExistenceProblem.build(model, table)
-        assert (len(problem.omega), len(problem.theta)) == (3, 4)
+        problem = reduce_for_sparsity(model, table)
+        assert (len(problem.omega_dagger), len(problem.theta_dagger)) == (3, 4)
         zero = problem.zero_cells(table)
         positive = [row for i, row in enumerate(problem.incidence) if i not in zero]
         assert len(existence._null_space(positive, 4)) == 2
@@ -662,9 +664,9 @@ class TestNullSpaceRoute:
         proved = 0
         for table in table1.values():
             for model in enumerate_models(4, 3).models:
-                problem = ExistenceProblem.build(model, table)
+                problem = reduce_for_sparsity(model, table)
                 zero = problem.zero_cells(table)
-                if problem.omega and zero and existence.proves_full_rank(problem, zero):
+                if problem.omega_dagger and zero and existence.proves_full_rank(problem, zero):
                     assert existence.null_space_verdict(problem, zero) is True
                     proved += 1
         assert proved > 50
@@ -682,7 +684,7 @@ class TestNullSpaceRoute:
     def test_wide_all_pairs_decline_to_the_program(self):
         # fewer positive cells than parameters leaves too many rays to try
         sparse = sparse_table(6, 15, seed=1)
-        problem = ExistenceProblem.build(all_pairs(6), sparse)
+        problem = reduce_for_sparsity(all_pairs(6), sparse)
         assert existence.null_space_verdict(problem, problem.zero_cells(sparse)) is None
         assert assert_agrees([all_pairs(6)], [sparse]) == {CERTIFIED: 1}
         table = sparse_table(8, 30, seed=1)

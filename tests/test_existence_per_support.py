@@ -1,17 +1,18 @@
-"""Existence work done once per support, against frozen copies of the
-per-miss code it replaced.
+"""Existence work done once per (model, support), against frozen copies
+of the per-miss code it replaced.
 
-``ExistenceCache.check_many`` builds one indicator table and one set of
-positive cells per distinct support, reads each miss's zero cells off
-that set, and sums the marginal counts ``nu`` only when ``lp_max_s``
-reads them.  ``proves_full_rank`` eliminates over GF(2) first and modulo
-``RANK_PRIME`` only when that falls short.  ``glm.solve_groups`` builds
-and rank-tests each distinct design once per call.
+``ExistenceCache.check_many`` reduces each miss once, on the table it is
+asked about, reads its zero cells off the table's support and keeps the
+reduction for the fit; ``lp_max_s`` sums the marginal counts ``nu`` off
+the table only when it runs.  ``proves_full_rank`` eliminates over GF(2)
+first and modulo ``RANK_PRIME`` only when that falls short.
+``glm.solve_groups`` builds and rank-tests each distinct design once per
+call.  Everything is keyed by ``CountTable.support``.
 
 The oracles below are the code as it was before: ``prime_proves_full_rank``
 eliminates modulo the prime alone, and ``per_miss_check_many`` builds an
-indicator table, the reduction (by marginal count sums), ``nu`` and the
-zero cells (by ``table.count``) for every miss.
+indicator table, the reduction (by marginal count sums) and the zero
+cells (by ``table.count``) for every miss.
 
 Why the ``decided`` tallies cannot move: a GF(2) proof names an n x n
 minor of the 0/1 incidence matrix that is odd, hence a nonzero integer.
@@ -24,16 +25,22 @@ route settles the same misses as before.  Every problem here has at most
 22 parameters, and the tests check that.
 """
 
+import ast
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mseboot import CountTable, ExistenceCache, ModelSpec, enumerate_models, fit, glm
-from mseboot import existence, support_key
+from mseboot import existence
+from mseboot.bootstrap import _group_fits
 from mseboot.core import canonical_key, marginal_count
 from mseboot.existence import (
     CERTIFIED,
@@ -41,10 +48,11 @@ from mseboot.existence import (
     NULL_SPACE,
     RANK,
     RANK_PRIME,
-    ExistenceProblem,
     fr_check,
+    lp_max_s,
+    reduce_for_sparsity,
 )
-from mseboot.glm import ReducedProblem, canonical_cells
+from mseboot.sparsity import ReducedProblem, canonical_cells
 
 from conftest import TABLE1, random_table
 
@@ -60,7 +68,7 @@ def hadamard_bound(n):
 def prime_proves_full_rank(problem, zero):
     """``proves_full_rank`` before the GF(2) pass: elimination modulo
     ``RANK_PRIME`` on int64 arrays only."""
-    positive = np.ones(len(problem.omega), dtype=bool)
+    positive = np.ones(len(problem.omega_dagger), dtype=bool)
     positive[list(zero)] = False
     m = problem.contains[positive].astype(np.int64)
     n_rows, n_cols = m.shape
@@ -93,23 +101,21 @@ def marginal_reduction(model, table):
 
 def per_miss_check_many(cache, pairs):
     """``check_many`` before the per-support work: every miss builds its own
-    indicator, reduction, ``nu`` and zero cells, and the prime alone
-    proves rank."""
-    keys = [(model.params, support_key(table)) for model, table in pairs]
+    indicator, reduction and zero cells, and the prime alone proves
+    rank."""
+    keys = [(model.params, table.support) for model, table in pairs]
     posed = {}
     for (model, table), key in zip(pairs, keys):
         if key in cache.verdicts or key in posed or len(table.counts) == (1 << table.t) - 1:
             continue
         indicator = CountTable.from_counts(table.t, {w: 1 for w in table.support})
-        red = marginal_reduction(model, indicator)
-        nu = tuple(marginal_count(indicator, th) for th in red.theta_dagger)
-        problem = ExistenceProblem(red.omega_dagger, red.theta_dagger, nu)
-        zero = [i for i, w in enumerate(problem.omega) if indicator.count(w) == 0]
+        problem = marginal_reduction(model, indicator)
+        zero = [i for i, w in enumerate(problem.omega_dagger) if indicator.count(w) == 0]
         posed[key] = (problem, zero)
     solved, asked = {}, []
     for key, (problem, zero) in posed.items():
         proved = None
-        if problem.omega and zero:
+        if problem.omega_dagger and zero:
             if prime_proves_full_rank(problem, zero):
                 proved = True, RANK
             else:
@@ -170,11 +176,10 @@ def test_rank_proof_matches_the_prime_alone(name):
     models, tables = case(name)
     proved = Counter()
     for table in tables:
-        indicator = CountTable.from_counts(table.t, {w: 1 for w in table.support})
         for model in models:
-            problem = ExistenceProblem.build(model, indicator)
-            zero = problem.zero_cells(indicator)
-            if not problem.omega or not zero:
+            problem = reduce_for_sparsity(model, table)
+            zero = problem.zero_cells(table)
+            if not problem.omega_dagger or not zero:
                 continue
             got = existence.proves_full_rank(problem, zero)
             assert got == prime_proves_full_rank(problem, zero)
@@ -220,11 +225,12 @@ def test_gf2_rank_of_small_matrices():
         assert existence._rank_mod_2(a) == rank
 
 
-def test_one_indicator_per_distinct_support(monkeypatch):
-    indicators = []
-    real = existence._indicator
-    monkeypatch.setattr(existence, "_indicator",
-                        lambda table: indicators.append(support_key(table)) or real(table))
+def test_one_reduction_per_distinct_pair(monkeypatch):
+    reduced = []
+    real = existence.reduce_for_sparsity
+    monkeypatch.setattr(existence, "reduce_for_sparsity",
+                        lambda model, table: reduced.append((model.params, table.support))
+                        or real(model, table))
     tables = table1_tables()
     # each table twice over, on itself and its double, which shares its support
     doubled = [CountTable.from_counts(4, {w: 2 * n for w, n in t.counts.items()})
@@ -232,10 +238,16 @@ def test_one_indicator_per_distinct_support(monkeypatch):
     models = enumerate_models(4, 3).models
     cache = ExistenceCache()
     cache.check_many([(m, t) for t in tables + doubled for m in models])
-    assert sorted(indicators) == sorted({support_key(t) for t in tables})
-    # a second call over the same pairs is all hits and builds nothing
+    pairs = {(m.params, t.support) for t in tables for m in models}
+    assert len(reduced) == len(set(reduced)) == len(pairs) == len(models) * len(tables)
+    assert set(reduced) == pairs == set(cache.reductions) == set(cache.verdicts)
+    # a second call over the same pairs is all hits and reduces nothing,
+    # and the fit reads the reductions the checks made
     cache.check_many([(m, t) for t in tables for m in models])
-    assert len(indicators) == len(tables)
+    assert [cache.reduction(m, t) for t in doubled for m in models] == [
+        real(m, t) for t in tables for m in models
+    ]
+    assert len(reduced) == len(pairs)
 
 
 def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
@@ -253,13 +265,22 @@ def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
     assert cache.decided[RANK] > 0 and cache.decided[NULL_SPACE] > 0
 
 
-def test_nu_is_summed_when_the_lp_reads_it(table1, abcd_model):
-    problem = ExistenceProblem.build(abcd_model, table1["n2"])
+def test_nu_is_summed_when_the_lp_reads_it(monkeypatch, table1, abcd_model):
+    table = table1["n2"]
+    problem = reduce_for_sparsity(abcd_model, table)
     assert "nu" not in vars(problem)
-    assert problem.nu == tuple(marginal_count(table1["n2"], th) for th in problem.theta)
-    given = ExistenceProblem(problem.omega, problem.theta, problem.nu)
-    assert given == problem and hash(given) == hash(problem)
-    assert ExistenceProblem(problem.omega, problem.theta, (0,) * len(problem.theta)) != problem
+    summed = []
+    monkeypatch.setattr(existence, "marginal_count",
+                        lambda t, th: summed.append((t, th)) or marginal_count(t, th))
+    status, s_star = lp_max_s(problem, table)
+    assert status == existence.OPTIMAL and s_star <= 0
+    # once per estimable parameter, on the table given
+    assert summed == [(table, th) for th in problem.theta_dagger]
+    # the problem compares as its three fields, whatever it has built
+    problem.incidence
+    fresh = reduce_for_sparsity(abcd_model, table)
+    assert fresh == problem and hash(fresh) == hash(problem)
+    assert ReducedProblem(problem.theta_dagger, problem.omega_dagger, frozenset()) != problem
 
 
 def test_one_design_and_rank_test_per_distinct_design(monkeypatch):
@@ -290,7 +311,7 @@ def test_one_design_and_rank_test_per_distinct_design(monkeypatch):
     # a shared design gives each problem the solution it gets alone
     monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
     for (model, group), got in zip(problems, solutions):
-        alone = glm.solve_group(model, group)
+        alone = glm.solve_groups([(model, group)])[0]
         assert got.flags == alone.flags
         assert np.array_equal(got.beta, alone.beta, equal_nan=True)
 
@@ -302,13 +323,13 @@ def test_a_listed_zero_count_is_outside_the_support():
     direct = CountTable(3, ZERO_LISTED)
     clean = CountTable.from_counts(3, ZERO_LISTED)
     assert direct.support == clean.support == frozenset({1, 2, 4, 5, 6, 7})
-    assert support_key(direct) == support_key(clean)
     assert not existence._full_support(direct)
     model = ModelSpec.from_notation("[12,13,23]", 3)
     assert fr_check(model, direct) is fr_check(model, clean) is False
     cache = ExistenceCache()
     assert cache.check_many([(model, direct), (model, clean)]) == [False, False]
     assert (cache.hits, cache.misses) == (1, 1)
+    assert list(cache.verdicts) == [(model.params, clean.support)]
     got, want = fit(model, direct), fit(model, clean)
     assert got.status == want.status == glm.STATUS_FR_FAILED
     assert got.population_estimate is want.population_estimate is None
@@ -336,3 +357,101 @@ def test_a_listed_zero_count_fits_as_the_clean_table(order):
                                                    want.mu)
                     compared += got.converged
     assert compared > 100
+
+
+# a 3-list table without cell 23, so some models have no MLE on it
+TWIN = {0b001: 5, 0b010: 4, 0b100: 7, 0b011: 3, 0b101: 2, 0b111: 6}
+
+
+def built_directly(kind):
+    """A table built directly that shares ``TWIN``'s support: listing a
+    zero cell in canonical order, or listing its cells in reverse."""
+    if kind == "zero listed":
+        counts = sorted({**TWIN, 0b110: 0}.items(), key=lambda kv: canonical_key(kv[0]))
+    else:
+        counts = sorted(TWIN.items(), key=lambda kv: canonical_key(kv[0]), reverse=True)
+    return CountTable(3, dict(counts))
+
+
+@pytest.mark.parametrize("kind", ["zero listed", "out of order"])
+def test_a_table_built_directly_shares_its_twins_key(kind):
+    direct, twin = built_directly(kind), CountTable.from_counts(3, TWIN)
+    assert tuple(direct.counts) != tuple(twin.counts)
+    models = enumerate_models(3, 2).models
+    cache = ExistenceCache()
+    verdicts = cache.check_many([(m, t) for m in models for t in (direct, twin)])
+    assert verdicts[::2] == verdicts[1::2] and True in verdicts and False in verdicts
+    # one entry per model, for both tables
+    assert (cache.misses, cache.hits) == (len(models), len(models))
+    assert set(cache.verdicts) == set(cache.reductions) == {
+        (m.params, twin.support) for m in models
+    }
+    # and one group per model, holding both tables
+    fitted = _group_fits(models, [direct, twin], cache, glm.FitSettings())
+    assert [(group, j) for (group, j), _ in fitted] == [
+        ([0, 1], j) for j in range(len(models))
+    ]
+    assert cache.misses == len(models)
+
+
+@pytest.mark.parametrize("kind", ["zero listed", "out of order"])
+def test_a_table_built_directly_fits_as_its_twin(monkeypatch, kind):
+    direct, twin = built_directly(kind), CountTable.from_counts(3, TWIN)
+    real = glm.solve_groups
+    solved = []
+
+    def recording(problems, settings=glm.FitSettings()):
+        solutions = real(problems, settings)
+        solved.extend(zip(problems, solutions))
+        return solutions
+
+    monkeypatch.setattr(glm, "solve_groups", recording)
+    models = enumerate_models(3, 2).models
+    list(glm.fit_groups([(m, [direct, twin]) for m in models]))
+    assert 0 < len(solved) < len(models)
+    for (model, group), together in solved:
+        assert group == [direct, twin]
+        alone = [real([(model, [t])])[0] for t in group]
+        assert together.reduced == alone[0].reduced == alone[1].reduced
+        assert together.flags == alone[0].flags + alone[1].flags
+        for field in ("beta", "mu", "deviance", "neg_log_likelihood",
+                      "first_deviance", "change"):
+            rows = getattr(together, field)
+            a, b = (getattr(s, field) for s in alone)
+            assert np.array_equal(a, b, equal_nan=True), field
+            assert np.array_equal(rows[:1], a, equal_nan=True), field
+            assert np.array_equal(rows[1:], b, equal_nan=True), field
+
+
+ISOLATED_IMPORTS = """
+import importlib.util, sys, types
+# the package without its __init__, which imports every module
+spec = importlib.util.find_spec("mseboot")
+package = types.ModuleType("mseboot")
+package.__path__ = list(spec.submodule_search_locations)
+sys.modules["mseboot"] = package
+import mseboot.sparsity
+assert "mseboot.glm" not in sys.modules and "mseboot.existence" not in sys.modules
+import mseboot.existence
+assert "mseboot.glm" not in sys.modules
+import mseboot.glm
+assert mseboot.glm.ExistenceCache is mseboot.existence.ExistenceCache
+assert mseboot.glm.ReducedProblem is mseboot.existence.ReducedProblem
+"""
+
+
+def test_existence_imports_without_glm():
+    src = str(Path(glm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", ISOLATED_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # and no function imports from the other module
+    for module in (glm, existence):
+        tree = ast.parse(Path(module.__file__).read_text())
+        nested = [
+            node for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)
+        ]
+        assert not [n.module for n in nested if n.module in ("glm", "existence")]

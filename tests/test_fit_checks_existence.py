@@ -22,7 +22,6 @@ from mseboot import (
     restricted_bootstrap,
     select_best_bic,
     select_by_chisq,
-    support_key,
 )
 from mseboot import glm
 from mseboot.glm import STATUS_FR_FAILED, fit_group, fit_groups
@@ -139,7 +138,7 @@ def test_bootstrap_drivers_solve_only_problems_whose_mle_exists(monkeypatch):
     verdicts = {}
 
     def exists(model, table):
-        key = (model.params, support_key(table))
+        key = (model.params, table.support)
         if key not in verdicts:
             verdicts[key] = fr_check(model, table)
         return verdicts[key]

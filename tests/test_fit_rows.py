@@ -24,7 +24,6 @@ from mseboot.glm import (
     FitSettings,
     fit,
     pearson_chisq,
-    solve_group,
     solve_groups,
 )
 
@@ -119,7 +118,7 @@ def test_row_reads_match_the_eager_fit(settings, emptied_reduction):  # noqa: F8
 def test_deviance_increase_row_matches_the_eager_fit():
     table = CountTable.from_counts(3, KOREA_COUNTS)
     model = enumerate_models(3, 2).models[0]
-    solution = solve_group(model, [table, table])
+    solution = solve_groups([(model, [table, table])])[0]
     assert solution.flags == (None, None)
     # the first row's deviance rose across the iterations
     first = solution.first_deviance.copy()

@@ -19,13 +19,8 @@ from mseboot import (
 )
 from mseboot import glm
 from mseboot.core import canonical_key
-from mseboot.glm import (
-    FitSettings,
-    bic_from_mu,
-    containment,
-    design_matrix,
-    log_likelihood,
-)
+from mseboot.glm import FitSettings, bic_from_mu, log_likelihood
+from mseboot.sparsity import containment, design_matrix
 
 from conftest import random_table, unchecked_fits
 
@@ -285,7 +280,8 @@ class TestFit:
             "fit_groups": lambda: next(glm.fit_groups([(model, [korea]), (model, group)])),
             "fit_group": lambda: glm.fit_group(model, group),
             "solve_groups": lambda: glm.solve_groups([(model, [korea]), (model, group)]),
-            "solve_group": lambda: glm.solve_group(model, group),
+            # the bad group as the only problem
+            "solve_group": lambda: glm.solve_groups([(model, group)]),
         }[entry]
         with pytest.raises(ValueError):
             call()
@@ -376,12 +372,12 @@ class TestSelectBestBic:
             assert chosen == oracle
 
     def test_all_infinite_raises(self, korea, korea_space):
-        from mseboot import ExistenceCache, support_key
+        from mseboot import ExistenceCache
 
         # a cache that holds a failing verdict for every candidate
         cache = ExistenceCache()
         cache.verdicts.update(
-            {(m.params, support_key(korea)): False for m in korea_space}
+            {(m.params, korea.support): False for m in korea_space}
         )
         with pytest.raises(NoModelFoundError):
             select_best_bic(korea_space.models, korea, cache=cache)

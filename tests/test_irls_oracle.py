@@ -10,7 +10,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mseboot import CountTable, ModelSpec, enumerate_models, support_key
+from mseboot import CountTable, ModelSpec, enumerate_models
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.glm import FitSettings, bic_from_mu
 
@@ -29,7 +29,7 @@ def outcome(res):
 def by_support(tables):
     groups = defaultdict(list)
     for t in tables:
-        groups[support_key(t)].append(t)
+        groups[t.support].append(t)
     return list(groups.values())
 
 

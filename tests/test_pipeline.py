@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from mseboot import glm
+from mseboot import existence, glm
 from mseboot.glm import FitSettings, fit_groups, solve_groups
 
 from test_stacked_irls import mixed_problems
@@ -228,15 +228,18 @@ def test_traced_functions_run_on_the_calling_thread(
 ):
     """The benchmark's spans assume one thread: ``fit``, the reduction and
     the design are the calling thread's, and the pool runs only
-    ``_solve`` (checked by ``submitted``)."""
+    ``_solve`` (checked by ``submitted``).  ``fit_groups`` fits from the
+    reductions its existence cache makes, so the reduction is wrapped
+    where ``existence`` calls it."""
     monkeypatch.setattr(glm, "_cpu_count", lambda: 2)
     seen = set()
-    for name in ("fit", "reduce_for_sparsity", "design_matrix"):
-        def wrapped(*args, _name=name, _real=getattr(glm, name), **kwargs):
+    for module, name in ((glm, "fit"), (existence, "reduce_for_sparsity"),
+                         (glm, "design_matrix")):
+        def wrapped(*args, _name=name, _real=getattr(module, name), **kwargs):
             seen.add((_name, threading.get_ident()))
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(glm, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
     for _ in fit_groups(mixed_problems()):
         pass
     assert {name for name, _ in seen} == {"fit", "reduce_for_sparsity", "design_matrix"}
@@ -249,9 +252,9 @@ def test_count_rows_are_made_once_per_group(monkeypatch):
     caches = []
     real_pose = glm._pose
 
-    def recording_pose(model, tables, rows, designs):
+    def recording_pose(model, tables, rows, designs, red):
         caches.append(rows)
-        return real_pose(model, tables, rows, designs)
+        return real_pose(model, tables, rows, designs, red)
 
     monkeypatch.setattr(glm, "_pose", recording_pose)
     solve_groups(problems)

@@ -22,7 +22,7 @@ from mseboot import CountTable, ModelSpec
 from mseboot import glm
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.core import canonical_key
-from mseboot.glm import canonical_cells, design_matrix
+from mseboot.sparsity import canonical_cells, design_matrix
 
 from conftest import KOREA_COUNTS
 
@@ -177,7 +177,7 @@ def test_one_cpu_makes_no_pool(monkeypatch, fresh_pool):
 
 
 def _fit_in_child(model, group, conn):
-    solution = glm.solve_group(model, group)
+    solution = glm.solve_groups([(model, group)])[0]
     conn.send((solution.flags, solution.beta, solution.mu, glm._pool[0]))
     conn.close()
 
@@ -191,7 +191,7 @@ def test_forked_child_makes_its_own_pool(monkeypatch, fresh_pool):
     group = [t for t in group if len(t.counts) == 6]
     model = ModelSpec.from_notation("[12,13]", 3)
     assert len(group) * 7 * 5 >= glm.SPLIT_ELEMENTS
-    parent = glm.solve_group(model, group)
+    parent = glm.solve_groups([(model, group)])[0]
     assert glm._pool is not None and glm._pool[0] == os.getpid()
 
     ctx = multiprocessing.get_context("fork")

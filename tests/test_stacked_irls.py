@@ -1,5 +1,5 @@
-"""``glm.solve_groups`` against one ``solve_group`` per problem and against
-the frozen scalar loop, bit for bit.
+"""``glm.solve_groups`` against one call per problem and against the
+frozen scalar loop, bit for bit.
 
 A batch stacks the groups of equal design shape, whatever their model or
 support, into one IRLS run.  Every comparison is ``==``: a stacked row
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import irls_oracle
-from mseboot import CountTable, ModelSpec, enumerate_models, fr_check, support_key
+from mseboot import CountTable, ModelSpec, enumerate_models, fr_check
 from mseboot import glm
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.glm import FitSettings, ReducedProblem, fit_groups, solve_groups
@@ -37,7 +37,7 @@ def outcome(res):
 def by_support(tables):
     groups = defaultdict(list)
     for t in tables:
-        groups[support_key(t)].append(t)
+        groups[t.support].append(t)
     return list(groups.values())
 
 
@@ -132,7 +132,7 @@ def test_mixed_batch_matches_each_group_alone_and_the_oracle(
 def test_solutions_equal_solve_group_field_by_field(emptied_reduction):
     problems = mixed_problems()
     for (model, group), got in zip(problems, solve_groups(problems)):
-        alone = glm.solve_group(model, group)
+        alone = glm.solve_groups([(model, group)])[0]
         assert got.reduced == alone.reduced and got.flags == alone.flags
         for field in ("beta", "mu", "deviance", "neg_log_likelihood",
                       "first_deviance", "change"):
@@ -195,9 +195,9 @@ model = ModelSpec.from_generators(
     t, [(1 << i) | (1 << j) for i in range(t) for j in range(i + 1, t)])
 # two rows are cut across both threads, so both have solved before the
 # peak is read
-glm.solve_group(model, [table] * 2)
+glm.solve_groups([(model, [table] * 2)])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-solution = glm.solve_group(model, [table] * 120)
+solution = glm.solve_groups([(model, [table] * 120)])[0]
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"peak_rise_mb": (after - before) / 1024,
                   "flags": sorted(set(map(str, solution.flags)))}))
