@@ -10,7 +10,6 @@ from .modelspace import (
     ModelSpace,
     RankTable,
     bic_ranks,
-    downhill_search,
     enumerate_models,
     model_distance,
     neighbors,
@@ -71,7 +70,6 @@ __all__ = [
     "chisq_bootstrap",
     "diagnostics",
     "downhill_bootstrap",
-    "downhill_search",
     "enumerate_models",
     "fit",
     "fr_check",

@@ -85,18 +85,21 @@ class NoModelFoundError(Exception):
     """Every candidate model was assigned an infinite BIC."""
 
 
+# IRLS stops a row after MAX_ITER iterations ("max_iterations"), once its
+# deviance change is below ABS_TOL or below REL_TOL times the previous
+# deviance (at least 1), and when any coefficient falls below ALPHA_FLOOR
+# ("diverged").  Read at each call.
+MAX_ITER = 100
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+ALPHA_FLOOR = -30.0
+
+
 @dataclass(frozen=True)
 class FitSettings:
-    max_iter: int = 100
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    alpha_floor: float = -30.0
     # BIC sample size: "case" uses the number of observed cases, "capture"
     # the number of observable cells 2^t - 1.
     sample_size: str = "case"
-    # Count all model parameters in the BIC penalty, or only the ones
-    # actually estimated (the -inf ones excluded).
-    count_all_params: bool = True
 
 
 class FitResult:
@@ -231,20 +234,16 @@ def _bic(
     table: CountTable,
     neg_log_likelihood: float,
     settings: FitSettings,
-    n_estimated: int | None,
 ) -> float:
-    """Parameter-count penalty plus twice the negative log-likelihood."""
+    """Parameter-count penalty, over every model parameter, plus twice the
+    negative log-likelihood."""
     if settings.sample_size == "case":
         size = table.n_total
     elif settings.sample_size == "capture":
         size = (1 << table.t) - 1
     else:
         raise ValueError(f"unknown sample size convention {settings.sample_size!r}")
-    if settings.count_all_params or n_estimated is None:
-        n_params = len(model.params)
-    else:
-        n_params = n_estimated
-    return n_params * math.log(size) + 2.0 * neg_log_likelihood
+    return len(model.params) * math.log(size) + 2.0 * neg_log_likelihood
 
 
 def bic_from_mu(
@@ -252,7 +251,6 @@ def bic_from_mu(
     table: CountTable,
     mu: dict[int, float],
     settings: FitSettings = FitSettings(),
-    n_estimated: int | None = None,
 ) -> float:
     """BIC: parameter-count penalty plus twice the negative log-likelihood.
 
@@ -266,7 +264,7 @@ def bic_from_mu(
         np.array([list(mu.values())], dtype=float),
         np.array([[log_factorial(n) for n in counts]]),
     )
-    return _bic(model, table, float(nll[0]), settings, n_estimated)
+    return _bic(model, table, float(nll[0]), settings)
 
 
 # numpy's stacked dgelsd: one LAPACK solve per row, with the tolerance
@@ -649,7 +647,7 @@ def _stacks(posed: dict[int, _Posed]) -> Iterator[list[tuple[int, int, int]]]:
 
 
 def _irls(
-    X: np.ndarray, Y: np.ndarray, settings: FitSettings
+    X: np.ndarray, Y: np.ndarray
 ) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray, tuple]:
     """IRLS on every row of a stack: row k fits counts ``Y[k]`` with design
     ``X[k]``.
@@ -682,13 +680,13 @@ def _irls(
     weighted = np.empty_like(X)
     # x drops rows as they leave; the whole design need not be kept
     del X
-    for _ in range(settings.max_iter):
+    for _ in range(MAX_ITER):
         if not idx.size:
             break
         z = np.log(m) + (y - m) / m
         sw = np.sqrt(m)
         step = yield np.multiply(x, sw[:, :, None], out=weighted[:len(x)]), z * sw
-        diverged = step.min(axis=1) < settings.alpha_floor
+        diverged = step.min(axis=1) < ALPHA_FLOOR
         if diverged.any():
             for r in idx[diverged]:
                 flags[r] = "diverged"
@@ -702,9 +700,7 @@ def _irls(
         else:
             ch = np.abs(d - prev)
             change[idx] = ch
-            settled = (ch < settings.abs_tol) | (
-                ch < settings.rel_tol * np.maximum(1.0, np.abs(prev))
-            )
+            settled = (ch < ABS_TOL) | (ch < REL_TOL * np.maximum(1.0, np.abs(prev)))
             if settled.any():
                 done = idx[settled]
                 for r in done:
@@ -716,9 +712,7 @@ def _irls(
     return flags, beta, mu, dev, first_dev, change
 
 
-def _runs(
-    posed: dict[int, _Posed], settings: FitSettings
-) -> Iterator[tuple[tuple, Generator]]:
+def _runs(posed: dict[int, _Posed]) -> Iterator[tuple[tuple, Generator]]:
     """One IRLS run per stack, in ``_stacks`` order, tagged with its pieces
     and counts; each stacked design is built as its run is taken."""
     for stack in _stacks(posed):
@@ -731,7 +725,7 @@ def _runs(
             X[end:end + hi - lo] = p.X
             end += hi - lo
         Y = np.concatenate([p.Y[lo:hi] for p, lo, hi in pieces])
-        run = _irls(X, Y, settings)
+        run = _irls(X, Y)
         # only the run holds the design while it is in flight
         del X
         yield (stack, Y), run
@@ -739,7 +733,6 @@ def _runs(
 
 def solve_groups(
     problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
-    settings: FitSettings = FitSettings(),
 ) -> list[GroupSolution]:
     """IRLS for each model on every table of its (model, tables sharing one
     support) problem, with one IRLS run per stack of equal design shape;
@@ -777,9 +770,8 @@ def solve_groups(
     # (first row, flags, GroupSolution arrays after ``reduced``) of each
     # piece of each group, as the stacks holding them finish
     pieces: dict[int, list] = {k: [] for k in posed}
-    for (stack, Y), (flags, beta, mu, dev, first_dev, change) in _pipeline(
-        _runs(posed, settings)
-    ):
+    runs = _pipeline(_runs(posed))
+    for (stack, Y), (flags, beta, mu, dev, first_dev, change) in runs:
         nll = np.full(len(Y), np.nan)
         settled = np.array([f is None for f in flags])
         log_factorials = [posed[k].log_factorials[lo:hi] for k, lo, hi in stack]
@@ -832,7 +824,7 @@ def fit(
         return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change[i],
                          flags=(flags[i],))
 
-    bic = _bic(model, table, nll[i], settings, len(solution.reduced.theta_dagger))
+    bic = _bic(model, table, nll[i], settings)
     m_hat = math.exp(intercept[i]) + table.n_total
     if first_deviance[i] + 1e-8 < deviance[i]:
         # deviance must not increase across IRLS iterations
@@ -881,7 +873,7 @@ def fit_groups(
     solving = _Validated(p for p, ok in zip(problems, exists) if ok)
     solving.rows = rows
     solving.reduced = [cache.reduction(model, tables[0]) for model, tables in solving]
-    solutions = iter(solve_groups(solving, settings))
+    solutions = iter(solve_groups(solving))
     for (model, tables), ok in zip(problems, exists):
         if not ok:
             yield [FitResult(model, STATUS_FR_FAILED) for _ in tables]

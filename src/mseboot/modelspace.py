@@ -18,7 +18,8 @@ from .core import ModelSpec, canonical_key, order, subsets
 
 # most models an enumeration may produce: above the 32,768 of t=6, l=2,
 # and reached within seconds, so that a space too large to search fails
-# with an error instead of running for hours (t=6, l=5 has millions)
+# with an error instead of running for hours (t=6, l=5 has millions).
+# Read at each call
 DEFAULT_SAFETY_LIMIT = 40_000
 
 
@@ -103,10 +104,9 @@ def _iter_downsets(elems: list[int]) -> Iterator[frozenset[int]]:
         yield frozenset(chosen)
 
 
-def enumerate_models(
-    t: int, l: int | None = None, safety_limit: int = DEFAULT_SAFETY_LIMIT
-) -> ModelSpace:
-    """Enumerate the full hierarchical model space on t lists, max order l."""
+def enumerate_models(t: int, l: int | None = None) -> ModelSpace:
+    """Enumerate the full hierarchical model space on t lists, max order l,
+    or raise ``ModelSpaceError`` past ``DEFAULT_SAFETY_LIMIT`` models."""
     if l is None:
         l = t - 1
     if not 2 <= t:
@@ -116,9 +116,10 @@ def enumerate_models(
     elems = _higher_terms(t, l)
     models: list[ModelSpec] = []
     for down in _iter_downsets(elems):
-        if len(models) >= safety_limit:
+        if len(models) >= DEFAULT_SAFETY_LIMIT:
             raise ModelSpaceError(
-                f"model space for (t={t}, l={l}) exceeds safety limit {safety_limit}"
+                f"model space for (t={t}, l={l}) exceeds safety limit "
+                f"{DEFAULT_SAFETY_LIMIT}"
             )
         models.append(ModelSpec(t, base | down))
     models.sort(key=lambda m: tuple(m.sorted_params))
@@ -220,7 +221,6 @@ def downhill_lockstep(
     starts: Sequence[ModelSpec],
     l: int,
     evaluate: Callable[[list[tuple[int, ModelSpec]]], Sequence[float]],
-    memos: list[dict[frozenset[int], float]] | None = None,
 ) -> list[tuple[ModelSpec, float] | None]:
     """Greedy descent from every start on each of ``n_tables`` tables at once.
 
@@ -232,12 +232,12 @@ def downhill_lockstep(
     neighbour if that improves on the current BIC, the canonically first
     one on ties, and stops otherwise.  Per table, the result is the best
     local minimum over the starts (taken in start order, strictly
-    smaller wins), or None when no start reached a finite BIC.  ``memos``
-    holds each table's BICs by model and is shared by its starts.
+    smaller wins), or None when no start reached a finite BIC.  Each
+    table's BICs are kept by model, shared by its starts.
     """
     for t in {s.t for s in starts}:
         check_max_order(t, l)
-    memos = memos if memos is not None else [{} for _ in range(n_tables)]
+    memos: list[dict[frozenset[int], float]] = [{} for _ in range(n_tables)]
     moves: dict[frozenset[int], list[ModelSpec]] = {}
     # [table, start index, current model]; a search leaves when it stops
     active = [[i, k, s] for i in range(n_tables) for k, s in enumerate(starts)]
@@ -278,27 +278,6 @@ def downhill_lockstep(
                 best = model, bic
         out.append(best)
     return out
-
-
-def downhill_search(
-    start: ModelSpec,
-    l: int,
-    fitter: Callable[[ModelSpec], float],
-    fit_cache: dict[frozenset[int], float] | None = None,
-) -> tuple[ModelSpec, float] | None:
-    """Greedy descent over the model lattice to a local BIC minimum.
-
-    ``fitter`` maps a model to its BIC (inf for existence failures or
-    non-convergence).  At each step all neighbours are evaluated and the
-    move goes to the strictly smallest BIC if it improves, canonically
-    first model on ties.  Returns None when neither the start nor any
-    model reached has a finite BIC.  This is the one-table, one-start
-    case of ``downhill_lockstep``.
-    """
-    memo = fit_cache if fit_cache is not None else {}
-    return downhill_lockstep(
-        1, [start], l, lambda pairs: [fitter(m) for _, m in pairs], [memo]
-    )[0]
 
 
 def random_order2_starts(

@@ -59,7 +59,7 @@ def random_table(rng: np.random.Generator, t: int, mean: float = 8.0,
     return CountTable.from_counts(t, counts)
 
 
-def unchecked_fits(problems, settings=glm.FitSettings()):
+def unchecked_fits(problems):
     """Each (model, tables sharing one support) problem's fits with no
     existence check, as lists of ``FitResult``: the IRLS engine's own
     outcomes (``glm.solve_groups``), ``diverged``, ``parameter_redundant``
@@ -67,8 +67,7 @@ def unchecked_fits(problems, settings=glm.FitSettings()):
     solved row."""
     problems = list(problems)
     return [
-        [glm.fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
-        for (model, tables), solution in zip(
-            problems, glm.solve_groups(problems, settings)
-        )
+        [glm.fit(model, t, glm.FitSettings(), (solution, i))
+         for i, t in enumerate(tables)]
+        for (model, tables), solution in zip(problems, glm.solve_groups(problems))
     ]

@@ -1,13 +1,12 @@
 """Frozen sequential greedy search: the oracle for the lockstep descent.
 
-This is ``modelspace.downhill_search`` and ``bootstrap._downhill_estimate``
-as they stood before the searches of many tables advanced together: one
-table at a time, one start after another, every model fitted alone
-through ``fit_or_reject`` (now ``fit_group`` on a one-table group, which
-checks existence first as ``fit_or_reject`` did).  It is kept unchanged
-on purpose but for that call; the lockstep search must select the same
-model with the same BIC and estimate, and fit the same (table, model)
-pairs.
+This is the sequential greedy search and ``bootstrap._downhill_estimate``
+as they stood before the searches of many tables advanced together
+(``modelspace.downhill_lockstep``): one table at a time, one start after
+another, every model fitted alone by ``fit_group`` on a one-table group,
+which checks existence first.  It is kept unchanged on purpose but for
+that call; the lockstep search must select the same model with the same
+BIC and estimate, and fit the same (table, model) pairs.
 """
 
 from __future__ import annotations

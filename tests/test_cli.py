@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,27 @@ class TestCli:
         assert payload["status"] == "fr_failed"
         assert payload["bic"] == "inf"
         assert payload["population_estimate"] is None
+
+    def test_sample_size_moves_only_the_bic_penalty(self, capsys):
+        # the one fit setting: the BIC's sample size is the 123 cases or
+        # the 2^3 - 1 observable cells, and nothing else changes
+        payloads = {}
+        for size in ("capture", "case"):
+            code, out, _ = run_cli(
+                capsys, "fit", "--data", "fixture:korea", "--model", "[12,23]",
+                "--sample-size", size,
+            )
+            assert code == 0
+            payloads[size] = json.loads(out)
+        case, capture = payloads["case"], payloads["capture"]
+        for key in ("alpha", "mu", "population_estimate"):
+            assert case[key] == capture[key], key
+        # six parameters: the intercept, three main effects, 12 and 23
+        assert case["bic"] - capture["bic"] == pytest.approx(
+            6 * (math.log(123) - math.log(7)), rel=1e-12
+        )
+        assert case["bic"] == pytest.approx(57.1408, abs=1e-4)
+        assert capture["bic"] == pytest.approx(39.9432, abs=1e-4)
 
     def test_fit_renders_minus_infinity(self, capsys):
         code, out, _ = run_cli(

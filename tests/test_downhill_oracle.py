@@ -15,7 +15,6 @@ from mseboot import (
     ExistenceCache,
     FitSettings,
     ModelSpec,
-    downhill_search,
     glm,
     random_order2_starts,
 )
@@ -144,9 +143,9 @@ def test_one_table_search_calls_the_fitter_as_the_oracle_does():
         return bic
 
     start = ModelSpec.null_model(4)
-    assert downhill_search(start, 3, fitter("got")) == oracle_downhill_search(
-        start, 3, fitter("want")
-    )
+    got = fitter("got")
+    [found] = downhill_lockstep(1, [start], 3, lambda pairs: [got(m) for _, m in pairs])
+    assert found == oracle_downhill_search(start, 3, fitter("want"))
     assert calls["got"] == calls["want"]
 
 

@@ -400,8 +400,8 @@ def test_a_table_built_directly_fits_as_its_twin(monkeypatch, kind):
     real = glm.solve_groups
     solved = []
 
-    def recording(problems, settings=glm.FitSettings()):
-        solutions = real(problems, settings)
+    def recording(problems):
+        solutions = real(problems)
         solved.extend(zip(problems, solutions))
         return solutions
 

@@ -146,11 +146,11 @@ def test_bootstrap_drivers_solve_only_problems_whose_mle_exists(monkeypatch):
     real = glm.solve_groups
     solved = []
 
-    def checked_solve(problems, settings=glm.FitSettings()):
+    def checked_solve(problems):
         for model, tables in problems:
             assert exists(model, tables[0]), model.notation()
             solved.append(len(tables))
-        return real(problems, settings)
+        return real(problems)
 
     monkeypatch.setattr(glm, "solve_groups", checked_solve)
     table = CountTable.from_counts(4, TABLE1["n4"])

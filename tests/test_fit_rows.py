@@ -47,8 +47,7 @@ def eager_fit(model, table, settings, solved):
     for th in red.minus_infinity_params:
         alpha[th] = -math.inf
     mu_map = dict(zip(red.omega_dagger, solution.mu[i].tolist()))
-    bic = glm._bic(model, table, float(solution.neg_log_likelihood[i]), settings,
-                   len(red.theta_dagger))
+    bic = glm._bic(model, table, float(solution.neg_log_likelihood[i]), settings)
     m_hat = math.exp(alpha[0]) + table.n_total
     if solution.first_deviance[i] + 1e-8 < solution.deviance[i]:
         return FitResult(model, STATUS_NOT_CONVERGED, deviance_change=change,
@@ -95,21 +94,27 @@ def assert_same_result(got, want, table):
         assert pearson_chisq(got, table) == pearson_chisq(want, table)
 
 
-# 12 iterations leave rows diverged, settled and still iterating in one batch
-@pytest.mark.parametrize("settings", [FitSettings(), FitSettings(max_iter=12)])
-def test_row_reads_match_the_eager_fit(settings, emptied_reduction):  # noqa: F811
+# the glm constants each case sets: 12 iterations leave rows diverged,
+# settled and still iterating in one batch
+@pytest.mark.parametrize("settings", [{}, {"MAX_ITER": 12}])
+def test_row_reads_match_the_eager_fit(
+    settings, emptied_reduction, monkeypatch  # noqa: F811
+):
+    for name, value in settings.items():
+        monkeypatch.setattr(glm, name, value)
     problems = mixed_problems()
     flags = set()
     infinite = 0
-    for (model, tables), solution in zip(problems, solve_groups(problems, settings)):
+    for (model, tables), solution in zip(problems, solve_groups(problems)):
         for i, table in enumerate(tables):
-            got = fit(model, table, settings, (solution, i))
-            assert_same_result(got, eager_fit(model, table, settings, (solution, i)),
-                               table)
+            got = fit(model, table, FitSettings(), (solution, i))
+            assert_same_result(
+                got, eager_fit(model, table, FitSettings(), (solution, i)), table
+            )
             flags.add(got.flags)
             infinite += -math.inf in got.alpha.values()
     expected = {(), ("diverged",), ("parameter_redundant",), ("no_cells_left",)}
-    if settings.max_iter < 100:
+    if settings:
         expected.add(("max_iterations",))
     assert expected <= flags
     assert infinite
@@ -220,7 +225,7 @@ def test_neg_log_likelihood_of_a_zero_mean_raises_as_math_log():
 
 
 @pytest.mark.parametrize("settings", [
-    FitSettings(), FitSettings(sample_size="capture", count_all_params=False),
+    FitSettings(), FitSettings(sample_size="capture"),
 ])
 def test_bic_from_mu_is_unchanged(settings):
     rng = np.random.default_rng(11)
@@ -234,8 +239,8 @@ def test_bic_from_mu_is_unchanged(settings):
             np.array([list(mu.values())], dtype=float),
             np.array([[glm.log_factorial(n) for n in counts]]),
         )
-        want = glm._bic(model, table, float(nll[0]), settings, 5)
-        assert glm.bic_from_mu(model, table, mu, settings, 5) == want
+        want = glm._bic(model, table, float(nll[0]), settings)
+        assert glm.bic_from_mu(model, table, mu, settings) == want
 
 
 def test_solution_arrays_are_read_only(emptied_reduction):  # noqa: F811
@@ -262,9 +267,9 @@ def counted(monkeypatch):
         seen["fits"] += 1
         return real_fit(model, table, settings, solved)
 
-    def counting_solve(problems, settings=FitSettings()):
+    def counting_solve(problems):
         seen["rows"] += sum(len(tables) for _, tables in problems)
-        return real_solve(problems, settings)
+        return real_solve(problems)
 
     monkeypatch.setattr(glm, "fit", counting_fit)
     monkeypatch.setattr(glm, "solve_groups", counting_solve)

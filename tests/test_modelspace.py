@@ -7,7 +7,6 @@ import pytest
 from mseboot import (
     ModelSpec,
     bic_ranks,
-    downhill_search,
     enumerate_models,
     fit,
     is_hierarchical,
@@ -17,7 +16,8 @@ from mseboot import (
     rank_order,
     select_best_bic,
 )
-from mseboot.modelspace import ModelSpaceError
+from mseboot import modelspace
+from mseboot.modelspace import ModelSpaceError, downhill_lockstep
 
 from conftest import random_table
 
@@ -40,9 +40,10 @@ class TestEnumerate:
         space = enumerate_models(4, 2)
         assert ModelSpec.null_model(4) in space.models
 
-    def test_safety_limit(self):
+    def test_safety_limit(self, monkeypatch):
+        monkeypatch.setattr(modelspace, "DEFAULT_SAFETY_LIMIT", 100)
         with pytest.raises(ModelSpaceError):
-            enumerate_models(5, 4, safety_limit=100)
+            enumerate_models(5, 4)
 
     def test_invalid_args(self):
         with pytest.raises(ModelSpaceError):
@@ -184,6 +185,15 @@ class TestRankOrder:
         assert got == oracle
 
 
+def one_table_search(start, l, fitter):
+    """``downhill_lockstep`` from one start on one table, each BIC from
+    ``fitter``."""
+    [found] = downhill_lockstep(
+        1, [start], l, lambda pairs: [fitter(m) for _, m in pairs]
+    )
+    return found
+
+
 class TestDownhill:
     def _bic_fitter(self, table):
         def fitter(model):
@@ -196,7 +206,7 @@ class TestDownhill:
         table = random_table(rng, 3)
         fitter = self._bic_fitter(table)
         best, _ = select_best_bic(korea_space.models, table)
-        found = downhill_search(best, 2, fitter)
+        found = one_table_search(best, 2, fitter)
         assert found is not None and found[0] == best
 
     def test_reaches_exhaustive_minimum_from_null(self, korea_space):
@@ -204,12 +214,12 @@ class TestDownhill:
             table = random_table(np.random.default_rng(seed), 3)
             fitter = self._bic_fitter(table)
             _, best_fit = select_best_bic(korea_space.models, table)
-            found = downhill_search(ModelSpec.null_model(3), 2, fitter)
+            found = one_table_search(ModelSpec.null_model(3), 2, fitter)
             assert found is not None
             assert found[1] == pytest.approx(best_fit.bic)
 
     def test_no_finite_model_returns_none(self):
-        found = downhill_search(
+        found = one_table_search(
             ModelSpec.null_model(3), 2, lambda m: math.inf
         )
         assert found is None
@@ -218,7 +228,7 @@ class TestDownhill:
     def test_max_order_outside_range_rejected_before_any_fit(self, l):
         calls = []
         with pytest.raises(ModelSpaceError, match=f"1..t-1, got l={l}"):
-            downhill_search(ModelSpec.null_model(3), l, calls.append)
+            one_table_search(ModelSpec.null_model(3), l, calls.append)
         assert calls == []
 
 

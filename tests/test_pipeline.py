@@ -19,14 +19,15 @@ import numpy as np
 import pytest
 
 from mseboot import existence, glm
-from mseboot.glm import FitSettings, fit_groups, solve_groups
+from mseboot.glm import fit_groups, solve_groups
 
 from test_stacked_irls import mixed_problems
 
 FIELDS = ("beta", "mu", "deviance", "neg_log_likelihood", "first_deviance", "change")
 
-# 12 iterations leave rows diverged, settled and still iterating in one batch
-SETTINGS = [FitSettings(), FitSettings(max_iter=12)]
+# glm.MAX_ITER for each case: 12 iterations leave rows diverged, settled
+# and still iterating in one batch
+MAX_ITERS = [glm.MAX_ITER, 12]
 
 
 def assert_same_solutions(got, expected):
@@ -76,15 +77,20 @@ def one_cpu_solutions():
     """``solve_groups`` on ``mixed_problems()`` driven inline on one CPU."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glm, "_cpu_count", lambda: 1)
-        return [solve_groups(mixed_problems(), s) for s in SETTINGS]
+        solutions = []
+        for max_iter in MAX_ITERS:
+            mp.setattr(glm, "MAX_ITER", max_iter)
+            solutions.append(solve_groups(mixed_problems()))
+        return solutions
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-@pytest.mark.parametrize("n", range(len(SETTINGS)))
+@pytest.mark.parametrize("n", range(len(MAX_ITERS)))
 def test_any_cpu_count_gives_the_one_cpu_results(
     n, cpus, one_cpu_solutions, monkeypatch, busy_pipeline, submitted
 ):
     monkeypatch.setattr(glm, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(glm, "MAX_ITER", MAX_ITERS[n])
     posts = []
     real_post = glm._post
 
@@ -93,7 +99,7 @@ def test_any_cpu_count_gives_the_one_cpu_results(
         return real_post(A, b, alone, cpus)
 
     monkeypatch.setattr(glm, "_post", recording_post)
-    got = solve_groups(mixed_problems(), SETTINGS[n])
+    got = solve_groups(mixed_problems())
     assert_same_solutions(got, one_cpu_solutions[n])
     flags = {f for s in got for f in s.flags}
     expected = {None, "diverged", "parameter_redundant"}
@@ -113,12 +119,12 @@ def test_window_bounds_the_runs_in_flight(monkeypatch, busy_pipeline):
     live, most = set(), [0]
     real_irls = glm._irls
 
-    def counting_irls(X, Y, settings):
+    def counting_irls(X, Y):
         key = object()
         live.add(key)
         most[0] = max(most[0], len(live))
         try:
-            return (yield from real_irls(X, Y, settings))
+            return (yield from real_irls(X, Y))
         finally:
             live.discard(key)
 
@@ -152,8 +158,8 @@ def _fault_when_pool_busy(monkeypatch, fault):
             finished.append(time.monotonic())
             running[0] -= 1
 
-    def irls(X, Y, settings):
-        inner = real_irls(X, Y, settings)
+    def irls(X, Y):
+        inner = real_irls(X, Y)
         request = next(inner)
         while True:
             if fault == "non_finite" and running[0] and not faulted:

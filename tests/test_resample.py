@@ -122,6 +122,24 @@ def test_resample_of_an_invalid_direct_table_fails_as_from_counts_does():
         resample(table, replicate_rng(0, 0))
 
 
+@pytest.mark.parametrize("direct", [False, True], ids=["canonical", "zero listed"])
+def test_a_resample_keeping_every_cell_shares_the_support(direct):
+    korea = load_fixture("korea")[0]
+    # a directly built table may list a cell at 0, which never draws a case
+    table = CountTable(3, {**korea.counts, 6: 0}) if direct else korea
+    shared = dropped = 0
+    for rep in resamples(table, 0, 200):
+        positive = frozenset(m for m, n in rep.counts.items() if n > 0)
+        assert rep.support == positive
+        if positive == table.support:
+            assert rep.support is table.support
+            shared += 1
+        else:
+            assert rep.support is not table.support
+            dropped += 1
+    assert shared and dropped
+
+
 def test_canonical():
     assert CountTable.from_counts(3, {4: 1, 3: 2, 1: 5}).canonical
     assert not CountTable(3, {4: 1, 1: 5}).canonical

@@ -91,36 +91,41 @@ def stacks(monkeypatch):
             seen.append([len(stack), size, {X.shape for X in designs}, None])
             yield stack
 
-    def recording_irls(X, Y, settings):
+    def recording_irls(X, Y):
         assert X.shape[0] == len(Y) and seen[-1][1] == X.size
         seen[-1][3] = X.flags.c_contiguous
-        return real_irls(X, Y, settings)
+        return real_irls(X, Y)
 
     monkeypatch.setattr(glm, "_stacks", recording_stacks)
     monkeypatch.setattr(glm, "_irls", recording_irls)
     return seen
 
 
-# 12 iterations leave rows diverged, settled and still iterating in one batch
-@pytest.mark.parametrize("settings", [FitSettings(), FitSettings(max_iter=12)])
+# the glm constants each case sets: 12 iterations leave rows diverged,
+# settled and still iterating in one batch
+@pytest.mark.parametrize("settings", [{}, {"MAX_ITER": 12}])
 def test_mixed_batch_matches_each_group_alone_and_the_oracle(
-    settings, emptied_reduction, stacks
+    settings, emptied_reduction, stacks, monkeypatch
 ):
+    for name, value in settings.items():
+        monkeypatch.setattr(glm, name, value)
+    # the oracle keeps its own limits and takes the iteration cap apart
+    max_iter = settings.get("MAX_ITER", irls_oracle.MAX_ITER)
     problems = mixed_problems()
-    batch = unchecked_fits(problems, settings)
+    batch = unchecked_fits(problems)
     assert len(batch) == len(problems)
     batch_stacks = list(stacks)
     flags = set()
     for (model, group), got in zip(problems, batch):
         assert [outcome(r) for r in got] == [
-            outcome(r) for r in unchecked_fits([(model, group)], settings)[0]
+            outcome(r) for r in unchecked_fits([(model, group)])[0]
         ]
         assert [outcome(r) for r in got] == [
-            outcome(oracle_fit(model, t, settings)) for t in group
+            outcome(oracle_fit(model, t, max_iter=max_iter)) for t in group
         ]
         flags |= {r.flags for r in got}
     expected = {(), ("diverged",), ("parameter_redundant",), ("no_cells_left",)}
-    if settings.max_iter < 100:
+    if settings:
         expected.add(("max_iterations",))
     assert expected <= flags
     # the batch was stacked: far fewer IRLS runs than groups, each on one
@@ -229,9 +234,9 @@ def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
         calls.append(model)
         return real_fit(model, table, settings, solved)
 
-    def counting_solve(problems, settings=FitSettings()):
+    def counting_solve(problems):
         solves.append(len(problems))
-        return real_solve(problems, settings)
+        return real_solve(problems)
 
     monkeypatch.setattr(glm, "fit", counting_fit)
     monkeypatch.setattr(glm, "solve_groups", counting_solve)
