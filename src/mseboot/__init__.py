@@ -4,14 +4,11 @@ from .core import (
     CountTable,
     ModelSpec,
     is_hierarchical,
-    marginal_count,
 )
 from .modelspace import (
     ModelSpace,
-    RankTable,
     bic_ranks,
     enumerate_models,
-    model_distance,
     neighbors,
     random_order2_starts,
     rank_order,
@@ -61,7 +58,6 @@ __all__ = [
     "ModelSpace",
     "ModelSpec",
     "NoModelFoundError",
-    "RankTable",
     "ReducedProblem",
     "SweepState",
     "bca_components",
@@ -78,8 +74,6 @@ __all__ = [
     "load_fixture",
     "load_table",
     "lp_max_s",
-    "marginal_count",
-    "model_distance",
     "neighbors",
     "ntop_sweep",
     "parse_table",

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -400,21 +399,17 @@ class SweepState:
 
     bic_array: np.ndarray  # (B, n_top_high)
     estimate_array: np.ndarray
-    record_indices: tuple[tuple[int, ...], ...]
     filled_estimates: np.ndarray  # (B, n_top_high)
 
 
-def _record_fills(
-    bics: np.ndarray, ests: np.ndarray
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+def _record_fills(bics: np.ndarray, ests: np.ndarray) -> np.ndarray:
     """Per-restriction estimates of every row, from its record values.
 
     A row's records are the positions whose BIC is below every earlier
     one (finite BICs only; the others are +inf).  Entry (i, n - 1) of
     the filled array is the estimate at row i's last record within its
     first n models, which is their BIC minimum with ties to the earliest,
-    and NaN while that minimum is infinite.  Record positions are
-    returned 1-based, last first.
+    and NaN while that minimum is infinite.
     """
     n_cols = bics.shape[1]
     below = np.empty(bics.shape, dtype=bool)
@@ -422,15 +417,7 @@ def _record_fills(
     below[:, 1:] = bics[:, 1:] < np.minimum.accumulate(bics, axis=1)[:, :-1]
     last = np.maximum.accumulate(np.where(below, np.arange(n_cols), -1), axis=1)
     picked = np.take_along_axis(ests, np.maximum(last, 0), axis=1)
-    filled = np.where(last >= 0, picked, np.nan)
-    # positions of each row's records, last first, read off the
-    # column-reversed mask
-    _, reversed_cols = np.nonzero(below[:, ::-1])
-    positions = iter((n_cols - reversed_cols).tolist())
-    records = tuple(
-        tuple(islice(positions, k)) for k in np.count_nonzero(below, axis=1).tolist()
-    )
-    return records, filled
+    return np.where(last >= 0, picked, np.nan)
 
 
 def _ranked(
@@ -467,9 +454,9 @@ def _ranked(
     bic_array, est_array = _evaluate_models(
         top_models, resamples(table, seed, B), cache, settings
     )
-    records, filled_boot = _record_fills(bic_array, est_array)
+    filled_boot = _record_fills(bic_array, est_array)
     jack_masks, jack_tables = zip(*jackknife_tables(table))
-    _, filled_jack = _record_fills(
+    filled_jack = _record_fills(
         *_evaluate_models(top_models, jack_tables, cache, settings)
     )
 
@@ -482,7 +469,7 @@ def _ranked(
         method=method, B=B, seed=seed,
         selected_model=space.models[ordering[0]].notation(),
     )
-    return SweepState(bic_array, est_array, records, filled_boot), results
+    return SweepState(bic_array, est_array, filled_boot), results
 
 
 def restricted_bootstrap(
@@ -727,9 +714,9 @@ def diagnostics(
     (bics0,), _ = _evaluate_models(space.models, [table], cache, settings)
     if not np.isfinite(bics0).any():
         raise NoModelFoundError("no model has a finite BIC on the original data")
-    rank_table = bic_ranks(space, bics0, K=2)
-    order1 = rank_order(space, rank_table, 1)
-    order2 = rank_order(space, rank_table, 2)
+    ranks = bic_ranks(space, bics0, K=2)
+    order1 = rank_order(space, ranks, 1)
+    order2 = rank_order(space, ranks, 2)
     pos1 = {j: p + 1 for p, j in enumerate(order1)}
     pos2 = {j: p + 1 for p, j in enumerate(order2)}
 

@@ -130,26 +130,23 @@ class CountTable:
         """log n! of each positive count, in the order of ``counts``."""
         return tuple(map(log_factorial, self.counts.values()))
 
+    @cached_property
+    def _positive(self) -> frozenset[tuple[int, int]]:
+        """The (cell, count) pairs of the support: a cell listed at 0 is
+        one the table does not have, so equality and the hash read these
+        only."""
+        return frozenset((mask, n) for mask, n in self.counts.items() if n > 0)
+
     def count(self, mask: int) -> int:
         return self.counts.get(mask, 0)
 
     def __hash__(self) -> int:
-        return hash((self.t, tuple(sorted(self.counts.items()))))
+        return hash((self.t, self._positive))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountTable):
             return NotImplemented
-        return self.t == other.t and dict(self.counts) == dict(other.counts)
-
-
-def marginal_count(table: CountTable, theta: int) -> int:
-    """Total count over all observed histories containing ``theta``.
-
-    For theta = 0 this is the number of observed cases.
-    """
-    if theta >= (1 << table.t) or theta < 0:
-        raise ValueError(f"history mask {theta} out of range for t={table.t}")
-    return sum(n for mask, n in table.counts.items() if mask & theta == theta)
+        return self.t == other.t and self._positive == other._positive
 
 
 def is_hierarchical(params: Iterable[int], t: int) -> bool:

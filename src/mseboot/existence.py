@@ -36,9 +36,8 @@ nonzero and of one sign on the zero cells.
 4. ``CERTIFIED``: HiGHS solves the direction program in floating point
    and the answer is accepted only after an exact check in integer
    arithmetic: either a direction z as above, or a vector y = A w as
-   above, which rules every such z out.  The float solution is first
-   rounded to small rationals; when that does not verify, the vertex its
-   active set names is solved exactly.
+   above, which rules every such z out.  The certificate is the vertex
+   the float solution's active set names, solved exactly.
 5. ``FALLBACK``: only when neither certifies does the exact-rational
    simplex (``lp_max_s``) decide, so a float error can cost time but
    never change a verdict.
@@ -70,7 +69,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CountTable, ModelSpec, marginal_count
+from .core import CountTable, ModelSpec
 from .sparsity import ReducedProblem, reduce_for_sparsity
 
 INFEASIBLE = "infeasible"
@@ -99,8 +98,6 @@ NULL_SPACE_MAX_SUBSETS = 5000
 # a float this close to a bound is read as on it when the active set is
 # taken from the float solution; a wrong reading costs only the fallback
 ACTIVE_TOL = 1e-9
-# largest denominator tried when rounding a float vector to rationals
-MAX_DENOMINATOR = 10**4
 # most programs stacked into one HiGHS solve: from a few dozen on, a
 # stack costs a third or less per program of solving them one by one,
 # while stacks of many hundreds cost more per program and hold more memory
@@ -222,7 +219,11 @@ def lp_max_s(problem: ReducedProblem, table: CountTable) -> tuple[str, Fraction 
         + [Fraction(colsum[j]), Fraction(-colsum[j])]
         for j in range(n_params)
     ]
-    b = [Fraction(marginal_count(table, th)) for th in problem.theta_dagger]
+    # nu_j: the total count over the table's cells containing parameter j
+    b = [
+        Fraction(sum(n for mask, n in table.counts.items() if mask & th == th))
+        for th in problem.theta_dagger
+    ]
     c = [Fraction(0)] * n_cells + [Fraction(1), Fraction(-1)]
     status, value, _ = simplex_max(c, A, b)
     if status != OPTIMAL:
@@ -303,13 +304,6 @@ def _common_scale(values: Sequence[Fraction]) -> list[int]:
     """The rationals multiplied by the lcm of their denominators."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values]
-
-
-def _rounded(values: np.ndarray) -> list[int]:
-    """Integer multiple of the nearest small-denominator rationals."""
-    return _common_scale(
-        [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in values.tolist()]
-    )
 
 
 def _eliminate(
@@ -429,13 +423,23 @@ def _dual_vertex(
     incidence: Sequence[Sequence[int]], y: np.ndarray, zero: Sequence[int]
 ) -> list[int] | None:
     """Exact w whose A w is 0 on every cell except the zero cells where the
-    float y = A w is nonzero, and sums to -1 over those."""
-    pushed = {i for i in zero if abs(y[i]) > ACTIVE_TOL}
+    float y = A w is nonzero, equal on those where the float values are
+    equal, and sums to -1 over those."""
+    pushed = [i for i in zero if abs(y[i]) > ACTIVE_TOL]
     if not pushed:
         return None
     total = [sum(col) for col in zip(*(incidence[i] for i in pushed))]
-    kept = [list(row) for i, row in enumerate(incidence) if i not in pushed]
-    w = _solve_exact(kept + [total], [0] * len(kept) + [-1])
+    pushed_set = set(pushed)
+    kept = [list(row) for i, row in enumerate(incidence) if i not in pushed_set]
+    # y_i = y_j for two pushed cells the float y puts at one value
+    ties, first = [], []
+    for i in pushed:
+        j = next((j for j in first if abs(y[i] - y[j]) <= ACTIVE_TOL), None)
+        if j is None:
+            first.append(i)
+        else:
+            ties.append([a - b for a, b in zip(incidence[i], incidence[j])])
+    w = _solve_exact(kept + ties + [total], [0] * (len(kept) + len(ties)) + [-1])
     return None if w is None else _common_scale(w)
 
 
@@ -586,8 +590,9 @@ def certify(
 
     ``zero`` lists the positions in ``problem.omega_dagger`` of the retained
     cells with a zero count, and ``sol`` is ``float_solve``'s answer for
-    them.  Rounding is tried first and the exact vertex of the active set
-    second; None when neither verifies or there is no float solution.
+    them.  The certificate is the exact vertex of the solution's active
+    set (``_primal_vertex`` or ``_dual_vertex``); None when it does not
+    verify or there is no float solution.
     """
     if sol is None:
         return None
@@ -596,19 +601,10 @@ def certify(
             [i for i, row in enumerate(problem.incidence) if row[j]]
             for j in range(len(problem.theta_dagger))
         ]
-        if _proves_existence(_rounded(sol.z), cells_of_param, zero) or (
-            _proves_existence(_primal_vertex(sol, cells_of_param, zero),
-                              cells_of_param, zero)
-        ):
-            return True
-        return None
-    params_of_cell = problem.params_of_cell
-    if _proves_failure(_rounded(sol.w), params_of_cell, zero) or (
-        _proves_failure(_dual_vertex(problem.incidence, problem.matrix @ sol.w, zero),
-                        params_of_cell, zero)
-    ):
-        return False
-    return None
+        z = _primal_vertex(sol, cells_of_param, zero)
+        return True if _proves_existence(z, cells_of_param, zero) else None
+    w = _dual_vertex(problem.incidence, problem.matrix @ sol.w, zero)
+    return False if _proves_failure(w, problem.params_of_cell, zero) else None
 
 
 # an ``ExistenceCache`` key: the model's parameters, which name the number

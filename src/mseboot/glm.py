@@ -13,8 +13,8 @@ solves only those where it does, from the reductions the cache keeps:
 each (model, support) is reduced once for the check and the fit.  The
 others get ``fr_failed`` results with no estimate.  ``fit``,
 ``fit_group``, ``select_best_bic`` and ``select_by_chisq`` all fit
-through it.  Below it, ``solve_groups`` is the unchecked numeric engine,
-which reduces each problem itself when it is called directly.
+through it.  Below it, ``solve_groups`` is the unchecked numeric engine:
+its problems come reduced, as (reduction, tables) pairs.
 
 Tables that share a support share the reduction and the design matrix,
 so one (model, group) problem fits one model to a whole group of them.
@@ -74,7 +74,9 @@ from numpy.linalg import _umath_linalg
 from ._cephes import log_factorial
 from .core import CountTable, ModelSpec, canonical_key
 from .existence import ExistenceCache
-from .sparsity import ReducedProblem, design_matrix, reduce_for_sparsity
+# nothing here reduces: ``reduce_for_sparsity`` stays importable from this
+# module because ``bench/trace_spans.py`` wraps it by this name
+from .sparsity import ReducedProblem, design_matrix, reduce_for_sparsity  # noqa: F401
 
 STATUS_CONVERGED = "converged"
 STATUS_NOT_CONVERGED = "not_converged"
@@ -193,18 +195,6 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(ylogy - (y - mu), axis=-1)
 
 
-def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
-    """Poisson log-likelihood including the factorial normalizer, for any
-    real ``y`` (log y! is log Gamma(y + 1))."""
-    # imported here: scipy.special is a large share of the package's import
-    # time, and the fit and the BIC need log n! at integers only
-    from scipy import special
-
-    with np.errstate(divide="ignore"):
-        term = np.where(y > 0, y * np.log(mu), 0.0)
-    return float(np.sum(term - mu - special.gammaln(y + 1)))
-
-
 # ``math.log`` on every element in a C loop, as an array of Python floats
 _math_log = np.frompyfunc(math.log, 1, 1)
 
@@ -244,27 +234,6 @@ def _bic(
     else:
         raise ValueError(f"unknown sample size convention {settings.sample_size!r}")
     return len(model.params) * math.log(size) + 2.0 * neg_log_likelihood
-
-
-def bic_from_mu(
-    model: ModelSpec,
-    table: CountTable,
-    mu: dict[int, float],
-    settings: FitSettings = FitSettings(),
-) -> float:
-    """BIC: parameter-count penalty plus twice the negative log-likelihood.
-
-    Cells outside the fitted set contribute nothing (their count and
-    fitted mean are both zero).  This is the one-row case of the BIC
-    ``solve_groups`` computes for a whole group.
-    """
-    counts = [table.count(w) for w in mu]
-    nll = _neg_log_likelihood(
-        np.array([counts], dtype=float),
-        np.array([list(mu.values())], dtype=float),
-        np.array([[log_factorial(n) for n in counts]]),
-    )
-    return _bic(model, table, float(nll[0]), settings)
 
 
 # numpy's stacked dgelsd: one LAPACK solve per row, with the tolerance
@@ -440,25 +409,6 @@ def _pipeline(
         futures.wait(pending)
 
 
-def _least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows: the
-    one-request case of ``_pipeline``.
-
-    Every row is its own LAPACK ``dgelsd`` solve.  A request of at least
-    ``SPLIT_ELEMENTS`` elements is cut into contiguous chunks of rows, one
-    per CPU: this thread solves the first and a thread pool the others,
-    at the same time (the kernel releases the GIL).  A row's solve does
-    not depend on the other rows of its call, so the result is the same
-    for any number of chunks and whichever thread solves them, bit for
-    bit.
-    """
-    def request():
-        return (yield A, b)
-
-    [(_, x)] = _pipeline([(None, request())])
-    return x
-
-
 @dataclass(frozen=True)
 class GroupSolution:
     """IRLS outcome of one model on tables sharing a support; row i is
@@ -537,16 +487,6 @@ def _support_cells(tables: Sequence[CountTable]) -> tuple[int, ...]:
     return tuple(sorted(support, key=canonical_key))
 
 
-class _Validated(list):
-    """Problems whose groups are validated: ``fit_groups`` hands them to
-    ``solve_groups`` with ``rows``, its ``_group_rows`` entries, and
-    ``reduced``, each problem's reduction from the existence cache, so no
-    group is validated or converted twice and no pair is reduced twice."""
-
-    rows: dict
-    reduced: list[ReducedProblem]
-
-
 def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
     """A group's cells, count rows and log n! rows, in the canonical order
     of its support, made once per group.
@@ -580,24 +520,17 @@ def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
 
 
 def _pose(
-    model: ModelSpec,
-    tables: Sequence[CountTable],
-    rows: dict,
-    designs: dict,
-    red: ReducedProblem | None = None,
+    red: ReducedProblem, tables: Sequence[CountTable], rows: dict, designs: dict
 ) -> _Posed | GroupSolution:
-    """Reduction, design and counts of one group, or its solution when no
-    row can be iterated.
+    """Design and counts of one group, reduced to ``red``, or its solution
+    when no row can be iterated.
 
-    ``rows`` holds the groups' ``_group_rows`` entries.  ``red`` is the
-    pair's reduction when the caller has it; otherwise it is made here.
-    ``designs`` maps each (retained cells, estimable parameters) pair to
-    its read-only design and whether that has full column rank, so
-    problems posing the same design share one array and one rank test.
+    ``rows`` holds the groups' ``_group_rows`` entries.  ``designs`` maps
+    each (retained cells, estimable parameters) pair to its read-only
+    design and whether that has full column rank, so problems posing the
+    same design share one array and one rank test.
     """
     cells, counts, log_factorials = _group_rows(tables, rows)
-    if red is None:
-        red = reduce_for_sparsity(model, tables[0])
     if not red.omega_dagger:
         return _stopped(red, len(tables), "no_cells_left")
     design = red.omega_dagger, red.theta_dagger
@@ -732,15 +665,19 @@ def _runs(posed: dict[int, _Posed]) -> Iterator[tuple[tuple, Generator]]:
 
 
 def solve_groups(
-    problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
+    problems: Sequence[tuple[ReducedProblem, Sequence[CountTable]]],
+    rows: dict | None = None,
 ) -> list[GroupSolution]:
-    """IRLS for each model on every table of its (model, tables sharing one
-    support) problem, with one IRLS run per stack of equal design shape;
-    solution i is problem i's, row k of it table k's.
+    """IRLS on every table of each (reduction, tables sharing one support)
+    problem, with one IRLS run per stack of equal design shape; solution i
+    is problem i's, row k of it table k's.
 
-    Each group is validated and reduced on its own (problems from
-    ``fit_groups`` come reduced), and each distinct design is built and
-    rank-checked once per call.  The groups whose
+    A problem's reduction is its model's on its tables' support
+    (``existence.ExistenceCache.reduction``).  ``rows`` holds the groups'
+    ``_group_rows`` entries when the caller has validated and converted
+    them, as ``fit_groups`` has; when it is None each group is validated
+    here.  Each distinct design is built and rank-checked once per call.
+    The groups whose
     designs have the same (retained cells, estimable parameters) shape
     are then stacked, one design and one count vector per table, up to
     ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
@@ -751,18 +688,16 @@ def solve_groups(
     the problem gets alone, and each row the one its table gets alone,
     bit for bit.  Rows leave the iteration as they converge or diverge,
     and the BIC sums of the settled rows are computed together at the
-    end, bit for bit as ``bic_from_mu`` gives them (``math.log``, and a
+    end, bit for bit as the scalar loop adds them (``math.log``, and a
     left-to-right sum over the cells).
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
-    # problems from ``fit_groups`` come with their groups' rows and their
-    # reductions
-    rows: dict = getattr(problems, "rows", {})
-    reduced = getattr(problems, "reduced", [None] * len(problems))
+    if rows is None:
+        rows = {}
     designs: dict = {}
-    for k, (model, tables) in enumerate(problems):
-        p = _pose(model, tables, rows, designs, reduced[k])
+    for k, (red, tables) in enumerate(problems):
+        p = _pose(red, tables, rows, designs)
         if isinstance(p, GroupSolution):
             solutions[k] = p
         else:
@@ -870,10 +805,11 @@ def fit_groups(
     if cache is None:
         cache = ExistenceCache()
     exists = cache.check_many([(model, tables[0]) for model, tables in problems])
-    solving = _Validated(p for p, ok in zip(problems, exists) if ok)
-    solving.rows = rows
-    solving.reduced = [cache.reduction(model, tables[0]) for model, tables in solving]
-    solutions = iter(solve_groups(solving))
+    solving = [
+        (cache.reduction(model, tables[0]), tables)
+        for (model, tables), ok in zip(problems, exists) if ok
+    ]
+    solutions = iter(solve_groups(solving, rows))
     for (model, tables), ok in zip(problems, exists):
         if not ok:
             yield [FitResult(model, STATUS_FR_FAILED) for _ in tables]

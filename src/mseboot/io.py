@@ -31,6 +31,16 @@ def _parse_flag(value: str, where: str) -> int:
     return int(v)
 
 
+def _reject_duplicate(names: list[str], what: str) -> None:
+    """A ``DataFormatError`` naming the first name given twice: two lists
+    read from one column would record every case on both."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise DataFormatError(f"duplicate {what} name {name!r}")
+        seen.add(name)
+
+
 def parse_table(text: str, lists: list[str] | None = None) -> tuple[CountTable, list[str]]:
     """Parse CSV text into a count table; returns (table, list names)."""
     reader = csv.reader(io.StringIO(text))
@@ -39,9 +49,11 @@ def parse_table(text: str, lists: list[str] | None = None) -> tuple[CountTable, 
     except StopIteration:
         raise DataFormatError("empty input") from None
     header = [h.strip() for h in header]
+    _reject_duplicate(header, "column")
     has_count = bool(header) and header[-1].lower() == "count"
     names = header[:-1] if has_count else header
     if lists is not None:
+        _reject_duplicate(lists, "requested list")
         missing = [n for n in lists if n not in names]
         if missing:
             raise DataFormatError(f"requested list columns not found: {missing}")

@@ -126,13 +126,6 @@ def enumerate_models(t: int, l: int | None = None) -> ModelSpace:
     return ModelSpace(t, l, tuple(models))
 
 
-def model_distance(a: ModelSpec, b: ModelSpec) -> int:
-    """Size of the symmetric difference between the two parameter sets."""
-    if a.t != b.t:
-        raise ModelSpaceError("models must be over the same number of lists")
-    return len(a.params ^ b.params)
-
-
 def neighbors(model: ModelSpec, l: int | None = None) -> list[ModelSpec]:
     """Models at distance exactly 1: add or drop one order->=2 term,
     preserving the hierarchy and the order cap.  Excludes the model itself.
@@ -156,20 +149,6 @@ def neighbors(model: ModelSpec, l: int | None = None) -> list[ModelSpec]:
     return out
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Per-model BIC ranks: original rank r_1 and degree-k ranks r_2..r_K."""
-
-    ranks: np.ndarray  # shape (K, n_models); ranks[k-1] is r_k
-
-    @property
-    def r1(self) -> np.ndarray:
-        return self.ranks[0]
-
-    def degree(self, k: int) -> np.ndarray:
-        return self.ranks[k - 1]
-
-
 def primary_ranks(bic_values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n by ascending BIC; infinite values last, ties canonical.
 
@@ -183,8 +162,10 @@ def primary_ranks(bic_values: Sequence[float]) -> np.ndarray:
     return ranks
 
 
-def bic_ranks(space: ModelSpace, bic_values: Sequence[float], K: int = 2) -> RankTable:
-    """BIC ranks of degrees 1..K via the neighbour-minimum recursion."""
+def bic_ranks(space: ModelSpace, bic_values: Sequence[float], K: int = 2) -> np.ndarray:
+    """BIC ranks of degrees 1..K via the neighbour-minimum recursion, as a
+    (K, models) array: row k - 1 holds every model's rank r_k, row 0 the
+    original rank r_1."""
     if K < 1:
         raise ModelSpaceError("K must be >= 1")
     if len(bic_values) != len(space):
@@ -200,18 +181,18 @@ def bic_ranks(space: ModelSpace, bic_values: Sequence[float], K: int = 2) -> Ran
         for k in range(1, K):
             prev = ranks[k - 1]
             ranks[k] = [min(prev[j] for j in neigh[i]) for i in range(n)]
-    return RankTable(ranks)
+    return ranks
 
 
-def rank_order(space: ModelSpace, rank_table: RankTable, degree: int = 1) -> list[int]:
+def rank_order(space: ModelSpace, ranks: np.ndarray, degree: int = 1) -> list[int]:
     """Model indices sorted by rank of the given degree, ties by lower degree.
 
-    Degree 1 orders by r_1 alone; degree 2 by (r_2, r_1).  Deterministic
-    because r_1 is a permutation.
+    ``ranks`` is ``bic_ranks``'s array.  Degree 1 orders by r_1 alone;
+    degree 2 by (r_2, r_1).  Deterministic because r_1 is a permutation.
     """
-    if not 1 <= degree <= rank_table.ranks.shape[0]:
+    if not 1 <= degree <= ranks.shape[0]:
         raise ModelSpaceError(f"degree {degree} not available in rank table")
-    keys = [tuple(rank_table.ranks[k][i] for k in reversed(range(degree)))
+    keys = [tuple(ranks[k][i] for k in reversed(range(degree)))
             for i in range(len(space))]
     return sorted(range(len(space)), key=lambda i: keys[i])
 

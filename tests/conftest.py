@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mseboot import CountTable, ModelSpec, enumerate_models
-from mseboot import glm
+from mseboot import glm, sparsity
 
 # The bundled Korea table (described under "Bundled data" in README.md):
 # lists B, C, D mapped to bits 1, 2, 4.
@@ -59,6 +59,21 @@ def random_table(rng: np.random.Generator, t: int, mean: float = 8.0,
     return CountTable.from_counts(t, counts)
 
 
+def marginal_count(table: CountTable, theta: int) -> int:
+    """Total count over the observed histories containing ``theta``; for
+    theta = 0 the number of observed cases."""
+    return sum(n for mask, n in table.counts.items() if mask & theta == theta)
+
+
+def reduced(problems):
+    """(model, tables sharing one support) problems as the (reduction,
+    tables) problems ``glm.solve_groups`` takes, each model reduced on its
+    group's support.  ``sparsity.reduce_for_sparsity`` is looked up at each
+    call, so a test may replace it."""
+    return [(sparsity.reduce_for_sparsity(model, tables[0]), tables)
+            for model, tables in problems]
+
+
 def unchecked_fits(problems):
     """Each (model, tables sharing one support) problem's fits with no
     existence check, as lists of ``FitResult``: the IRLS engine's own
@@ -66,8 +81,22 @@ def unchecked_fits(problems):
     and ``no_cells_left`` rows included, each read by ``glm.fit`` from its
     solved row."""
     problems = list(problems)
+    solutions = glm.solve_groups(reduced(problems))
     return [
         [glm.fit(model, t, glm.FitSettings(), (solution, i))
          for i, t in enumerate(tables)]
-        for (model, tables), solution in zip(problems, glm.solve_groups(problems))
+        for (model, tables), solution in zip(problems, solutions)
     ]
+
+
+def least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows:
+    one request driven through ``glm._pipeline`` on its own, so a request
+    of at least ``glm.SPLIT_ELEMENTS`` elements is cut into one chunk of
+    rows per CPU, the first solved by this thread and the others by the
+    pool."""
+    def request():
+        return (yield A, b)
+
+    [(_, x)] = glm._pipeline([(None, request())])
+    return x

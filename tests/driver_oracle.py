@@ -169,13 +169,13 @@ def oracle_ntop_sweep(
 
     reps = resamples(table, seed, B)
     bic_array, est_array = _evaluate_models(top_models, reps, cache, settings)
-    records, filled_boot = _record_fills(bic_array, est_array)
+    filled_boot = _record_fills(bic_array, est_array)
 
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     jack_bics, jack_ests = _evaluate_models(top_models, jack_tables, cache, settings)
-    _, filled_jack = _record_fills(jack_bics, jack_ests)
+    filled_jack = _record_fills(jack_bics, jack_ests)
 
-    state = SweepState(bic_array, est_array, records, filled_boot)
+    state = SweepState(bic_array, est_array, filled_boot)
     boot_columns = _estimate_columns(filled_boot)
     jack_columns = _estimate_columns(filled_jack)
     results = {}
@@ -282,9 +282,9 @@ def oracle_diagnostics(
     bics0, _, _ = original_fits(table, space, cache, settings)
     if not np.isfinite(bics0).any():
         raise NoModelFoundError("no model has a finite BIC on the original data")
-    rank_table = bic_ranks(space, bics0, K=2)
-    order1 = rank_order(space, rank_table, 1)
-    order2 = rank_order(space, rank_table, 2)
+    ranks = bic_ranks(space, bics0, K=2)
+    order1 = rank_order(space, ranks, 1)
+    order2 = rank_order(space, ranks, 2)
     pos1 = {j: p + 1 for p, j in enumerate(order1)}
     pos2 = {j: p + 1 for p, j in enumerate(order2)}
 

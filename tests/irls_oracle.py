@@ -24,9 +24,8 @@ from mseboot.glm import (
     STATUS_NOT_CONVERGED,
     FitResult,
     FitSettings,
-    design_matrix,
-    reduce_for_sparsity,
 )
+from mseboot.sparsity import design_matrix, reduce_for_sparsity
 
 # glm.MAX_ITER, REL_TOL, ABS_TOL and ALPHA_FLOOR as the goldens were made
 MAX_ITER = 100
@@ -41,13 +40,23 @@ def _poisson_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     return 2.0 * float(np.sum(ylogy - (y - mu)))
 
 
+def log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
+    """Poisson log-likelihood including the factorial normalizer, for any
+    real ``y`` (log y! is log Gamma(y + 1))."""
+    with np.errstate(divide="ignore"):
+        term = np.where(y > 0, y * np.log(mu), 0.0)
+    return float(np.sum(term - mu - special.gammaln(y + 1)))
+
+
 def oracle_bic_from_mu(
     model: ModelSpec,
     table: CountTable,
     mu: dict[int, float],
     settings: FitSettings = FitSettings(),
 ) -> float:
-    """``glm.bic_from_mu`` with one scalar ``gammaln`` call per cell."""
+    """The BIC of fitted means ``mu`` (cell -> mean), with one scalar
+    ``gammaln`` call per cell: the sum ``glm.solve_groups`` makes for a
+    row and ``glm.fit`` turns into the BIC."""
     if settings.sample_size == "case":
         size = table.n_total
     elif settings.sample_size == "capture":

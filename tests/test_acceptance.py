@@ -27,10 +27,10 @@ from mseboot import (
 )
 from mseboot.bootstrap import adjusted_level
 from mseboot.cli import main
-from mseboot.glm import design_matrix, log_likelihood, reduce_for_sparsity
-from mseboot.core import marginal_count
+from mseboot.sparsity import design_matrix, reduce_for_sparsity
 
-from conftest import random_table
+from conftest import marginal_count, random_table
+from irls_oracle import log_likelihood
 
 SEED = 42
 SWEEP_SEED = 53

@@ -198,8 +198,7 @@ class TestRecordFill:
         bics = rng.normal(size=n)
         bics[rng.random(n) < 0.3] = np.inf
         ests = rng.normal(size=n) * 100
-        records, filled = _record_fills(bics[None], ests[None])
-        filled = filled[0]
+        filled = _record_fills(bics[None], ests[None])[0]
         for j in range(1, n + 1):
             prefix = bics[:j]
             k = int(np.argmin(prefix))
@@ -207,14 +206,6 @@ class TestRecordFill:
                 assert math.isnan(filled[j - 1])
             else:
                 assert filled[j - 1] == ests[k]
-
-    def test_record_indices_strictly_decreasing_to_one(self):
-        rng = np.random.default_rng(99)
-        bics = rng.normal(size=20)
-        ests = rng.normal(size=20)
-        (records,), _ = _record_fills(bics[None], ests[None])
-        assert list(records) == sorted(records, reverse=True)
-        assert records[-1] == 1
 
 
 class TestRestrictedBootstrap:
@@ -545,7 +536,6 @@ class TestOneDriver:
             assert np.array_equal(
                 getattr(state, field), getattr(want_state, field), equal_nan=True
             )
-        assert state.record_indices == want_state.record_indices
 
     @pytest.mark.parametrize("case", ["korea", "sparse"])
     def test_chisq(self, case):

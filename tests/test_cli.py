@@ -200,6 +200,25 @@ class TestCli:
         assert code == 4
         assert json.loads(err)["error"] == 4
 
+    def test_duplicate_list_names_exit_4(self, capsys, tmp_path):
+        # two lists read from column A would record every case on both
+        path = tmp_path / "d.csv"
+        path.write_text("A,B,C,count\n1,0,0,3\n1,1,0,2\n0,1,1,4\n0,0,1,5\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--data", str(path), "--lists", "A,A", "--model", "best"
+        )
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {
+            "error": 4, "message": "duplicate requested list name 'A'"
+        }
+
+    def test_duplicate_column_names_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,A,C,count\n1,0,0,3\n1,1,0,2\n0,1,1,4\n0,0,1,5\n")
+        code, out, err = run_cli(capsys, "fit", "--data", str(path), "--model", "best")
+        assert (code, out) == (4, "")
+        assert json.loads(err) == {"error": 4, "message": "duplicate column name 'A'"}
+
     def test_bad_window_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mseboot import CountTable, ModelSpec, is_hierarchical, marginal_count
+from mseboot import CountTable, ModelSpec, is_hierarchical
 from mseboot.core import history_from_str, history_to_str, order, subsets
+
+from conftest import marginal_count
 
 
 def test_order_is_popcount():
@@ -27,6 +29,8 @@ def test_history_from_str_rejects_out_of_range():
 
 
 class TestMarginalCount:
+    """The test suite's ``marginal_count`` oracle on the Korea table."""
+
     def test_korea_triple_intersection(self, korea):
         # cases appearing on all three lists
         assert marginal_count(korea, 0b111) == 12
@@ -101,6 +105,23 @@ class TestCountTable:
         b = CountTable.from_counts(2, {1: 5})
         assert a == b
         assert a.support == {1}
+
+    def test_a_listed_zero_compares_and_hashes_as_the_clean_table(self):
+        # built directly, a table may list a cell at 0 or list its cells
+        # out of order; it is the table of its positive counts
+        listed = {1: 5, 2: 5, 3: 0, 4: 5, 5: 5, 6: 5, 7: 5}
+        direct = CountTable(3, listed)
+        clean = CountTable.from_counts(3, listed)
+        backwards = CountTable(3, dict(reversed(clean.counts.items())))
+        assert direct.support == clean.support
+        for other in (clean, backwards):
+            assert direct == other and other == direct
+            assert hash(direct) == hash(other)
+        assert len({direct, clean, backwards}) == 1
+        # a different count, or the same counts on another number of lists,
+        # is another table
+        assert direct != CountTable(3, {**listed, 7: 6})
+        assert direct != CountTable(4, listed)
 
     def test_rejects_empty_history(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from mseboot import (
     enumerate_models,
     fr_check,
     lp_max_s,
-    marginal_count,
     reduce_for_sparsity,
 )
 from mseboot import existence
@@ -38,7 +37,7 @@ from mseboot.existence import (
     simplex_max,
 )
 
-from conftest import TABLE1, random_table, unchecked_fits
+from conftest import TABLE1, marginal_count, random_table, unchecked_fits
 
 
 def vertex_enumeration_max(c, A, b):
@@ -423,12 +422,11 @@ class TestCertifiedCheck:
         tally = assert_agrees(enumerate_models(4, 3).models, table1.values())
         assert tally[RANK] == 0 and tally[CERTIFIED] > 0
 
-    def test_rounding_failure_recovered_by_the_active_set(self, monkeypatch, table1):
-        # without the rounding shortcut every verdict comes from the exact
-        # vertex of the float solution's active set.  A batched dual can
-        # name a vertex whose exact system leaves y of mixed sign; that
-        # block is then solved again alone
-        monkeypatch.setattr(existence, "_rounded", lambda values: None)
+    def test_the_active_set_vertex_certifies_every_verdict(self, table1):
+        # every certified verdict comes from the exact vertex of the float
+        # solution's active set.  A batched dual can name a vertex whose
+        # exact system leaves y of mixed sign; that block is then solved
+        # again alone
         tally = assert_agrees(enumerate_models(4, 3).models, table1.values(),
                               batch_certifies=False)
         assert tally[CERTIFIED] > 0

@@ -33,6 +33,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ import pytest
 from mseboot import CountTable, ExistenceCache, ModelSpec, enumerate_models, fit, glm
 from mseboot import existence
 from mseboot.bootstrap import _group_fits
-from mseboot.core import canonical_key, marginal_count
+from mseboot.core import canonical_key
 from mseboot.existence import (
     CERTIFIED,
     FAST_PATH,
@@ -54,7 +55,7 @@ from mseboot.existence import (
 )
 from mseboot.sparsity import ReducedProblem, canonical_cells
 
-from conftest import TABLE1, random_table
+from conftest import TABLE1, marginal_count, random_table, reduced
 
 # the largest n whose 0/1 minors all lie below the prime (Hadamard's bound)
 MAX_EXACT_PARAMS = 22
@@ -251,13 +252,14 @@ def test_one_reduction_per_distinct_pair(monkeypatch):
 
 
 def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
+    # ``lp_max_s`` is the only code that sums the margins nu
     def refuse(*args):
-        raise AssertionError("marginal_count called")
+        raise AssertionError("lp_max_s called")
 
     def no_program(blocks):
         raise AssertionError("float_solve called")
 
-    monkeypatch.setattr(existence, "marginal_count", refuse)
+    monkeypatch.setattr(existence, "lp_max_s", refuse)
     monkeypatch.setattr(existence, "float_solve", no_program)
     cache = ExistenceCache()
     cache.check_many([(m, t) for t in table1_tables() for m in enumerate_models(4, 3).models])
@@ -269,13 +271,15 @@ def test_nu_is_summed_when_the_lp_reads_it(monkeypatch, table1, abcd_model):
     table = table1["n2"]
     problem = reduce_for_sparsity(abcd_model, table)
     assert "nu" not in vars(problem)
-    summed = []
-    monkeypatch.setattr(existence, "marginal_count",
-                        lambda t, th: summed.append((t, th)) or marginal_count(t, th))
+    programs = []
+    simplex_max = existence.simplex_max
+    monkeypatch.setattr(existence, "simplex_max",
+                        lambda c, A, b: programs.append(b) or simplex_max(c, A, b))
     status, s_star = lp_max_s(problem, table)
     assert status == existence.OPTIMAL and s_star <= 0
-    # once per estimable parameter, on the table given
-    assert summed == [(table, th) for th in problem.theta_dagger]
+    # one margin per estimable parameter, summed on the table given
+    assert programs == [[Fraction(marginal_count(table, th))
+                         for th in problem.theta_dagger]]
     # the problem compares as its three fields, whatever it has built
     problem.incidence
     fresh = reduce_for_sparsity(abcd_model, table)
@@ -297,11 +301,10 @@ def test_one_design_and_rank_test_per_distinct_design(monkeypatch):
     monkeypatch.setattr(glm, "design_matrix",
                         lambda omega, theta: designs.append((omega, theta))
                         or design_matrix(omega, theta))
-    distinct = set()
-    for model, [table] in problems:
-        red = glm.reduce_for_sparsity(model, table)
-        if red.omega_dagger:
-            distinct.add((red.omega_dagger, red.theta_dagger))
+    problems = reduced(problems)
+    distinct = {
+        (red.omega_dagger, red.theta_dagger) for red, _ in problems if red.omega_dagger
+    }
     for _ in range(2):
         ranks.clear()
         designs.clear()
@@ -310,8 +313,8 @@ def test_one_design_and_rank_test_per_distinct_design(monkeypatch):
     assert len(distinct) < len(problems)
     # a shared design gives each problem the solution it gets alone
     monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
-    for (model, group), got in zip(problems, solutions):
-        alone = glm.solve_groups([(model, group)])[0]
+    for (red, group), got in zip(problems, solutions):
+        alone = glm.solve_groups([(red, group)])[0]
         assert got.flags == alone.flags
         assert np.array_equal(got.beta, alone.beta, equal_nan=True)
 
@@ -400,8 +403,8 @@ def test_a_table_built_directly_fits_as_its_twin(monkeypatch, kind):
     real = glm.solve_groups
     solved = []
 
-    def recording(problems):
-        solutions = real(problems)
+    def recording(problems, rows=None):
+        solutions = real(problems, rows)
         solved.extend(zip(problems, solutions))
         return solutions
 
@@ -409,9 +412,9 @@ def test_a_table_built_directly_fits_as_its_twin(monkeypatch, kind):
     models = enumerate_models(3, 2).models
     list(glm.fit_groups([(m, [direct, twin]) for m in models]))
     assert 0 < len(solved) < len(models)
-    for (model, group), together in solved:
+    for (red, group), together in solved:
         assert group == [direct, twin]
-        alone = [real([(model, [t])])[0] for t in group]
+        alone = [real([(red, [t])])[0] for t in group]
         assert together.reduced == alone[0].reduced == alone[1].reduced
         assert together.flags == alone[0].flags + alone[1].flags
         for field in ("beta", "mu", "deviance", "neg_log_likelihood",

@@ -12,11 +12,25 @@ import pytest
 
 from mseboot import CountTable, ModelSpec, enumerate_models, glm
 from mseboot.bootstrap import replicate_rng, resample
-from mseboot.glm import FitSettings, bic_from_mu
+from mseboot._cephes import log_factorial
+from mseboot.glm import FitSettings
 
 import irls_oracle
 from conftest import KOREA_COUNTS, TABLE1, random_table, unchecked_fits
 from irls_oracle import oracle_bic_from_mu, oracle_fit
+
+def bic_from_mu(model, table, mu, settings=FitSettings()):
+    """The BIC of means ``mu`` (cell -> mean) as ``fit`` makes it from a
+    solved row: ``glm._neg_log_likelihood`` on the row of those cells,
+    then ``glm._bic``."""
+    counts = [table.count(w) for w in mu]
+    nll = glm._neg_log_likelihood(
+        np.array([counts], dtype=float),
+        np.array([list(mu.values())], dtype=float),
+        np.array([[log_factorial(n) for n in counts]]),
+    )
+    return glm._bic(model, table, float(nll[0]), settings)
+
 
 FIXTURES = {"korea": (3, KOREA_COUNTS)} | {
     f"table1_{k}": (4, v) for k, v in TABLE1.items()

@@ -10,7 +10,6 @@ from mseboot import (
     enumerate_models,
     fit,
     is_hierarchical,
-    model_distance,
     neighbors,
     random_order2_starts,
     rank_order,
@@ -20,6 +19,14 @@ from mseboot import modelspace
 from mseboot.modelspace import ModelSpaceError, downhill_lockstep
 
 from conftest import random_table
+
+
+def model_distance(a, b):
+    """The oracle for neighbours and degree-2 ranks: the size of the
+    symmetric difference of the two parameter sets."""
+    if a.t != b.t:
+        raise ModelSpaceError("models must be over the same number of lists")
+    return len(a.params ^ b.params)
 
 
 class TestEnumerate:
@@ -53,6 +60,8 @@ class TestEnumerate:
 
 
 class TestDistance:
+    """The ``model_distance`` oracle."""
+
     def test_zero_for_identical(self):
         m = ModelSpec.from_notation("[12,13]", 3)
         assert model_distance(m, m) == 0
@@ -119,42 +128,43 @@ class TestRanks:
     def test_best_model_rank_one_all_degrees(self, korea_space):
         bics = self._random_bics(korea_space, np.random.default_rng(1))
         bics[3] = -100.0
-        table = bic_ranks(korea_space, bics, K=4)
+        ranks = bic_ranks(korea_space, bics, K=4)
+        assert ranks.shape == (4, len(korea_space))
         for k in range(1, 5):
-            assert table.degree(k)[3] == 1
+            assert ranks[k - 1][3] == 1
 
     def test_neighbor_of_best_gets_r2_one(self, korea_space):
         bics = self._random_bics(korea_space, np.random.default_rng(2))
         best = int(np.argmin([b if math.isfinite(b) else math.inf for b in bics]))
-        table = bic_ranks(korea_space, bics, K=2)
+        ranks = bic_ranks(korea_space, bics, K=2)
         for nb in neighbors(korea_space.models[best], korea_space.l):
-            assert table.degree(2)[korea_space.index_of(nb)] == 1
+            assert ranks[1][korea_space.index_of(nb)] == 1
 
     def test_recursion_matches_brute_force(self, korea_space):
         # oracle: r2 from explicit 1-neighbour sets under the distance
         rng = np.random.default_rng(3)
         bics = self._random_bics(korea_space, rng)
-        table = bic_ranks(korea_space, bics, K=2)
-        r1 = table.degree(1)
+        ranks = bic_ranks(korea_space, bics, K=2)
+        r1 = ranks[0]
         for i, model in enumerate(korea_space):
             close = [
                 j
                 for j, other in enumerate(korea_space)
                 if model_distance(model, other) <= 1
             ]
-            assert table.degree(2)[i] == min(r1[j] for j in close)
+            assert ranks[1][i] == min(r1[j] for j in close)
 
     def test_rank_monotone_in_degree(self):
         space = enumerate_models(4, 2)
         rng = np.random.default_rng(4)
         bics = self._random_bics(space, rng)
-        table = bic_ranks(space, bics, K=5)
+        ranks = bic_ranks(space, bics, K=5)
         for k in range(2, 6):
-            assert (table.degree(k) <= table.degree(k - 1)).all()
+            assert (ranks[k - 1] <= ranks[k - 2]).all()
 
     def test_infinite_bics_ranked_last(self, korea_space):
         bics = [1.0, math.inf, 3.0, math.inf, 2.0, 5.0, 4.0, 6.0]
-        r1 = bic_ranks(korea_space, bics, K=1).degree(1)
+        r1 = bic_ranks(korea_space, bics, K=1)[0]
         assert r1[0] == 1
         assert {r1[1], r1[3]} == {7, 8}
         assert r1[1] < r1[3]  # canonical tie-break among infinities
@@ -163,24 +173,24 @@ class TestRanks:
 class TestRankOrder:
     def test_degree1_starts_at_bic_minimum(self, korea_space):
         bics = [5.0, 1.0, 3.0, 2.0, 4.0, 8.0, 7.0, 6.0]
-        table = bic_ranks(korea_space, bics, K=2)
-        assert rank_order(korea_space, table, 1)[0] == 1
+        ranks = bic_ranks(korea_space, bics, K=2)
+        assert rank_order(korea_space, ranks, 1)[0] == 1
 
     def test_degrees_agree_at_position_one(self, korea_space):
         rng = np.random.default_rng(5)
         bics = (rng.normal(size=8) * 10).tolist()
-        table = bic_ranks(korea_space, bics, K=2)
-        assert rank_order(korea_space, table, 1)[0] == rank_order(korea_space, table, 2)[0]
+        ranks = bic_ranks(korea_space, bics, K=2)
+        assert rank_order(korea_space, ranks, 1)[0] == rank_order(korea_space, ranks, 2)[0]
 
     def test_degree2_matches_oracle_sort(self):
         space = enumerate_models(4, 2)
         rng = np.random.default_rng(6)
         bics = (rng.normal(size=len(space)) * 10).tolist()
-        table = bic_ranks(space, bics, K=2)
-        got = rank_order(space, table, 2)
+        ranks = bic_ranks(space, bics, K=2)
+        got = rank_order(space, ranks, 2)
         oracle = sorted(
             range(len(space)),
-            key=lambda i: (table.degree(2)[i], table.degree(1)[i]),
+            key=lambda i: (ranks[1][i], ranks[0][i]),
         )
         assert got == oracle
 

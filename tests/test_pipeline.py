@@ -21,6 +21,7 @@ import pytest
 from mseboot import existence, glm
 from mseboot.glm import fit_groups, solve_groups
 
+from conftest import reduced
 from test_stacked_irls import mixed_problems
 
 FIELDS = ("beta", "mu", "deviance", "neg_log_likelihood", "first_deviance", "change")
@@ -80,7 +81,7 @@ def one_cpu_solutions():
         solutions = []
         for max_iter in MAX_ITERS:
             mp.setattr(glm, "MAX_ITER", max_iter)
-            solutions.append(solve_groups(mixed_problems()))
+            solutions.append(solve_groups(reduced(mixed_problems())))
         return solutions
 
 
@@ -99,7 +100,7 @@ def test_any_cpu_count_gives_the_one_cpu_results(
         return real_post(A, b, alone, cpus)
 
     monkeypatch.setattr(glm, "_post", recording_post)
-    got = solve_groups(mixed_problems())
+    got = solve_groups(reduced(mixed_problems()))
     assert_same_solutions(got, one_cpu_solutions[n])
     flags = {f for s in got for f in s.flags}
     expected = {None, "diverged", "parameter_redundant"}
@@ -129,7 +130,7 @@ def test_window_bounds_the_runs_in_flight(monkeypatch, busy_pipeline):
             live.discard(key)
 
     monkeypatch.setattr(glm, "_irls", counting_irls)
-    solve_groups(mixed_problems())
+    solve_groups(reduced(mixed_problems()))
     assert most[0] == glm._window(2) == 3
     assert glm._window(1) == 1
 
@@ -186,7 +187,7 @@ def test_error_comes_after_every_submitted_chunk(
     monkeypatch.setattr(glm, "_cpu_count", lambda: 2)
     finished, faulted = _fault_when_pool_busy(monkeypatch, fault)
     with pytest.raises(error, match=match):
-        solve_groups(mixed_problems())
+        solve_groups(reduced(mixed_problems()))
     raised = time.monotonic()
     assert len(faulted) == 1
     assert submitted and all(f.done() for f in submitted)
@@ -206,7 +207,7 @@ def test_forked_child_makes_its_own_pool(monkeypatch, busy_pipeline):
     """A pool inherited across ``fork`` has no threads and never runs new
     work; the child's pipeline must make a pool of its own."""
     monkeypatch.setattr(glm, "_cpu_count", lambda: 2)
-    problems = mixed_problems()[:120]
+    problems = reduced(mixed_problems()[:120])
     parent = solve_groups(problems)
     assert glm._pool is not None and glm._pool[0] == os.getpid()
 
@@ -254,13 +255,13 @@ def test_traced_functions_run_on_the_calling_thread(
 
 
 def test_count_rows_are_made_once_per_group(monkeypatch):
-    problems = mixed_problems()
+    problems = reduced(mixed_problems())
     caches = []
     real_pose = glm._pose
 
-    def recording_pose(model, tables, rows, designs, red):
+    def recording_pose(red, tables, rows, designs):
         caches.append(rows)
-        return real_pose(model, tables, rows, designs, red)
+        return real_pose(red, tables, rows, designs)
 
     monkeypatch.setattr(glm, "_pose", recording_pose)
     solve_groups(problems)

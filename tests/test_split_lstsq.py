@@ -1,5 +1,6 @@
-"""``glm._least_squares_rows`` split across CPUs against one unsplit call of
-numpy's stacked ``dgelsd`` kernel, bit for bit.
+"""One least-squares request driven alone through ``glm._pipeline``
+(``conftest.least_squares_rows``), split across CPUs, against one unsplit
+call of numpy's stacked ``dgelsd`` kernel, bit for bit.
 
 A stack of at least ``glm.SPLIT_ELEMENTS`` design elements is cut into
 contiguous chunks of rows, one per CPU; this thread solves the first and a
@@ -22,9 +23,9 @@ from mseboot import CountTable, ModelSpec
 from mseboot import glm
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.core import canonical_key
-from mseboot.sparsity import canonical_cells, design_matrix
+from mseboot.sparsity import canonical_cells, design_matrix, reduce_for_sparsity
 
-from conftest import KOREA_COUNTS
+from conftest import KOREA_COUNTS, least_squares_rows
 
 # (lists, estimable parameters): the 7 x 6, 15 x 11 and 63 x 22 designs
 # the benchmark workloads stack
@@ -85,7 +86,7 @@ def test_split_equals_one_unsplit_call(t, params, cpus, monkeypatch, submits):
     for rows in row_counts(t, params):
         A, b = weighted_rows(t, params, rows, seed=rows)
         submits.clear()
-        got = glm._least_squares_rows(A, b)
+        got = least_squares_rows(A, b)
         assert got.shape == (rows, params)
         assert np.array_equal(got, unsplit(A, b)), rows
         chunks = min(cpus, rows) if A.size >= glm.SPLIT_ELEMENTS else 1
@@ -102,10 +103,10 @@ def test_non_finite_input_raises_before_any_submit(monkeypatch, submits):
         A2, b2 = A.copy(), b.copy()
         A2[-1, 0, 0] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            glm._least_squares_rows(A2, b)
+            least_squares_rows(A2, b)
         b2[-1, -1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            glm._least_squares_rows(A, b2)
+            least_squares_rows(A, b2)
     assert submits == []
 
 
@@ -138,7 +139,7 @@ def test_nan_row_in_last_chunk_raises_linalg_error_without_warning(monkeypatch, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            glm._least_squares_rows(A, b)
+            least_squares_rows(A, b)
     assert submits == [20]
     assert len(threads) == 1 and threads[0] != threading.get_ident()
 
@@ -156,7 +157,7 @@ def test_chunk_no_pool_thread_started_is_solved_here(monkeypatch):
 
     monkeypatch.setattr(glm, "_executor", Busy)
     A, b = weighted_rows(6, 22, 7, seed=3)
-    assert np.array_equal(glm._least_squares_rows(A, b), unsplit(A, b))
+    assert np.array_equal(least_squares_rows(A, b), unsplit(A, b))
     assert len(queued) == 2 and all(f.cancelled() for f in queued)
 
 
@@ -176,8 +177,8 @@ def test_one_cpu_makes_no_pool(monkeypatch, fresh_pool):
     assert glm._pool is None
 
 
-def _fit_in_child(model, group, conn):
-    solution = glm.solve_groups([(model, group)])[0]
+def _fit_in_child(red, group, conn):
+    solution = glm.solve_groups([(red, group)])[0]
     conn.send((solution.flags, solution.beta, solution.mu, glm._pool[0]))
     conn.close()
 
@@ -191,12 +192,13 @@ def test_forked_child_makes_its_own_pool(monkeypatch, fresh_pool):
     group = [t for t in group if len(t.counts) == 6]
     model = ModelSpec.from_notation("[12,13]", 3)
     assert len(group) * 7 * 5 >= glm.SPLIT_ELEMENTS
-    parent = glm.solve_groups([(model, group)])[0]
+    red = reduce_for_sparsity(model, group[0])
+    parent = glm.solve_groups([(red, group)])[0]
     assert glm._pool is not None and glm._pool[0] == os.getpid()
 
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_fit_in_child, args=(model, group, send))
+    child = ctx.Process(target=_fit_in_child, args=(red, group, send))
     child.start()
     send.close()
     try:

@@ -18,11 +18,11 @@ import pytest
 
 import irls_oracle
 from mseboot import CountTable, ModelSpec, enumerate_models, fr_check
-from mseboot import glm
+from mseboot import glm, sparsity
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.glm import FitSettings, ReducedProblem, fit_groups, solve_groups
 
-from conftest import KOREA_COUNTS, random_table, unchecked_fits
+from conftest import KOREA_COUNTS, random_table, reduced, unchecked_fits
 from irls_oracle import oracle_fit
 
 # its reduction is emptied by ``emptied_reduction``, as no valid table
@@ -65,7 +65,7 @@ def mixed_problems():
 
 @pytest.fixture
 def emptied_reduction(monkeypatch):
-    real = glm.reduce_for_sparsity
+    real = sparsity.reduce_for_sparsity
 
     def reduce(model, table):
         red = real(model, table)
@@ -73,7 +73,7 @@ def emptied_reduction(monkeypatch):
             return red
         return ReducedProblem(red.theta_dagger, (), red.minus_infinity_params)
 
-    monkeypatch.setattr(glm, "reduce_for_sparsity", reduce)
+    monkeypatch.setattr(sparsity, "reduce_for_sparsity", reduce)
     monkeypatch.setattr(irls_oracle, "reduce_for_sparsity", reduce)
 
 
@@ -136,8 +136,8 @@ def test_mixed_batch_matches_each_group_alone_and_the_oracle(
 
 def test_solutions_equal_solve_group_field_by_field(emptied_reduction):
     problems = mixed_problems()
-    for (model, group), got in zip(problems, solve_groups(problems)):
-        alone = glm.solve_groups([(model, group)])[0]
+    for (model, group), got in zip(problems, solve_groups(reduced(problems))):
+        alone = glm.solve_groups(reduced([(model, group)]))[0]
         assert got.reduced == alone.reduced and got.flags == alone.flags
         for field in ("beta", "mu", "deviance", "neg_log_likelihood",
                       "first_deviance", "change"):
@@ -167,12 +167,12 @@ def test_group_cut_into_pieces_equals_the_whole_group(monkeypatch, stacks):
     korea = CountTable.from_counts(3, KOREA_COUNTS)
     big = max(resample_groups(korea, 300, seed=11), key=len)
     problems = [(m, big) for m in enumerate_models(3, 2).models]
-    whole = solve_groups(problems)
+    whole = solve_groups(reduced(problems))
     assert len(stacks) < len(problems)
     stacks.clear()
     # a few rows a piece, and pieces of one group in several stacks
     monkeypatch.setattr(glm, "STACK_ELEMENTS", 7 * 7 * 5)
-    cut = solve_groups(problems)
+    cut = solve_groups(reduced(problems))
     assert len(stacks) > 2 * len(problems)
     for got, alone in zip(cut, whole):
         assert got.reduced == alone.reduced and got.flags == alone.flags
@@ -191,6 +191,7 @@ LARGE_GROUP_CHILD = """
 import json, resource, sys
 import numpy as np
 from mseboot import CountTable, ModelSpec, glm
+from mseboot.sparsity import reduce_for_sparsity
 glm._cpu_count = lambda: 2
 t = 9
 rng = np.random.default_rng(0)
@@ -198,11 +199,12 @@ counts = {w: int(rng.integers(5, 40)) for w in range(1, 1 << t)}
 table = CountTable.from_counts(t, counts)
 model = ModelSpec.from_generators(
     t, [(1 << i) | (1 << j) for i in range(t) for j in range(i + 1, t)])
+red = reduce_for_sparsity(model, table)
 # two rows are cut across both threads, so both have solved before the
 # peak is read
-glm.solve_groups([(model, [table] * 2)])
+glm.solve_groups([(red, [table] * 2)])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-solution = glm.solve_groups([(model, [table] * 120)])[0]
+solution = glm.solve_groups([(red, [table] * 120)])[0]
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"peak_rise_mb": (after - before) / 1024,
                   "flags": sorted(set(map(str, solution.flags)))}))
@@ -234,9 +236,9 @@ def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
         calls.append(model)
         return real_fit(model, table, settings, solved)
 
-    def counting_solve(problems):
+    def counting_solve(problems, rows=None):
         solves.append(len(problems))
-        return real_solve(problems)
+        return real_solve(problems, rows)
 
     monkeypatch.setattr(glm, "fit", counting_fit)
     monkeypatch.setattr(glm, "solve_groups", counting_solve)
