@@ -87,8 +87,6 @@ def _emit(payload: dict, fmt: str, out: str | None, to_text, to_csv=None) -> Non
     if fmt == "json":
         rendered = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
-        if to_csv is None:
-            raise CliError("csv output is not available for this command")
         rendered = to_csv(payload)
     else:
         rendered = to_text(payload)
@@ -361,15 +359,19 @@ def cmd_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_data(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", help="CSV path, or fixture:NAME for a bundled dataset")
     p.add_argument("--lists", help="comma-separated list column names (default: all)")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    _add_data(p)
     p.add_argument("--max-order", type=int, default=None,
                    help="maximum parameter order (default: one less than the list count)")
     p.add_argument("--sample-size", choices=("case", "capture"), default="case",
                    help="BIC sample-size convention")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    p.add_argument("--format", choices=formats, default="json")
 
 
 WORKERS_HELP = (
@@ -396,13 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("fit", help="fit one model or select the best by BIC")
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.add_argument("--model", default="best",
                    help="bracket notation such as '[12,23]', or 'best'")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bootstrap", help="model-selection-aware bootstrap intervals")
-    _add_common(p)
+    _add_common(p, ("json", "csv", "text"))
     p.add_argument("--method", choices=("bic", "degree2", "downhill", "chisq"),
                    default="bic")
     p.add_argument("--ntop", default="all",
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("diagnose", help="rank-agreement diagnostics over the full space")
-    _add_common(p)
+    _add_common(p, ("json", "csv", "text"))
     p.add_argument("--reps", type=int, default=DEFAULT_B)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ntop-grid", default="1,5,10,50,100", dest="ntop_grid")
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("dump", help="re-serialize a dataset in aggregated CSV form")
-    _add_common(p)
+    _add_data(p)
     p.set_defaults(func=cmd_dump)
 
     return parser

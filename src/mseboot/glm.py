@@ -32,13 +32,12 @@ and would change the last bits of the estimates.
 The IRLS run is a generator that yields each iteration's least-squares
 request, and ``_pipeline`` keeps a few runs in flight at once: one more
 than the CPUs the process may use (its affinity mask,
-``os.sched_getaffinity``, which ``taskset`` limits).  A thread pool of
-CPUs - 1 threads, made on first use, solves requests of at least
-``SPLIT_ELEMENTS`` elements while the calling thread takes the
-elementwise step of another run, as the kernel releases the GIL.  When
-no run's request is solved, the calling thread solves one no pool thread
-has started.  A request with no other run in flight is cut into
-contiguous chunks of rows, one per CPU.  The pool runs nothing but the
+``os.sched_getaffinity``, which ``taskset`` limits), each with at most
+one request.  A thread pool of CPUs - 1 threads, made on first use,
+solves whole requests of at least ``POOL_ELEMENTS`` elements while the
+calling thread takes the elementwise step of another run, as the kernel
+releases the GIL.  When no run's request is solved, the calling thread
+solves one no pool thread has started.  The pool runs nothing but the
 kernel, so the reduction, the design and ``fit`` stay on the calling
 thread.  A row's solve does not depend on the other rows of its request,
 so the output is the same for any CPU count, bit for bit; on one CPU one
@@ -244,7 +243,7 @@ _RCOND = np.finfo(np.float64).eps
 # fewest design elements (rows x cells x parameters) of a least-squares
 # request that goes to the pool; a smaller one is solved by the calling
 # thread, as handing it to another thread costs more than it saves
-SPLIT_ELEMENTS = 2_000
+POOL_ELEMENTS = 2_000
 
 # (process id, pool): a forked child inherits the pool without its
 # threads, so it makes its own
@@ -268,11 +267,11 @@ def _window(cpus: int) -> int:
 
 
 def _executor() -> futures.ThreadPoolExecutor:
-    """The pool of CPUs - 1 threads that solves least-squares chunks, made
-    on first use.
+    """The pool of CPUs - 1 threads that solves least-squares requests,
+    made on first use.
 
     Threads that race here may each make a pool; the one not kept is
-    collected once its chunks are solved, and its threads exit.
+    collected once its requests are solved, and its threads exit.
     """
     global _pool
     if _pool is None or _pool[0] != os.getpid():
@@ -288,9 +287,9 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _LSTSQ(A, b, _RCOND)[0][:, :, 0]
 
 
-class _Chunk:
-    """Contiguous rows of one least-squares request: kept for the calling
-    thread, or handed to ``pool`` when one is given."""
+class _Request:
+    """One least-squares request ``A[k] x = b[k]`` for every k: kept for
+    the calling thread, or handed whole to ``pool`` when one is given."""
 
     def __init__(
         self, A: np.ndarray, b: np.ndarray, pool: futures.Executor | None = None
@@ -310,40 +309,22 @@ class _Chunk:
         return False
 
     def result(self) -> np.ndarray:
-        return self.x if self.x is not None else self.future.result()
+        """The solution rows, or a ``LinAlgError`` when a row's SVD did not
+        converge."""
+        x = self.x if self.x is not None else self.future.result()
+        if np.isnan(x).any():
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        return x
 
 
-def _post(A: np.ndarray, b: np.ndarray, alone: bool, cpus: int) -> list[_Chunk]:
-    """The chunks of the request ``A[k] x = b[k]`` for every k.
-
-    A request of at least ``SPLIT_ELEMENTS`` elements goes to the pool:
-    whole while other runs are in flight, or, when it is the only one, cut
-    into contiguous chunks of rows, one per CPU, the first kept for the
-    calling thread.  Anything smaller, and everything on one CPU, is the
-    calling thread's.
-    """
+def _post(A: np.ndarray, b: np.ndarray, cpus: int) -> _Request:
+    """The request ``A[k] x = b[k]`` for every k, whole: the pool's when
+    there is a second CPU and it has at least ``POOL_ELEMENTS`` elements,
+    otherwise the calling thread's."""
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    b = b[:, :, None]
-    if cpus < 2 or A.size < SPLIT_ELEMENTS:
-        return [_Chunk(A, b)]
-    if not alone:
-        return [_Chunk(A, b, _executor())]
-    chunks = min(cpus, len(A))
-    ends = [len(A) * k // chunks for k in range(chunks + 1)]
-    return [
-        _Chunk(A[lo:hi], b[lo:hi], _executor() if lo else None)
-        for lo, hi in zip(ends, ends[1:])
-    ]
-
-
-def _gather(chunks: list[_Chunk]) -> np.ndarray:
-    """The solution rows of a solved request, in order."""
-    parts = [c.result() for c in chunks]
-    x = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if np.isnan(x).any():
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-    return x
+    pool = _executor() if cpus > 1 and A.size >= POOL_ELEMENTS else None
+    return _Request(A, b[:, :, None], pool)
 
 
 def _pipeline(
@@ -354,20 +335,21 @@ def _pipeline(
 
     ``runs`` gives (tag, generator) pairs; a generator yields least-squares
     requests ``(A, b)``, is sent the solution rows of each, and returns its
-    result.  Up to ``_window`` runs are in flight, and the next pair is
-    taken from ``runs`` only when one finishes.  The calling thread steps
-    the first run whose request is solved and posts its next request
-    (``_post``).  While none is solved it solves a chunk no pool thread
-    has started, the newest run's first (the pool takes the oldest
-    first), and when there is none it waits for the pool.  The pool runs
-    nothing but ``_solve``.  A row's solve does not depend on the other
-    rows of its request, so every row is the same for any CPU count and
-    whichever thread solves it, bit for bit.  An error is raised only once
-    every chunk handed to the pool is done with its arrays.
+    result.  Up to ``_window`` runs are in flight, each with at most one
+    request, and the next pair is taken from ``runs`` only when one
+    finishes.  The calling thread steps the first run whose request is
+    solved and posts its next request (``_post``).  While none is solved
+    it solves a request no pool thread has started, the newest run's
+    (the pool takes the oldest first), and when there is none it waits
+    for the pool.  The pool runs nothing but ``_solve``.  A row's solve
+    does not depend on the other rows of its request, so every row is the
+    same for any CPU count and whichever thread solves it, bit for bit.
+    An error is raised only once every request handed to the pool is
+    done with its arrays.
     """
     cpus = _cpu_count()
     runs = iter(runs)
-    # [tag, generator, chunks of its request (None before the first)]
+    # [tag, generator, its request in flight (None when it has none)]
     flight: list[list] = []
     try:
         while True:
@@ -378,32 +360,30 @@ def _pipeline(
                 flight.append([*run, None])
             if not flight:
                 return
-            run = next(
-                (r for r in flight if r[2] is None or all(c.done() for c in r[2])),
-                None,
-            )
+            run = next((r for r in flight if r[2] is None or r[2].done()), None)
             if run is None:
-                if not any(c.solve_here() for r in reversed(flight) for c in r[2]):
+                if not any(r[2].solve_here() for r in reversed(flight)):
                     futures.wait(
-                        [c.future for r in flight for c in r[2] if not c.done()],
+                        [r[2].future for r in flight if not r[2].done()],
                         return_when=futures.FIRST_COMPLETED,
                     )
                 continue
-            solution = None if run[2] is None else _gather(run[2])
+            solution = None if run[2] is None else run[2].result()
             # the solved request is let go before the next one is made
-            run[2] = []
+            run[2] = None
             try:
                 A, b = run[1].send(solution)
             except StopIteration as stop:
                 flight.remove(run)
                 yield run[0], stop.value
                 continue
-            run[2] = _post(A, b, len(flight) == 1, cpus)
-            # the chunks hold the request; this frame must not keep it
+            run[2] = _post(A, b, cpus)
+            # the request holds the arrays; this frame must not keep them
             # while suspended at the yield above
             del A, b
     finally:
-        pending = [c.future for r in flight for c in r[2] or () if c.future is not None]
+        pending = [r[2].future for r in flight
+                   if r[2] is not None and r[2].future is not None]
         for f in pending:
             f.cancel()
         futures.wait(pending)
@@ -607,7 +587,7 @@ def _irls(
     idx = np.arange(rows)
     x, y, m, prev = X, Y, Y + 0.5, None
     # every request's weighted design goes to the front of one buffer: a
-    # request is solved before the next is made, and a chunk the calling
+    # request is solved before the next is made, and a request the calling
     # thread took back from the pool, which stays queued until a pool
     # thread reaches it, then holds a view of the buffer, not an array
     weighted = np.empty_like(X)

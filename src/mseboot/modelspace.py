@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ModelSpec, canonical_key, order, subsets
+from .core import ModelSpec, _validate_t, canonical_key, order, subsets
 
 # most models an enumeration may produce: above the 32,768 of t=6, l=2,
 # and reached within seconds, so that a space too large to search fails
@@ -63,13 +64,9 @@ class ModelSpace:
     def index_of(self, model: ModelSpec) -> int:
         return self._index[model.params]
 
-    @property
+    @cached_property
     def _index(self) -> dict[frozenset[int], int]:
-        d = self.__dict__.get("_index_cache")
-        if d is None:
-            d = {m.params: i for i, m in enumerate(self.models)}
-            self.__dict__["_index_cache"] = d
-        return d
+        return {m.params: i for i, m in enumerate(self.models)}
 
 
 def _iter_downsets(elems: list[int]) -> Iterator[frozenset[int]]:
@@ -111,6 +108,8 @@ def enumerate_models(t: int, l: int | None = None) -> ModelSpace:
         l = t - 1
     if not 2 <= t:
         raise ModelSpaceError(f"need at least 2 lists, got t={t}")
+    # before ``_higher_terms`` walks all 2^t masks
+    _validate_t(t)
     check_max_order(t, l)
     base = frozenset([0] + [1 << i for i in range(t)])
     elems = _higher_terms(t, l)

@@ -91,10 +91,10 @@ def unchecked_fits(problems):
 
 def least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows:
-    one request driven through ``glm._pipeline`` on its own, so a request
-    of at least ``glm.SPLIT_ELEMENTS`` elements is cut into one chunk of
-    rows per CPU, the first solved by this thread and the others by the
-    pool."""
+    one request driven through ``glm._pipeline`` on its own.  On two or
+    more CPUs a request of at least ``glm.POOL_ELEMENTS`` elements is
+    handed whole to the pool, and this thread takes it back unless a pool
+    thread has started it."""
     def request():
         return (yield A, b)
 

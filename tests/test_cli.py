@@ -241,6 +241,41 @@ class TestCli:
         table, _ = parse_table(out)
         assert table == load_fixture("korea")[0]
 
+    @pytest.mark.parametrize("option", [
+        ["--format", "json"], ["--max-order", "1"], ["--sample-size", "capture"],
+    ])
+    def test_dump_refuses_options_it_would_ignore(self, capsys, option):
+        # dump writes aggregated CSV from the data alone
+        with pytest.raises(SystemExit) as exit:
+            main(["dump", "--data", "fixture:korea", *option])
+        assert exit.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_fit_csv_exits_2_before_any_fit(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as exit:
+            main(["fit", "--data", "fixture:korea", "--format", "csv"])
+        assert exit.value.code == 2 and calls == []
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    def test_enumerate_too_many_lists_exits_2_within_budget(self):
+        # the list count is checked before any mask is walked: 2^40 of
+        # them would run for hours
+        import mseboot
+
+        env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "mseboot.cli", "enumerate", "40", "--max-order", "2"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - start < 5.0
+        assert out.returncode == 2 and out.stdout == ""
+        assert json.loads(out.stderr)["message"] == (
+            "number of lists must be in 1..16, got 40"
+        )
+
     @pytest.mark.parametrize("max_order", ["0", "3"])
     def test_downhill_max_order_outside_range_exits_2_up_front(
         self, capsys, tmp_path, monkeypatch, max_order
