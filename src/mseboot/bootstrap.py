@@ -82,24 +82,19 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
 def resample(table: CountTable, rng: np.random.Generator) -> CountTable:
     """Multinomial resample: same number of cases, probabilities from counts.
 
-    The resample lists its cells in the order of ``table.counts``, so a
-    canonical table gives a canonical resample, built without checking
-    or sorting it again; any other goes through ``CountTable.from_counts``.
-    A resample that keeps every positive cell of ``table`` shares its
-    ``support`` object.
+    The resample lists its positive draws in the order of ``table.counts``,
+    which is canonical, so construction takes them as they are.  A
+    resample that keeps every cell of ``table`` shares its ``support``
+    object.
     """
     if table.n_total == 0:
         raise ValueError("cannot resample an empty table")
     draw = rng.multinomial(table.n_total, table.cell_probabilities).tolist()
-    counts = {m: k for m, k in zip(table.counts, draw) if k}
-    if table.canonical:
-        rep = CountTable(table.t, counts)
-    else:
-        rep = CountTable.from_counts(table.t, counts)
-    if len(counts) == len(table.support):
-        # only positive cells can draw a case, so this is the source's
-        # support: one frozenset for all such resamples instead of one
-        # each (the cached property's slot; the dataclass is frozen)
+    rep = CountTable(table.t, {m: k for m, k in zip(table.counts, draw) if k})
+    if len(rep.counts) == len(table.counts):
+        # every cell of the source drew a case, so this is its support:
+        # one frozenset for all such resamples instead of one each (the
+        # cached property's slot; the dataclass is frozen)
         rep.__dict__["support"] = table.support
     return rep
 

@@ -10,7 +10,7 @@ histories, so this module is the shared vocabulary of everything else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -70,30 +70,57 @@ def _validate_t(t: int) -> None:
         raise ValueError(f"number of lists must be in 1..{MAX_LISTS}, got {t}")
 
 
+@cache
+def canonical_cells(t: int) -> tuple[int, ...]:
+    """The 2^t - 1 non-empty histories of t lists, in canonical order."""
+    return tuple(sorted(range(1, 1 << t), key=canonical_key))
+
+
+@cache
+def _cell_positions(t: int) -> dict[int, int]:
+    """Each non-empty history of t lists and its place in canonical order."""
+    return {mask: i for i, mask in enumerate(canonical_cells(t))}
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Observed capture counts over the non-empty histories of t lists.
 
-    ``counts`` is sparse: histories absent from the map have count zero.
+    ``counts`` holds the positive counts only, in canonical order of
+    their histories: construction drops zero counts and sorts the rest,
+    and raises ``ValueError`` for t outside 1..``MAX_LISTS``, a history
+    outside 1..2^t - 1 or a negative or fractional count.  A dict already
+    in that form is kept, not copied, so it must not change afterwards.
     Instances are immutable and safe to share across threads.
     """
 
     t: int
     counts: Mapping[int, int]
 
+    def __post_init__(self) -> None:
+        _validate_t(self.t)
+        position = _cell_positions(self.t)
+        canonical = type(self.counts) is dict
+        last = -1
+        for mask, n in self.counts.items():
+            at = position.get(mask, -1)
+            if at < 0:
+                raise ValueError(f"history mask {mask} invalid for t={self.t} (empty or out of range)")
+            if type(n) is not int or n <= 0:
+                if n < 0 or n != int(n):
+                    raise ValueError(f"count for {history_to_str(mask)} must be a non-negative integer")
+                canonical = False
+            if at <= last:
+                canonical = False
+            last = at
+        if not canonical:
+            cells = sorted(self.counts.items(), key=lambda kv: position[kv[0]])
+            object.__setattr__(self, "counts", {m: int(n) for m, n in cells if n})
+
     @staticmethod
     def from_counts(t: int, counts: Mapping[int, int]) -> "CountTable":
-        _validate_t(t)
-        clean: dict[int, int] = {}
-        for mask, n in counts.items():
-            if not 0 < mask < (1 << t):
-                raise ValueError(f"history mask {mask} invalid for t={t} (empty or out of range)")
-            if n < 0 or n != int(n):
-                raise ValueError(f"count for {history_to_str(mask)} must be a non-negative integer")
-            if n > 0:
-                clean[mask] = int(n)
-        ordered = dict(sorted(clean.items(), key=lambda kv: canonical_key(kv[0])))
-        return CountTable(t, ordered)
+        """``CountTable(t, counts)``."""
+        return CountTable(t, counts)
 
     @cached_property
     def n_total(self) -> int:
@@ -101,20 +128,10 @@ class CountTable:
 
     @cached_property
     def support(self) -> frozenset[int]:
-        """The cells with a positive count; a table built directly may
-        also list cells at 0.  Everything that depends only on which cells
-        are positive (the existence verdict, the sparsity reduction, the
-        grouping of tables for a fit) is keyed by it."""
-        return frozenset(mask for mask, n in self.counts.items() if n > 0)
-
-    @cached_property
-    def canonical(self) -> bool:
-        """Whether ``counts`` holds valid histories of t lists in canonical
-        order, as ``from_counts`` leaves them."""
-        if not 1 <= self.t <= MAX_LISTS or not all(0 < m < 1 << self.t for m in self.counts):
-            return False
-        keys = list(map(canonical_key, self.counts))
-        return all(a < b for a, b in zip(keys, keys[1:]))
+        """The cells with a positive count.  Everything that depends only
+        on which cells are positive (the existence verdict, the sparsity
+        reduction, the grouping of tables for a fit) is keyed by it."""
+        return frozenset(self.counts)
 
     @cached_property
     def cell_probabilities(self) -> np.ndarray:
@@ -127,26 +144,14 @@ class CountTable:
 
     @cached_property
     def log_factorials(self) -> tuple[float, ...]:
-        """log n! of each positive count, in the order of ``counts``."""
+        """log n! of each count, in the order of ``counts``."""
         return tuple(map(log_factorial, self.counts.values()))
-
-    @cached_property
-    def _positive(self) -> frozenset[tuple[int, int]]:
-        """The (cell, count) pairs of the support: a cell listed at 0 is
-        one the table does not have, so equality and the hash read these
-        only."""
-        return frozenset((mask, n) for mask, n in self.counts.items() if n > 0)
 
     def count(self, mask: int) -> int:
         return self.counts.get(mask, 0)
 
     def __hash__(self) -> int:
-        return hash((self.t, self._positive))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        return self.t == other.t and self._positive == other._positive
+        return hash((self.t, tuple(self.counts.items())))
 
 
 def is_hierarchical(params: Iterable[int], t: int) -> bool:

@@ -612,8 +612,8 @@ def certify(
 Key = tuple[frozenset[int], frozenset[int]]
 
 # a pair's problem, the positions of its zero cells, the verdict and route
-# of ``prove`` on it (None when not tried) and its float solution from a
-# batched ``float_solve``
+# of ``prove`` on it (None when the fast path settles the pair) and its
+# float solution from a batched ``float_solve``
 Solved = tuple[
     ReducedProblem, list[int], tuple[bool | None, str] | None, FloatSolution | None
 ]
@@ -648,10 +648,11 @@ def fr_check(
     and ``lp_max_s`` when it cannot.
 
     ``solved`` passes the pair's reduction, the positions of its zero
-    cells, what ``prove`` said on it (None when not tried) and its float
-    solution from a batched ``float_solve`` (None when it was not solved);
-    when that solution does not certify, the problem is solved again on
-    its own before ``lp_max_s`` runs.  ``tally``, when given, counts the
+    cells, what ``prove`` said on it (None when the fast path settles the
+    pair), as ``_posed`` leaves them, and its float solution from a
+    batched ``float_solve`` (None when it was not solved); when that
+    solution does not certify, the problem is solved again on its own
+    before ``lp_max_s`` runs.  ``tally``, when given, counts the
     route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
     ``CERTIFIED`` or ``FALLBACK``.
     """
@@ -676,7 +677,7 @@ def _decide(
     problem, zero, proved, batched = solved or _posed(model, table)
     if not problem.omega_dagger or not zero:
         return bool(problem.omega_dagger), FAST_PATH
-    verdict, route = proved or prove(problem, zero)
+    verdict, route = proved
     if verdict is None:
         verdict = certify(problem, zero, batched)
         if verdict is None:

@@ -70,8 +70,7 @@ from typing import Generator, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from ._cephes import log_factorial
-from .core import CountTable, ModelSpec, canonical_key
+from .core import CountTable, ModelSpec
 from .existence import ExistenceCache
 # nothing here reduces: ``reduce_for_sparsity`` stays importable from this
 # module because ``bench/trace_spans.py`` wraps it by this name
@@ -464,7 +463,7 @@ def _support_cells(tables: Sequence[CountTable]) -> tuple[int, ...]:
         raise ValueError("tables fitted as a group must share one support")
     if not support:
         raise ValueError("cannot fit an empty table")
-    return tuple(sorted(support, key=canonical_key))
+    return tuple(tables[0].counts)
 
 
 def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
@@ -473,26 +472,16 @@ def _group_rows(tables: Sequence[CountTable], rows: dict) -> tuple:
 
     ``rows`` maps the identities of a group's tables to them, so a group
     fitted with several models converts its counts once; making an entry
-    validates the group (``_support_cells``).  A table listing exactly
-    those cells gives its counts as they are; one built directly, which
-    may list a zero cell or list its cells out of order, is read cell by
-    cell.
+    validates the group (``_support_cells``).  Every table of a group
+    lists exactly its support's cells, in that order, so each row is its
+    ``counts`` as they are.
     """
     key = tuple(map(id, tables))
     entry = rows.get(key)
     if entry is None:
         cells = _support_cells(tables)
-        counts, log_factorials = [], []
-        for t in tables:
-            if tuple(t.counts) == cells:
-                counts.append(list(t.counts.values()))
-                log_factorials.append(t.log_factorials)
-            else:
-                row = [t.counts[w] for w in cells]
-                counts.append(row)
-                log_factorials.append(list(map(log_factorial, row)))
-        counts = np.array(counts, dtype=float)
-        log_factorials = np.array(log_factorials)
+        counts = np.array([list(t.counts.values()) for t in tables], dtype=float)
+        log_factorials = np.array([t.log_factorials for t in tables])
         # shared by the posed groups of every model fitted on these tables
         counts.flags.writeable = log_factorials.flags.writeable = False
         entry = rows[key] = cells, counts, log_factorials

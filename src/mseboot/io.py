@@ -15,7 +15,7 @@ import warnings
 from importlib import resources
 from pathlib import Path
 
-from .core import CountTable
+from .core import MAX_LISTS, CountTable
 
 FIXTURES = ("korea", "table1_n1", "table1_n2", "table1_n3", "table1_n4")
 
@@ -58,8 +58,10 @@ def parse_table(text: str, lists: list[str] | None = None) -> tuple[CountTable, 
         if missing:
             raise DataFormatError(f"requested list columns not found: {missing}")
         names = lists
-    if not 1 <= len(names) <= 16:
-        raise DataFormatError(f"need between 1 and 16 list columns, got {len(names)}")
+    if not 1 <= len(names) <= MAX_LISTS:
+        raise DataFormatError(
+            f"need between 1 and {MAX_LISTS} list columns, got {len(names)}"
+        )
     col = {h: i for i, h in enumerate(header)}
     counts: dict[int, int] = {}
     seen: set[int] = set()

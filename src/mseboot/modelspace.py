@@ -111,15 +111,19 @@ def enumerate_models(t: int, l: int | None = None) -> ModelSpace:
     # before ``_higher_terms`` walks all 2^t masks
     _validate_t(t)
     check_max_order(t, l)
+    too_many = (
+        f"model space for (t={t}, l={l}) exceeds safety limit {DEFAULT_SAFETY_LIMIT}"
+    )
+    # every set of order-2 terms is a down-set, so at l >= 2 the space
+    # holds at least 2^(t choose 2) models: refuse it before walking
+    if l >= 2 and 2 ** math.comb(t, 2) > DEFAULT_SAFETY_LIMIT:
+        raise ModelSpaceError(too_many)
     base = frozenset([0] + [1 << i for i in range(t)])
     elems = _higher_terms(t, l)
     models: list[ModelSpec] = []
     for down in _iter_downsets(elems):
         if len(models) >= DEFAULT_SAFETY_LIMIT:
-            raise ModelSpaceError(
-                f"model space for (t={t}, l={l}) exceeds safety limit "
-                f"{DEFAULT_SAFETY_LIMIT}"
-            )
+            raise ModelSpaceError(too_many)
         models.append(ModelSpec(t, base | down))
     models.sort(key=lambda m: tuple(m.sorted_params))
     return ModelSpace(t, l, tuple(models))

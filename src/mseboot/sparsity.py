@@ -15,18 +15,12 @@ This module imports neither ``glm`` nor ``existence``: both import it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import CountTable, ModelSpec, canonical_key
-
-
-@cache
-def canonical_cells(t: int) -> tuple[int, ...]:
-    """The 2^t - 1 non-empty histories of t lists, in canonical order."""
-    return tuple(sorted(range(1, 1 << t), key=canonical_key))
+from .core import CountTable, ModelSpec, canonical_cells
 
 
 def containment(omega: Sequence[int], theta: Sequence[int]) -> np.ndarray:

@@ -125,6 +125,13 @@ class TestJackknife:
         assert tabs[0b01].support == {0b10}
         assert tabs[0b10].support == {0b01, 0b10}
 
+    def test_a_listed_zero_cell_gives_no_table(self, korea):
+        # korea has no case in cell 23; listed at 0 it is still no cell
+        listed = CountTable(3, {**korea.counts, 0b110: 0})
+        got = jackknife_tables(listed)
+        assert [mask for mask, _ in got] == list(korea.counts)
+        assert got == jackknife_tables(korea)
+
 
 class TestBcaFormula:
     def test_no_correction_recovers_percentile(self):
@@ -229,6 +236,13 @@ class TestRestrictedBootstrap:
         b = restricted_bootstrap(korea, korea_space, B=50, n_top=2, seed=7)
         assert a == b
 
+    def test_a_table_listing_a_zero_cell_gives_its_twins_result(
+        self, korea, korea_space
+    ):
+        listed = CountTable(3, {**korea.counts, 0b110: 0})
+        got = restricted_bootstrap(listed, korea_space, B=40, n_top=2, seed=4)
+        assert got == restricted_bootstrap(korea, korea_space, B=40, n_top=2, seed=4)
+
     def test_degree_orderings_agree_at_extremes(self, korea, korea_space):
         # identical at n_top = 1 and n_top = |space| for the same seed
         for n_top in (1, len(korea_space)):
@@ -270,6 +284,11 @@ class TestSweep:
 
 
 class TestDownhillBootstrap:
+    def test_a_table_listing_a_zero_cell_gives_its_twins_result(self, korea):
+        listed = CountTable(3, {**korea.counts, 0b110: 0})
+        got = downhill_bootstrap(listed, B=40, seed=4)
+        assert got == downhill_bootstrap(korea, B=40, seed=4)
+
     def test_korea_matches_exhaustive_point_estimate(self, korea):
         res = downhill_bootstrap(korea, B=30, seed=12)
         assert res.selected_model == "[12,23]"

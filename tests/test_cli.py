@@ -37,6 +37,17 @@ class TestIngestion:
             table, _ = parse_table("X,Y,count\n1,0,2\n1,0,3\n")
         assert table.counts == {0b01: 5}
 
+    def test_list_count_checked_against_max_lists(self, monkeypatch):
+        from mseboot import io
+
+        header = ",".join(f"L{i}" for i in range(17)) + ",count\n"
+        row = ",".join(["1"] * 17) + ",3\n"
+        with pytest.raises(DataFormatError, match="need between 1 and 16 list columns, got 17"):
+            parse_table(header + row)
+        monkeypatch.setattr(io, "MAX_LISTS", 2)
+        with pytest.raises(DataFormatError, match="need between 1 and 2 list columns, got 3"):
+            parse_table("X,Y,Z,count\n1,0,1,4\n")
+
     def test_bad_flag_rejected(self):
         with pytest.raises(DataFormatError):
             parse_table("X,Y,count\n2,0,1\n")
@@ -275,6 +286,26 @@ class TestCli:
         assert json.loads(out.stderr)["message"] == (
             "number of lists must be in 1..16, got 40"
         )
+
+    @pytest.mark.parametrize("argv", [["16"], ["8", "--max-order", "2"]])
+    def test_enumerate_too_large_a_space_exits_2_within_budget(self, argv):
+        # refused before the walk: 2^120 and 2^28 sets of pairs are models
+        import mseboot
+
+        env = {**os.environ, "PYTHONPATH": str(Path(mseboot.__file__).parents[1])}
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "mseboot.cli", "enumerate", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert time.perf_counter() - start < 2.0
+        assert out.returncode == 2 and out.stdout == ""
+        assert "exceeds safety limit 40000" in json.loads(out.stderr)["message"]
+
+    def test_enumerate_six_lists_to_order_2_counts_every_model(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "6", "--max-order", "2")
+        assert code == 0
+        assert json.loads(out)["n_models"] == 32_768
 
     @pytest.mark.parametrize("max_order", ["0", "3"])
     def test_downhill_max_order_outside_range_exits_2_up_front(

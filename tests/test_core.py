@@ -1,9 +1,19 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mseboot import CountTable, ModelSpec, is_hierarchical
-from mseboot.core import history_from_str, history_to_str, order, subsets
+from mseboot.core import (
+    MAX_LISTS,
+    canonical_key,
+    history_from_str,
+    history_to_str,
+    order,
+    subsets,
+)
 
 from conftest import marginal_count
 
@@ -88,8 +98,6 @@ class TestSupportKey:
     )
     @settings(max_examples=50, deadline=None)
     def test_key_invariant_under_any_positive_scale(self, scale, seed):
-        import numpy as np
-
         from conftest import random_table
 
         table = random_table(np.random.default_rng(seed), 3, zero_prob=0.4)
@@ -99,6 +107,22 @@ class TestSupportKey:
         assert scaled.support == table.support
 
 
+def frozen_from_counts(t, counts):
+    """``CountTable.from_counts`` as it was when direct construction took
+    any mapping as given: the items of the table it built."""
+    if not 1 <= t <= MAX_LISTS:
+        raise ValueError(f"number of lists must be in 1..{MAX_LISTS}, got {t}")
+    clean = {}
+    for mask, n in counts.items():
+        if not 0 < mask < (1 << t):
+            raise ValueError(f"history mask {mask} invalid for t={t} (empty or out of range)")
+        if n < 0 or n != int(n):
+            raise ValueError(f"count for {history_to_str(mask)} must be a non-negative integer")
+        if n > 0:
+            clean[mask] = int(n)
+    return tuple(sorted(clean.items(), key=lambda kv: canonical_key(kv[0])))
+
+
 class TestCountTable:
     def test_zero_counts_equivalent_to_absence(self):
         a = CountTable.from_counts(2, {1: 5, 2: 0})
@@ -106,22 +130,69 @@ class TestCountTable:
         assert a == b
         assert a.support == {1}
 
-    def test_a_listed_zero_compares_and_hashes_as_the_clean_table(self):
-        # built directly, a table may list a cell at 0 or list its cells
-        # out of order; it is the table of its positive counts
+    def test_construction_normalizes(self):
+        # built directly from a listed zero or from cells out of order, a
+        # table holds its positive counts in canonical order, so it is
+        # the table ``from_counts`` gives
         listed = {1: 5, 2: 5, 3: 0, 4: 5, 5: 5, 6: 5, 7: 5}
         direct = CountTable(3, listed)
         clean = CountTable.from_counts(3, listed)
         backwards = CountTable(3, dict(reversed(clean.counts.items())))
-        assert direct.support == clean.support
-        for other in (clean, backwards):
-            assert direct == other and other == direct
-            assert hash(direct) == hash(other)
+        for table in (direct, clean, backwards):
+            assert tuple(table.counts.items()) == (
+                (1, 5), (2, 5), (4, 5), (5, 5), (6, 5), (7, 5)
+            )
+            assert table == direct and direct == table
+            assert hash(table) == hash(direct)
         assert len({direct, clean, backwards}) == 1
         # a different count, or the same counts on another number of lists,
         # is another table
         assert direct != CountTable(3, {**listed, 7: 6})
         assert direct != CountTable(4, listed)
+
+    @pytest.mark.parametrize("t, counts, message", [
+        (3, {1: 3, 8: 5}, "history mask 8 invalid for t=3"),
+        (3, {0: 2}, "history mask 0 invalid for t=3"),
+        (17, {1: 3}, "number of lists must be in 1..16, got 17"),
+        (0, {}, "number of lists must be in 1..16, got 0"),
+        (3, {1: 3, 2: -1}, "count for 2 must be a non-negative integer"),
+        (3, {1: 3, 2: 2.5}, "count for 2 must be a non-negative integer"),
+    ], ids=["history 8", "history 0", "t=17", "t=0", "count -1", "count 2.5"])
+    def test_direct_construction_rejects_what_from_counts_rejects(
+        self, t, counts, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            CountTable(t, counts)
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_counts(t, counts)
+
+    @given(
+        t=st.integers(min_value=0, max_value=MAX_LISTS + 1),
+        cells=st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=70),
+                st.one_of(
+                    st.integers(min_value=-1, max_value=9),
+                    st.sampled_from([0.0, 2.0, 2.5, True]),
+                    st.integers(min_value=0, max_value=9).map(np.int64),
+                ),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_construction_is_the_frozen_from_counts(self, t, cells):
+        counts = dict(cells)
+        try:
+            want = frozen_from_counts(t, counts)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                CountTable(t, counts)
+            return
+        got = CountTable(t, counts)
+        assert tuple(got.counts.items()) == want
+        assert all(type(n) is int for n in got.counts.values())
+        assert got == CountTable(t, dict(want)) == CountTable.from_counts(t, counts)
 
     def test_rejects_empty_history(self):
         with pytest.raises(ValueError):

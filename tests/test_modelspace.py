@@ -52,6 +52,24 @@ class TestEnumerate:
         with pytest.raises(ModelSpaceError):
             enumerate_models(5, 4)
 
+    def test_safety_limit_reached_by_the_walk(self, monkeypatch):
+        # 2^6 sets of pairs on 4 lists fit under 100, the 113 models do not
+        monkeypatch.setattr(modelspace, "DEFAULT_SAFETY_LIMIT", 100)
+        with pytest.raises(ModelSpaceError, match=r"\(t=4, l=3\) exceeds safety limit 100"):
+            enumerate_models(4, 3)
+        assert len(enumerate_models(4, 2)) == 64
+
+    @pytest.mark.parametrize("t, l", [(7, 2), (8, 2), (16, 15)])
+    def test_too_many_sets_of_pairs_refused_before_the_walk(self, monkeypatch, t, l):
+        # every set of order-2 terms is a model: 2^21 of them on 7 lists
+        walked = []
+        monkeypatch.setattr(modelspace, "_iter_downsets", walked.append)
+        with pytest.raises(ModelSpaceError, match=(
+            rf"^model space for \(t={t}, l={l}\) exceeds safety limit 40000$"
+        )):
+            enumerate_models(t, l)
+        assert walked == []
+
     def test_invalid_args(self):
         with pytest.raises(ModelSpaceError):
             enumerate_models(3, 3)
