@@ -219,7 +219,26 @@ def _parse_ntop(value: str) -> int | None:
     return n
 
 
+def _method_options(args) -> None:
+    """Fill in the defaults of the options that ``--method`` reads, and
+    refuse (exit 2) one given to a method that would ignore it."""
+    defaults = {"ntop": "all", "sweep": False, "starts": 0, "p_lo": 0.05, "p_hi": 0.3}
+    readers = {
+        "bic": ("ntop", "sweep"),
+        "degree2": ("ntop", "sweep"),
+        "downhill": ("starts",),
+        "chisq": ("p_lo", "p_hi"),
+    }
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif dest not in readers[args.method]:
+            option = "--" + dest.replace("_", "-")
+            raise CliError(f"{option} is not used by --method {args.method}")
+
+
 def cmd_bootstrap(args) -> int:
+    _method_options(args)
     table, names = _load_data(args)
     settings = _settings(args)
     levels = _levels(args)
@@ -407,18 +426,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, ("json", "csv", "text"))
     p.add_argument("--method", choices=("bic", "degree2", "downhill", "chisq"),
                    default="bic")
-    p.add_argument("--ntop", default="all",
-                   help="restrict replicate selection to the top-ranked models ('all' for no restriction)")
+    # the method-specific options default to None so that _method_options
+    # can tell one given to a method that ignores it
+    p.add_argument("--ntop",
+                   help="restrict replicate selection to the top-ranked models "
+                        "('all', the default, for no restriction; bic and degree2)")
     p.add_argument("--reps", type=int, default=DEFAULT_B)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--levels", default=",".join(str(x) for x in DEFAULT_LEVELS))
-    p.add_argument("--p-lo", type=float, default=0.05, dest="p_lo")
-    p.add_argument("--p-hi", type=float, default=0.3, dest="p_hi")
-    p.add_argument("--starts", type=int, default=0,
-                   help="extra random order-2 starting models for the downhill method")
+    p.add_argument("--p-lo", type=float, dest="p_lo",
+                   help="lower end of the chisq method's p-value window (default 0.05)")
+    p.add_argument("--p-hi", type=float, dest="p_hi",
+                   help="upper end of the chisq method's p-value window (default 0.3)")
+    p.add_argument("--starts", type=int,
+                   help="extra random order-2 starting models for the downhill method (default 0)")
     p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--sweep", action="store_true",
-                   help="emit intervals for every restriction size up to --ntop")
+    p.add_argument("--sweep", action="store_true", default=None,
+                   help="emit intervals for every restriction size up to --ntop (bic and degree2)")
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("diagnose", help="rank-agreement diagnostics over the full space")

@@ -47,15 +47,11 @@ checks during resampling are served from a cache keyed by the model and
 ``CountTable.support``.  The problem every route reads is the pair's
 ``sparsity.ReducedProblem``, posed once per (model, support) on the
 table it is asked about; the cache keeps it beside the verdict, and
-``glm.fit_groups`` fits from it.  ``ExistenceCache.check_many`` answers
-a list of pairs at once: it reduces every miss with a zero cell, tries
-the rank proof and the null-space route on it, and the programs of the
-misses that remain are independent, so ``float_solve`` stacks them as
-the blocks of one block-diagonal program and solves up to ``CHUNK`` of
-them per HiGHS call.  Each block is still certified on its own; a block
-that does not certify is solved again alone before ``lp_max_s`` is
-tried.  SciPy's ``optimize`` and ``sparse`` modules are imported by the
-first ``float_solve`` call, not with this module.
+``glm.fit_groups`` fits from it.  ``ExistenceCache.check_many`` is a
+loop over ``check``.  Each pair the exact routes leave undecided gets
+its own ``float_solve`` call inside ``fr_check``, so the program's time
+is part of the check that needed it.  SciPy's ``optimize`` module is
+imported by the first ``float_solve`` call, not with this module.
 """
 
 from __future__ import annotations
@@ -98,10 +94,6 @@ NULL_SPACE_MAX_SUBSETS = 5000
 # a float this close to a bound is read as on it when the active set is
 # taken from the float solution; a wrong reading costs only the fallback
 ACTIVE_TOL = 1e-9
-# most programs stacked into one HiGHS solve: from a few dozen on, a
-# stack costs a third or less per program of solving them one by one,
-# while stacks of many hundreds cost more per program and hold more memory
-CHUNK = 64
 
 
 def simplex_max(
@@ -239,65 +231,42 @@ class FloatSolution(NamedTuple):
     w: np.ndarray  # duals of A^T z = 0, one per parameter
 
 
-def float_solve(
-    blocks: Sequence[tuple[np.ndarray, Sequence[int]]],
-) -> list[FloatSolution | None]:
-    """For every block (A, zero): maximize t subject to A^T z = 0 and
-    z_i >= t on the zero cells, in floating point.
+def float_solve(incidence: np.ndarray, zero: Sequence[int]) -> FloatSolution | None:
+    """Maximize t subject to A^T z = 0 and z_i >= t on the zero cells, in
+    floating point.
 
-    ``A`` is the cells x parameters 0/1 incidence matrix and ``zero`` the
-    positions of the zero cells.  Each zero cell is written z_i = t + s_i
-    with 0 <= s_i <= 1, every other z_i lies in [-1, 1] and t in [0, 1],
-    so HiGHS sees only the parameter rows.  The blocks share no variable,
-    so up to ``CHUNK`` of them are stacked into one block-diagonal program
-    that maximizes the sum of their margins; any optimum of the stack is
-    an optimum of every block, and so are the blocks' slices of the
-    equality duals.  The solve has no time limit and HiGHS runs
-    deterministically, so the same input gives the same solutions.  An
-    entry is None when HiGHS reports no optimum for its chunk.
+    ``incidence`` is the cells x parameters 0/1 incidence matrix A and
+    ``zero`` the positions of the zero cells.  Each zero cell is written
+    z_i = t + s_i with 0 <= s_i <= 1, every other z_i lies in [-1, 1] and
+    t in [0, 1], so HiGHS sees only the parameter rows.  The solve has no
+    time limit and HiGHS runs deterministically, so the same input gives
+    the same solution.  None when HiGHS reports no optimum.
     """
-    # imported here: the two modules are a third of the package's import
-    # time, and most runs never reach this program
-    from scipy import optimize, sparse
+    # imported here: the module is a third of the package's import time,
+    # and most runs never reach this program
+    from scipy import optimize
 
-    out: list[FloatSolution | None] = []
-    for first in range(0, len(blocks), CHUNK):
-        chunk = blocks[first:first + CHUNK]
-        a_eq, cost, bounds, is_zero = [], [], [], []
-        for incidence, zero in chunk:
-            n_cells = incidence.shape[0]
-            cells = np.zeros(n_cells, dtype=bool)
-            cells[zero] = True
-            is_zero.append(cells)
-            a_eq.append(np.column_stack([incidence.T, incidence[cells].sum(axis=0)]))
-            c = np.zeros(n_cells + 1)
-            c[-1] = -1.0
-            cost.append(c)
-            b = np.ones((n_cells + 1, 2))
-            b[:n_cells, 0] = np.where(cells, 0.0, -1.0)
-            b[-1, 0] = 0.0
-            bounds.append(b)
-        n_rows = sum(a.shape[0] for a in a_eq)
-        res = optimize.linprog(
-            np.concatenate(cost),
-            A_eq=sparse.block_diag(a_eq, format="csr"),
-            b_eq=np.zeros(n_rows),
-            bounds=np.vstack(bounds),
-            method="highs",
-        )
-        if res.status != 0:
-            out += [None] * len(chunk)
-            continue
-        col = row = 0
-        for a, cells in zip(a_eq, is_zero):
-            n_params, width = a.shape
-            x = res.x[col:col + width]
-            t = float(x[-1])
-            z = x[:-1].copy()
-            z[cells] += t
-            out.append(FloatSolution(t, z, res.eqlin.marginals[row:row + n_params]))
-            col, row = col + width, row + n_params
-    return out
+    n_cells, n_params = incidence.shape
+    cells = np.zeros(n_cells, dtype=bool)
+    cells[zero] = True
+    cost = np.zeros(n_cells + 1)
+    cost[-1] = -1.0
+    bounds = np.ones((n_cells + 1, 2))
+    bounds[:n_cells, 0] = np.where(cells, 0.0, -1.0)
+    bounds[-1, 0] = 0.0
+    res = optimize.linprog(
+        cost,
+        A_eq=np.column_stack([incidence.T, incidence[cells].sum(axis=0)]),
+        b_eq=np.zeros(n_params),
+        bounds=bounds,
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    t = float(res.x[-1])
+    z = res.x[:-1].copy()
+    z[cells] += t
+    return FloatSolution(t, z, res.eqlin.marginals)
 
 
 def _common_scale(values: Sequence[Fraction]) -> list[int]:
@@ -611,12 +580,9 @@ def certify(
 # of lists, and the table's support
 Key = tuple[frozenset[int], frozenset[int]]
 
-# a pair's problem, the positions of its zero cells, the verdict and route
-# of ``prove`` on it (None when the fast path settles the pair) and its
-# float solution from a batched ``float_solve``
-Solved = tuple[
-    ReducedProblem, list[int], tuple[bool | None, str] | None, FloatSolution | None
-]
+# a pair's problem, the positions of its zero cells, and the verdict and
+# route of ``prove`` on it (None when the fast path settles the pair)
+Solved = tuple[ReducedProblem, list[int], tuple[bool | None, str] | None]
 
 
 def prove(problem: ReducedProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
@@ -644,16 +610,14 @@ def fr_check(
     parameter.
     Otherwise a full column rank of the positive cells' incidence rows
     (``proves_full_rank``) proves existence, and failing that
-    ``null_space_verdict`` decides; when it declines ``certify`` decides,
-    and ``lp_max_s`` when it cannot.
+    ``null_space_verdict`` decides; when it declines, ``float_solve``
+    solves the pair's program and ``certify`` decides, and ``lp_max_s``
+    when it cannot.
 
     ``solved`` passes the pair's reduction, the positions of its zero
-    cells, what ``prove`` said on it (None when the fast path settles the
-    pair), as ``_posed`` leaves them, and its float solution from a
-    batched ``float_solve`` (None when it was not solved); when that
-    solution does not certify, the problem is solved again on its own
-    before ``lp_max_s`` runs.  ``tally``, when given, counts the
-    route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
+    cells and what ``prove`` said on it (None when the fast path settles
+    the pair), as ``_posed`` leaves them.  ``tally``, when given, counts
+    the route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
     ``CERTIFIED`` or ``FALLBACK``.
     """
     if _full_support(table):
@@ -674,15 +638,12 @@ def _decide(
     model: ModelSpec, table: CountTable, solved: Solved | None
 ) -> tuple[bool, str]:
     """``fr_check``'s verdict and route on a table with a zero cell."""
-    problem, zero, proved, batched = solved or _posed(model, table)
+    problem, zero, proved = solved or _posed(model, table)
     if not problem.omega_dagger or not zero:
         return bool(problem.omega_dagger), FAST_PATH
     verdict, route = proved
     if verdict is None:
-        verdict = certify(problem, zero, batched)
-        if verdict is None:
-            (alone,) = float_solve([(problem.matrix, zero)])
-            verdict = certify(problem, zero, alone)
+        verdict = certify(problem, zero, float_solve(problem.matrix, zero))
         if verdict is None:
             status, s_star = lp_max_s(problem, table)
             verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
@@ -691,12 +652,11 @@ def _decide(
 
 def _posed(model: ModelSpec, table: CountTable) -> Solved:
     """The pair's reduction and the positions of its zero cells, with what
-    ``prove`` says on it unless the fast path settles it, and no float
-    solution yet."""
+    ``prove`` says on it unless the fast path settles it."""
     problem = reduce_for_sparsity(model, table)
     zero = problem.zero_cells(table)
     proved = prove(problem, zero) if problem.omega_dagger and zero else None
-    return problem, zero, proved, None
+    return problem, zero, proved
 
 
 @dataclass
@@ -726,9 +686,9 @@ class ExistenceCache:
         solved: Solved | None = None,
     ) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
-        ``fr_check``, holds the pair's reduction, its zero cells, what
-        ``prove`` said on it and its batched float solution; the reduction
-        is kept."""
+        ``fr_check``, holds the pair's reduction, its zero cells and what
+        ``prove`` said on it, and is posed here when not given; the
+        reduction is kept."""
         key = (model.params, table.support)
         cached = self.verdicts.get(key)
         if cached is not None:
@@ -758,31 +718,6 @@ class ExistenceCache:
     def check_many(
         self, pairs: Sequence[tuple[ModelSpec, CountTable]]
     ) -> list[bool]:
-        """``check`` on every (model, table) pair, in order.
-
-        Each distinct miss on a table with a zero cell is posed first
-        (``_posed``): it is reduced, its zero cells are read off the
-        table's support, and the exact routes (``prove``) are tried on it
-        unless the fast path settles it.  Those they decline go to one
-        ``float_solve`` call, made only when there are any; each pair is
-        then looked up by ``check``, so hits, misses and the calls to
-        ``check`` and ``fr_check`` are what a loop over ``check`` gives.
-        """
-        keys = [(model.params, table.support) for model, table in pairs]
-        solved: dict[Key, Solved] = {}
-        asked = []
-        for (model, table), key in zip(pairs, keys):
-            if key in self.verdicts or key in solved or _full_support(table):
-                continue
-            solved[key] = _posed(model, table)
-            proved = solved[key][2]
-            if proved and proved[0] is None:
-                asked.append(key)
-        if asked:
-            blocks = [(solved[k][0].matrix, solved[k][1]) for k in asked]
-            for key, sol in zip(asked, float_solve(blocks)):
-                solved[key] = (*solved[key][:3], sol)
-        return [
-            self.check(model, table, solved.get(key))
-            for (model, table), key in zip(pairs, keys)
-        ]
+        """``check`` on every (model, table) pair, in order, so hits, misses
+        and ``decided`` count as a loop over ``check`` does."""
+        return [self.check(model, table) for model, table in pairs]

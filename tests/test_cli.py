@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mseboot import glm, load_fixture, parse_table
+from mseboot import cli, glm, load_fixture, parse_table
 from mseboot.cli import EXIT_NO_MODEL, main
 from mseboot.io import DataFormatError, dump_table, load_table
 
@@ -269,6 +269,39 @@ class TestCli:
             main(["fit", "--data", "fixture:korea", "--format", "csv"])
         assert exit.value.code == 2 and calls == []
         assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--method", "downhill", "--sweep", "--ntop", "3"], "--ntop"),
+        (["--method", "downhill", "--sweep"], "--sweep"),
+        (["--method", "chisq", "--ntop", "2", "--sweep"], "--ntop"),
+        (["--starts", "3"], "--starts"),
+        (["--p-lo", "0.2", "--p-hi", "0.9"], "--p-lo"),
+        (["--method", "degree2", "--p-hi", "0.9"], "--p-hi"),
+    ])
+    def test_bootstrap_refuses_options_its_method_ignores(
+        self, capsys, monkeypatch, argv, option
+    ):
+        # refused before the data is loaded, naming the option
+        loads = []
+        monkeypatch.setattr(cli, "load_fixture", lambda *a: loads.append(a))
+        code, out, err = run_cli(
+            capsys, "bootstrap", "--data", "fixture:korea", *argv, "--reps", "5",
+        )
+        assert code == 2 and out == "" and loads == []
+        method = argv[1] if argv[0] == "--method" else "bic"
+        assert json.loads(err)["message"] == f"{option} is not used by --method {method}"
+
+    @pytest.mark.parametrize("argv", [
+        ["--ntop", "2", "--sweep", "--workers", "3"],
+        ["--method", "degree2", "--ntop", "2"],
+        ["--method", "downhill", "--starts", "1"],
+        ["--method", "chisq", "--p-lo", "0.01", "--p-hi", "0.5"],
+    ])
+    def test_bootstrap_takes_the_options_its_method_reads(self, capsys, argv):
+        code, out, _ = run_cli(
+            capsys, "bootstrap", "--data", "fixture:korea", *argv, "--reps", "5",
+        )
+        assert code == 0 and json.loads(out)["result"]["B"] == 5
 
     def test_enumerate_too_many_lists_exits_2_within_budget(self):
         # the list count is checked before any mask is walked: 2^40 of

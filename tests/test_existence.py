@@ -316,30 +316,29 @@ def exact_verdict(model, table):
 
 
 def check_together(pairs):
-    """``check_many`` on a fresh cache, with the size of every
-    ``float_solve`` call it made.  The rank proof runs once for every
-    miss that the fast path does not settle."""
-    sizes, proofs = [], []
+    """``check_many`` on a fresh cache, with the number of ``float_solve``
+    calls it made.  The rank proof runs once for every miss that the fast
+    path does not settle, and the program once for every miss that the
+    program or the fallback decides."""
+    solves, proofs = [], []
     solve, prove = existence.float_solve, existence.proves_full_rank
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(existence, "float_solve",
-                   lambda blocks: sizes.append(len(blocks)) or solve(blocks))
+                   lambda incidence, zero: solves.append(1) or solve(incidence, zero))
         mp.setattr(existence, "proves_full_rank",
                    lambda problem, zero: proofs.append(1) or prove(problem, zero))
         cache = ExistenceCache()
         verdicts = cache.check_many(pairs)
     assert len(proofs) == cache.misses - cache.decided[FAST_PATH]
-    return verdicts, cache, sizes
+    assert len(solves) == cache.decided[CERTIFIED] + cache.decided[FALLBACK]
+    return verdicts, cache, len(solves)
 
 
-def assert_agrees(models, tables, batch_certifies=True):
+def assert_agrees(models, tables):
     """One ``fr_check`` per pair, then all pairs decided together in two
-    orders, each equal to the exact verdict without a fallback.  Every
-    verdict of the rank route is True.
-
-    ``batch_certifies``: every block is certified from the batched solve,
-    none is solved again alone, and ``float_solve`` is not called when no
-    block is posed.
+    orders, each equal to the exact verdict without a fallback, with one
+    ``float_solve`` call per certified pair.  Every verdict of the rank
+    route is True.
     """
     tally = Counter()
     for table in tables:
@@ -354,11 +353,9 @@ def assert_agrees(models, tables, batch_certifies=True):
     pairs = [(m, t) for t in tables for m in models]
     shuffled = [pairs[k] for k in np.random.default_rng(len(pairs)).permutation(len(pairs))]
     for order in (pairs, shuffled):
-        verdicts, cache, sizes = check_together(order)
+        verdicts, cache, _ = check_together(order)
         assert verdicts == [exact_verdict(m, t) for m, t in order]
         assert cache.decided[FALLBACK] == 0
-        posed = cache.decided[CERTIFIED]
-        assert sizes == ([posed] if posed else []) or not batch_certifies
     return tally
 
 
@@ -424,11 +421,8 @@ class TestCertifiedCheck:
 
     def test_the_active_set_vertex_certifies_every_verdict(self, table1):
         # every certified verdict comes from the exact vertex of the float
-        # solution's active set.  A batched dual can name a vertex whose
-        # exact system leaves y of mixed sign; that block is then solved
-        # again alone
-        tally = assert_agrees(enumerate_models(4, 3).models, table1.values(),
-                              batch_certifies=False)
+        # solution's active set, with no fallback
+        tally = assert_agrees(enumerate_models(4, 3).models, table1.values())
         assert tally[CERTIFIED] > 0
 
     @pytest.mark.parametrize("name, exists", [("n1", True), ("n2", False)])
@@ -436,12 +430,11 @@ class TestCertifiedCheck:
                                              name, exists):
         # report the opposite verdict: a non-existence vector for a model
         # whose estimate exists and a direction for one whose does not
-        def wrong(blocks):
-            ((incidence, zero),) = blocks
+        def wrong(incidence, zero):
             n_cells, n_params = incidence.shape
             if exists:
-                return [FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))]
-            return [FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))]
+                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
+            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
 
         lp_calls = []
         exact_lp = existence.lp_max_s
@@ -454,26 +447,24 @@ class TestCertifiedCheck:
         assert cache.decided == {FALLBACK: 1}
         assert len(lp_calls) == 1
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_batch_verdicts_do_not_depend_on_chunking(self, monkeypatch, table1, chunk):
+    def test_one_program_per_undecided_pair(self, monkeypatch, table1):
         table = table1["n2"]
         tables = [table] + [resample(table, replicate_rng(9, i)) for i in range(8)]
         pairs = [(m, t) for t in tables for m in enumerate_models(4, 3).models]
-        monkeypatch.setattr(existence, "CHUNK", chunk)
         linprog_calls = []
         linprog = scipy.optimize.linprog
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: linprog_calls.append(1) or linprog(*a, **k))
-        verdicts, cache, sizes = check_together(pairs)
+        verdicts, cache, solves = check_together(pairs)
         assert verdicts == [exact_verdict(m, t) for m, t in pairs]
-        assert sizes[0] > 64 and len(sizes) == 1
-        assert len(linprog_calls) == math.ceil(sizes[0] / chunk)
+        assert solves > 64
+        assert len(linprog_calls) == solves == cache.decided[CERTIFIED]
         assert cache.decided[FALLBACK] == 0
         assert sum(cache.decided.values()) == cache.misses
 
     def test_wrong_block_falls_back_alone(self, monkeypatch, table1):
-        # one block of the batch gets a solution claiming the opposite
-        # verdict, also when solved alone; only that pair falls back
+        # one pair's program gets a solution claiming the opposite
+        # verdict; only that pair falls back
         table = table1["n2"]
         models = enumerate_models(4, 3).models
         # models differing only in parameters the reduction drops pose the
@@ -492,16 +483,14 @@ class TestCertifiedCheck:
         solve = existence.float_solve
         spoiled = []
 
-        def one_wrong(blocks):
-            out = solve(blocks)
-            for k, (incidence, zero) in enumerate(blocks):
-                if list(zero) == target_zero and np.array_equal(incidence, problem.matrix):
-                    n_cells, n_params = incidence.shape
-                    out[k] = (FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
-                              if exists else
-                              FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params)))
-                    spoiled.append(len(blocks))
-            return out
+        def one_wrong(incidence, zero):
+            if list(zero) != target_zero or not np.array_equal(incidence, problem.matrix):
+                return solve(incidence, zero)
+            spoiled.append(1)
+            n_cells, n_params = incidence.shape
+            if exists:
+                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
+            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
 
         lp_calls = []
         exact_lp = existence.lp_max_s
@@ -512,7 +501,7 @@ class TestCertifiedCheck:
         cache = ExistenceCache()
         pairs = [(m, table) for m in models]
         assert cache.check_many(pairs) == [exact_verdict(m, table) for m in models]
-        assert spoiled[0] > 1 and spoiled[1:] == [1]
+        assert spoiled == [1]
         assert cache.decided[FALLBACK] == 1 and len(lp_calls) == 1
         assert lp_calls[0] == problem
         assert cache.decided[CERTIFIED] > 1
@@ -559,11 +548,50 @@ class TestCertifiedCheck:
         assert tally == {RANK: 1}
 
 
+class TestProgramTraffic:
+    """The pairs that reach HiGHS: all-pairs models on sparse tables with
+    fewer positive cells than parameters, where the rank proof cannot
+    hold and the null-space route declines.  The exact simplex needs
+    minutes per pair here, so the verdicts are the ones the block-stacked
+    solve gave before each pair got its own program."""
+
+    @pytest.mark.parametrize("t, n_cells, verdicts", [
+        (9, 30, [True] * 14 + [False] + [True] * 26),
+        (10, 40, [True] * 41),
+    ])
+    def test_all_pairs_over_resample_supports(self, monkeypatch, t, n_cells, verdicts):
+        table = sparse_table(t, n_cells, seed=1)
+        tables = [table] + [resample(table, replicate_rng(1, i)) for i in range(40)]
+        checking, solves = [], []
+        check, solve = existence.fr_check, existence.float_solve
+
+        def inside(*args):
+            checking.append(1)
+            try:
+                return check(*args)
+            finally:
+                checking.pop()
+
+        def counting(incidence, zero):
+            assert checking, "float_solve called outside fr_check"
+            solves.append(1)
+            return solve(incidence, zero)
+
+        monkeypatch.setattr(existence, "fr_check", inside)
+        monkeypatch.setattr(existence, "float_solve", counting)
+        cache = ExistenceCache()
+        start = time.perf_counter()
+        assert cache.check_many([(all_pairs(t), r) for r in tables]) == verdicts
+        assert time.perf_counter() - start < 5.0
+        assert cache.decided == {CERTIFIED: len({r.support for r in tables})}
+        assert len(solves) == cache.decided[CERTIFIED]
+
+
 @pytest.fixture
 def no_program(monkeypatch):
-    """``float_solve`` fails the test if any block is sent to it."""
-    def refuse(blocks):
-        raise AssertionError(f"float_solve called on {len(blocks)} blocks")
+    """``float_solve`` fails the test if any program is sent to it."""
+    def refuse(incidence, zero):
+        raise AssertionError(f"float_solve called on a {incidence.shape} program")
 
     monkeypatch.setattr(existence, "float_solve", refuse)
 

@@ -103,7 +103,7 @@ def marginal_reduction(model, table):
 def per_miss_check_many(cache, pairs):
     """``check_many`` before the per-support work: every miss builds its own
     indicator, reduction and zero cells, and the prime alone proves
-    rank."""
+    rank.  Each pair the exact routes leave gets its own program."""
     keys = [(model.params, table.support) for model, table in pairs]
     posed = {}
     for (model, table), key in zip(pairs, keys):
@@ -113,7 +113,7 @@ def per_miss_check_many(cache, pairs):
         problem = marginal_reduction(model, indicator)
         zero = [i for i, w in enumerate(problem.omega_dagger) if indicator.count(w) == 0]
         posed[key] = (problem, zero)
-    solved, asked = {}, []
+    solved = {}
     for key, (problem, zero) in posed.items():
         proved = None
         if problem.omega_dagger and zero:
@@ -122,13 +122,7 @@ def per_miss_check_many(cache, pairs):
             else:
                 verdict = existence.null_space_verdict(problem, zero)
                 proved = (None, CERTIFIED) if verdict is None else (verdict, NULL_SPACE)
-        solved[key] = (problem, zero, proved, None)
-        if proved and proved[0] is None:
-            asked.append(key)
-    if asked:
-        blocks = [(solved[k][0].matrix, solved[k][1]) for k in asked]
-        for key, sol in zip(asked, existence.float_solve(blocks)):
-            solved[key] = (*solved[key][:3], sol)
+        solved[key] = (problem, zero, proved)
     return [cache.check(model, table, solved.get(key)) for (model, table), key in zip(pairs, keys)]
 
 
@@ -256,7 +250,7 @@ def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
     def refuse(*args):
         raise AssertionError("lp_max_s called")
 
-    def no_program(blocks):
+    def no_program(incidence, zero):
         raise AssertionError("float_solve called")
 
     monkeypatch.setattr(existence, "lp_max_s", refuse)
