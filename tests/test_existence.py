@@ -462,6 +462,27 @@ class TestCertifiedCheck:
         assert cache.decided[FALLBACK] == 0
         assert sum(cache.decided.values()) == cache.misses
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_batch_verdicts_do_not_depend_on_chunking(self, monkeypatch, table1, chunk):
+        # the same pairs handed to one cache in slices of ``chunk`` get the
+        # verdicts, decided counts and program solves of a single call
+        table = table1["n2"]
+        tables = [table] + [resample(table, replicate_rng(9, i)) for i in range(8)]
+        pairs = [(m, t) for t in tables for m in enumerate_models(4, 3).models]
+        whole_verdicts, whole, whole_solves = check_together(pairs)
+        linprog_calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: linprog_calls.append(1) or linprog(*a, **k))
+        cache = ExistenceCache()
+        verdicts = []
+        for start in range(0, len(pairs), chunk):
+            verdicts += cache.check_many(pairs[start:start + chunk])
+        assert verdicts == whole_verdicts == [exact_verdict(m, t) for m, t in pairs]
+        assert cache.decided == whole.decided and cache.misses == whole.misses
+        assert len(linprog_calls) == whole_solves == cache.decided[CERTIFIED]
+        assert cache.decided[FALLBACK] == 0
+
     def test_wrong_block_falls_back_alone(self, monkeypatch, table1):
         # one pair's program gets a solution claiming the opposite
         # verdict; only that pair falls back
