@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .core import CountTable, ModelSpec, history_to_str
-from .existence import ExistenceCache
 from .glm import (
     STATUS_FR_FAILED,
     FitSettings,
@@ -251,7 +250,6 @@ def cmd_bootstrap(args) -> int:
     if args.starts < 0:
         raise CliError(f"--starts must be a non-negative integer, got {args.starts}")
     started = time.perf_counter()
-    cache = ExistenceCache()
     sweep_rows = None
     if args.method == "downhill":
         starts = [ModelSpec.null_model(table.t)]
@@ -262,13 +260,13 @@ def cmd_bootstrap(args) -> int:
             n_pairs = min(5, table.t * (table.t - 1) // 2)
             starts += random_order2_starts(table.t, n_pairs, args.starts, start_rng)
         result = downhill_bootstrap(
-            table, l, args.reps, levels, args.seed, starts, settings, cache
+            table, l, args.reps, levels, args.seed, starts, settings
         )
     elif args.method == "chisq":
         space = enumerate_models(table.t, l)
         result = chisq_bootstrap(
             table, space, args.reps, levels, args.seed,
-            args.p_lo, args.p_hi, settings, cache,
+            args.p_lo, args.p_hi, settings,
         )
     else:
         degree = 2 if args.method == "degree2" else 1
@@ -276,14 +274,14 @@ def cmd_bootstrap(args) -> int:
         if args.sweep:
             _, per_ntop = ntop_sweep(
                 table, space, args.reps, n_top, levels, args.seed,
-                degree, settings, cache,
+                degree, settings,
             )
             sweep_rows = per_ntop
             result = per_ntop[max(per_ntop)]
         else:
             result = restricted_bootstrap(
                 table, space, args.reps, n_top, levels, args.seed,
-                degree, settings, cache,
+                degree, settings,
             )
     elapsed = time.perf_counter() - started
     # timing goes to stderr so the canonical output is byte-reproducible

@@ -23,21 +23,22 @@ nonzero and of one sign on the zero cells.
    route runs.
 3. ``NULL_SPACE``: the w with A w = 0 on the positive cells are w = N u
    for an exact integer basis N of that null space, so the question is
-   whether some u makes V u = A_Z N u nonzero and of one sign.  After
-   dropping dependent columns of V the cone {u : V u >= 0} is pointed,
-   so it is {0} unless it has an extreme ray, and each extreme ray is
-   the null space of some k' - 1 independent rows of V (k' columns).
-   Trying every such set of rows decides the question in integer
-   arithmetic (Eriksson, Fienberg, Rinaldo & Sullivant 2006, J. Symbolic
-   Comput. 41(2)); a failure verdict is checked on its w as the
-   certificate below is.  The route declines a problem larger than
-   ``NULL_SPACE_MAX_ENTRIES`` or one needing more than
+   whether some u makes V u = A_Z N u nonzero and of one sign.
+   ``null_space_form`` builds V' (a maximal set of independent columns
+   of V, k' of them) once per pair, and the cone {u : V' u >= 0} is
+   pointed, so it is {0} unless it has an extreme ray, and each extreme
+   ray is the null space of some k' - 1 independent rows of V'.  Trying
+   every such set of rows decides the question in integer arithmetic
+   (Eriksson, Fienberg, Rinaldo & Sullivant 2006, J. Symbolic Comput.
+   41(2)); a failure verdict is checked on its w as the certificates
+   below are.  The route declines a pair needing more than
    ``NULL_SPACE_MAX_SUBSETS`` sets of rows.
-4. ``CERTIFIED``: HiGHS solves the direction program in floating point
-   and the answer is accepted only after an exact check in integer
-   arithmetic: either a direction z as above, or a vector y = A w as
-   above, which rules every such z out.  The certificate is the vertex
-   the float solution's active set names, solved exactly.
+4. ``CERTIFIED``: HiGHS solves a program over the k' variables u of the
+   same form in floating point, and its answer is accepted only after an
+   exact check in integer arithmetic: the extreme ray its active rows
+   name, checked as the route above checks one, or a vector lambda > 0
+   with V'^T lambda = 0, one exact linear solve, which rules every ray
+   out (Stiemke's lemma).
 5. ``FALLBACK``: only when neither certifies does the exact-rational
    simplex (``lp_max_s``) decide, so a float error can cost time but
    never change a verdict.
@@ -46,18 +47,19 @@ Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
 ``CountTable.support``.  The problem every route reads is the pair's
 ``sparsity.ReducedProblem``, posed once per (model, support) on the
-table it is asked about; the cache keeps it beside the verdict, and
-``glm.fit_groups`` fits from it.  ``ExistenceCache.check_many`` is a
-loop over ``check``.  Each pair the exact routes leave undecided gets
-its own ``float_solve`` call inside ``fr_check``, so the program's time
-is part of the check that needed it.  SciPy's ``optimize`` module is
-imported by the first ``float_solve`` call, not with this module.
+table it is asked about; the cache hands it to ``fr_check``, keeps it
+beside the verdict, and ``glm.fit_groups`` fits from it.  Every route
+runs inside ``fr_check``, so its time is part of the check that needed
+it.  ``ExistenceCache.check_many`` is a loop over ``check``.  SciPy's
+``optimize`` module is imported by the first ``float_solve`` call, not
+with this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -83,16 +85,12 @@ FALLBACK = "fallback"
 # difference of two products of residues fits in an int64
 RANK_PRIME = 2**31 - 1
 
-# the null-space route declines, before any elimination, a problem with
-# more cells x parameters than this (all problems on up to 6 lists and
-# all-pairs models on 7 are below it) ...
-NULL_SPACE_MAX_ENTRIES = 4096
-# ... and, once the null space is known, one that would try more sets of
-# rows than this in its search for an extreme ray
+# the null-space route declines a pair that would try more sets of rows
+# than this in its search for an extreme ray
 NULL_SPACE_MAX_SUBSETS = 5000
 
-# a float this close to a bound is read as on it when the active set is
-# taken from the float solution; a wrong reading costs only the fallback
+# a float this close to 0 is read as 0 when a certificate is taken from
+# the float solution; a wrong reading costs only the fallback
 ACTIVE_TOL = 1e-9
 
 
@@ -224,55 +222,46 @@ def lp_max_s(problem: ReducedProblem, table: CountTable) -> tuple[str, Fraction 
 
 
 class FloatSolution(NamedTuple):
-    """HiGHS optimum of the direction LP solved by ``float_solve``."""
+    """HiGHS optimum of the program ``float_solve`` poses on V'."""
 
-    t: float  # the margin: z_i >= t on every zero cell
-    z: np.ndarray  # direction, one entry per retained cell
-    w: np.ndarray  # duals of A^T z = 0, one per parameter
+    value: float  # the optimum of sum(W u): 1 when the cone has a ray, else 0
+    wu: np.ndarray  # W u at the optimum, one entry per zero cell
+    duals: np.ndarray  # y >= 0 of W u >= 0, one per zero cell
+    exponents: list[int]  # row i of W is row i of V' over 2^exponents[i]
 
 
-def float_solve(incidence: np.ndarray, zero: Sequence[int]) -> FloatSolution | None:
-    """Maximize t subject to A^T z = 0 and z_i >= t on the zero cells, in
-    floating point.
+def float_solve(v: Sequence[Sequence[int]]) -> FloatSolution | None:
+    """Maximize sum(W u) subject to W u >= 0 and sum(W u) <= 1 over free u,
+    in floating point.
 
-    ``incidence`` is the cells x parameters 0/1 incidence matrix A and
-    ``zero`` the positions of the zero cells.  Each zero cell is written
-    z_i = t + s_i with 0 <= s_i <= 1, every other z_i lies in [-1, 1] and
-    t in [0, 1], so HiGHS sees only the parameter rows.  The solve has no
-    time limit and HiGHS runs deterministically, so the same input gives
-    the same solution.  None when HiGHS reports no optimum.
+    ``v`` is V' of ``null_space_form``, one row per zero cell, and W is V'
+    with row i divided by 2^e_i, the least power of two above the row's
+    largest absolute entry, so that HiGHS sees no entry above 1 however
+    large V' grows.  As the columns of V' are independent, the optimum is
+    1 when some u makes V' u nonzero and >= 0 and 0 when none does; with
+    no column there is no variable, the optimum is 0 and no program is
+    posed.  The solve has no time limit and HiGHS runs deterministically,
+    so the same input gives the same solution.  None when HiGHS reports no
+    optimum.
     """
+    vf = np.array(v, dtype=float)
+    exponents = np.frexp(np.abs(vf).max(axis=1, initial=0.0))[1]
+    w = np.ldexp(vf, -exponents[:, None])
+    n_rows, k = w.shape
+    if k == 0:
+        return FloatSolution(0.0, np.zeros(n_rows), np.zeros(n_rows), exponents.tolist())
     # imported here: the module is a third of the package's import time,
     # and most runs never reach this program
     from scipy import optimize
 
-    n_cells, n_params = incidence.shape
-    cells = np.zeros(n_cells, dtype=bool)
-    cells[zero] = True
-    cost = np.zeros(n_cells + 1)
-    cost[-1] = -1.0
-    bounds = np.ones((n_cells + 1, 2))
-    bounds[:n_cells, 0] = np.where(cells, 0.0, -1.0)
-    bounds[-1, 0] = 0.0
-    res = optimize.linprog(
-        cost,
-        A_eq=np.column_stack([incidence.T, incidence[cells].sum(axis=0)]),
-        b_eq=np.zeros(n_params),
-        bounds=bounds,
-        method="highs",
-    )
+    total = w.sum(axis=0)
+    b_ub = np.append(np.zeros(n_rows), 1.0)
+    res = optimize.linprog(-total, A_ub=np.vstack([-w, total]), b_ub=b_ub,
+                           bounds=(None, None), method="highs")
     if res.status != 0:
         return None
-    t = float(res.x[-1])
-    z = res.x[:-1].copy()
-    z[cells] += t
-    return FloatSolution(t, z, res.eqlin.marginals)
-
-
-def _common_scale(values: Sequence[Fraction]) -> list[int]:
-    """The rationals multiplied by the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values]
+    duals = -res.ineqlin.marginals[:n_rows]
+    return FloatSolution(-res.fun, w @ res.x, duals, exponents.tolist())
 
 
 def _eliminate(
@@ -305,10 +294,11 @@ def _eliminate(
     return aug, pivots
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """One solution of rows . x = rhs, free unknowns at 0; None if the
-    system is inconsistent."""
-    n = len(rows[0])
+def _solve_exact(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], n: int
+) -> list[Fraction] | None:
+    """One solution of rows . x = rhs over n unknowns, free unknowns at 0;
+    None if the system is inconsistent."""
     aug, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], n)
     if any(row[-1] for row in aug[len(pivots):]):
         return None
@@ -337,90 +327,6 @@ def _null_space(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
         g = math.gcd(*x)
         basis.append([v // g for v in x])
     return basis
-
-
-def _primal_vertex(
-    sol: FloatSolution, cells_of_param: list[list[int]], zero: Sequence[int]
-) -> list[int] | None:
-    """Exact direction at the vertex the float solution's active set names.
-
-    A cell on a bound keeps it: z_i = +-1 on a positive cell, z_i = t or
-    t + 1 on a zero cell, with t = 1 when t is on its upper bound.  The
-    other cells and t solve A^T z = 0.
-    """
-    z, t = sol.z.tolist(), sol.t
-    t_fixed = abs(t - 1) <= ACTIVE_TOL
-    # cell -> (a, b) for z_i = a t + b
-    bound: dict[int, tuple[int, int]] = {}
-    for i in zero:
-        for b in (0, 1):
-            if abs(z[i] - t - b) <= ACTIVE_TOL:
-                bound[i] = (0, 1 + b) if t_fixed else (1, b)
-    zero_set = set(zero)
-    for i, v in enumerate(z):
-        if i not in zero_set:
-            for b in (-1, 1):
-                if abs(v - b) <= ACTIVE_TOL:
-                    bound[i] = (0, b)
-    free = [i for i in range(len(z)) if i not in bound]
-    column = {i: k for k, i in enumerate(free)}
-    rows, rhs = [], []
-    for cells in cells_of_param:
-        row = [0] * (len(free) + 1)  # the last unknown is t
-        rest = 0
-        for i in cells:
-            if i in column:
-                row[column[i]] += 1
-            else:
-                a, b = bound[i]
-                row[-1] += a
-                rest -= b
-        rows.append(row)
-        rhs.append(rest)
-    x = _solve_exact(rows, rhs)
-    if x is None:
-        return None
-    exact = [Fraction(0)] * len(z)
-    for i, (a, b) in bound.items():
-        exact[i] = a * x[-1] + b
-    for i, k in column.items():
-        exact[i] = x[k]
-    return _common_scale(exact)
-
-
-def _dual_vertex(
-    incidence: Sequence[Sequence[int]], y: np.ndarray, zero: Sequence[int]
-) -> list[int] | None:
-    """Exact w whose A w is 0 on every cell except the zero cells where the
-    float y = A w is nonzero, equal on those where the float values are
-    equal, and sums to -1 over those."""
-    pushed = [i for i in zero if abs(y[i]) > ACTIVE_TOL]
-    if not pushed:
-        return None
-    total = [sum(col) for col in zip(*(incidence[i] for i in pushed))]
-    pushed_set = set(pushed)
-    kept = [list(row) for i, row in enumerate(incidence) if i not in pushed_set]
-    # y_i = y_j for two pushed cells the float y puts at one value
-    ties, first = [], []
-    for i in pushed:
-        j = next((j for j in first if abs(y[i] - y[j]) <= ACTIVE_TOL), None)
-        if j is None:
-            first.append(i)
-        else:
-            ties.append([a - b for a, b in zip(incidence[i], incidence[j])])
-    w = _solve_exact(kept + ties + [total], [0] * (len(kept) + len(ties)) + [-1])
-    return None if w is None else _common_scale(w)
-
-
-def _proves_existence(
-    z: list[int] | None, cells_of_param: list[list[int]], zero: Sequence[int]
-) -> bool:
-    """z is positive on every zero cell and A^T z = 0 exactly."""
-    return (
-        z is not None
-        and all(z[i] > 0 for i in zero)
-        and all(sum(z[i] for i in cells) == 0 for cells in cells_of_param)
-    )
 
 
 def _proves_failure(
@@ -495,41 +401,81 @@ def proves_full_rank(problem: ReducedProblem, zero: Sequence[int]) -> bool:
     return True
 
 
-def null_space_verdict(problem: ReducedProblem, zero: Sequence[int]) -> bool | None:
-    """Whether the estimate exists, decided exactly on the null space of
-    the positive cells' incidence rows; None when the route declines.
+class NullSpaceForm(NamedTuple):
+    """A pair's existence question as ``null_space_form`` poses it."""
 
-    With N an integer basis of {w : A_S w = 0} (S the positive cells), a
-    y = A w that vanishes on S is A N u, and its zero-cell part is V u for
-    V = A_Z N.  Keeping a maximal set of independent columns of V leaves
-    V' with k' columns and the same values V u, and the cone
-    {u : V' u >= 0} is pointed.  For k' = 0 every such y is 0 and the
-    estimate exists.  Otherwise the cone is {0} unless it has an extreme
-    ray, which spans the null space of some k' - 1 independent rows of V'
-    and on which V' is of one sign.  So every set of k' - 1 distinct
-    nonzero rows (up to scale) of rank k' - 1 is tried: when its null
-    vector g has V' g >= 0 or <= 0, w = N g is checked by
-    ``_proves_failure`` and the estimate does not exist; when none does,
-    it exists.  The route declines a problem with more than
-    ``NULL_SPACE_MAX_ENTRIES`` incidence entries, and one needing more
-    than ``NULL_SPACE_MAX_SUBSETS`` sets of rows.
+    basis: list[list[int]]  # N: an integer basis of {w : A_S w = 0}
+    kept: list[int]  # the independent columns of V = A_Z N that V' keeps
+    v: list[list[int]]  # V', one row per zero cell
+
+
+def null_space_form(problem: ReducedProblem, zero: Sequence[int]) -> NullSpaceForm:
+    """N, the kept columns and V' for the cells ``zero`` of ``problem``.
+
+    V = A_Z N is one exact integer matrix product: on int64 when the
+    largest absolute row sum of N, which bounds every entry and partial
+    sum, is below 2^63, and on Python ints otherwise.  When the whole
+    reduced design provably has full column rank (``proves_full_rank``
+    with no zero cell), V c = 0 only when N c = 0, so every column is
+    kept; otherwise ``_eliminate`` keeps a maximal set of independent
+    columns.  Either way V' has the values V u and independent columns.
     """
     n_params = len(problem.theta_dagger)
-    if len(problem.omega_dagger) * n_params > NULL_SPACE_MAX_ENTRIES:
-        return None
     zero_set = set(zero)
     basis = _null_space(
         [row for i, row in enumerate(problem.incidence) if i not in zero_set], n_params
     )
-    params_of_cell = problem.params_of_cell
-    v = [[sum(w[j] for j in params_of_cell[i]) for w in basis] for i in zero]
-    _, independent = _eliminate(v, len(basis))
-    k = len(independent)
+    bound = max((sum(map(abs, w)) for w in basis), default=0)
+    dtype = np.int64 if bound < 2**63 else object
+    n = np.array(basis, dtype=dtype).reshape(len(basis), n_params)
+    v = (problem.contains[zero].astype(dtype) @ n.T).tolist()
+    kept = list(range(len(basis)))
+    if kept and not proves_full_rank(problem, []):
+        _, kept = _eliminate(v, len(basis))
+        v = [[row[c] for c in kept] for row in v]
+    return NullSpaceForm(basis, kept, v)
+
+
+def _ray(form: NullSpaceForm, rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """w = N g for the one null vector g of ``rows``, rows of V', when
+    V' g is of one sign; None when the rows leave another null space or
+    V' g takes both signs."""
+    null = _null_space(rows, len(form.kept))
+    if len(null) != 1:
+        return None
+    (g,) = null
+    y = (sum(map(operator.mul, row, g)) for row in form.v)
+    first = next((d for d in y if d), 0)
+    if any(d * first < 0 for d in y):
+        return None
+    kept = [form.basis[c] for c in form.kept]
+    return [sum(map(operator.mul, g, column)) for column in zip(*kept)]
+
+
+def null_space_verdict(
+    problem: ReducedProblem, zero: Sequence[int], form: NullSpaceForm
+) -> bool | None:
+    """Whether the estimate exists, decided exactly on ``form``, the pair's
+    ``null_space_form``; None when the route declines.
+
+    With N an integer basis of {w : A_S w = 0} (S the positive cells), a
+    y = A w that vanishes on S is A N u, and its zero-cell part is V u for
+    V = A_Z N.  V' keeps k' independent columns of V and has the same
+    values V u, so the cone {u : V' u >= 0} is pointed.  For k' = 0 every
+    such y is 0 and the estimate exists.  Otherwise the cone is {0} unless
+    it has an extreme ray, which spans the null space of some k' - 1
+    independent rows of V' and on which V' is of one sign.  So every set
+    of k' - 1 distinct nonzero rows (up to scale) is tried by ``_ray``:
+    when one names a ray, its w = N g is checked by ``_proves_failure``
+    and the estimate does not exist; when none does, it exists.  The
+    route declines a pair needing more than ``NULL_SPACE_MAX_SUBSETS``
+    sets of rows.
+    """
+    k = len(form.kept)
     if k == 0:
         return True
-    v = [[row[c] for c in independent] for row in v]
     rows = set()
-    for row in v:
+    for row in form.v:
         g = math.gcd(*row)
         if g:
             lead = next(a for a in row if a)
@@ -537,69 +483,60 @@ def null_space_verdict(problem: ReducedProblem, zero: Sequence[int]) -> bool | N
     if math.comb(len(rows), k - 1) > NULL_SPACE_MAX_SUBSETS:
         return None
     for subset in itertools.combinations(sorted(rows), k - 1):
-        null = _null_space(subset, k)
-        if len(null) != 1:
-            continue
-        (g,) = null
-        y = [sum(a * b for a, b in zip(row, g)) for row in v]
-        if min(y) >= 0 or max(y) <= 0:
-            w = [
-                sum(gc * basis[c][j] for gc, c in zip(g, independent))
-                for j in range(n_params)
-            ]
+        w = _ray(form, subset)
+        if w is not None:
             # a failure verdict stands only on its checked certificate
-            return False if _proves_failure(w, params_of_cell, zero) else None
+            return False if _proves_failure(w, problem.params_of_cell, zero) else None
     return True
 
 
 def certify(
-    problem: ReducedProblem, zero: Sequence[int], sol: FloatSolution | None
+    problem: ReducedProblem, zero: Sequence[int], form: NullSpaceForm
 ) -> bool | None:
-    """The float solution's verdict once an exact certificate confirms it.
+    """The verdict of ``float_solve`` on ``form.v`` once an exact
+    certificate confirms it; None when the certificate does not verify or
+    HiGHS reports no optimum.
 
-    ``zero`` lists the positions in ``problem.omega_dagger`` of the retained
-    cells with a zero count, and ``sol`` is ``float_solve``'s answer for
-    them.  The certificate is the exact vertex of the solution's active
-    set (``_primal_vertex`` or ``_dual_vertex``); None when it does not
-    verify or there is no float solution.
+    Optimum 1: the rows of V' that W u leaves at 0 name a ray g, which
+    ``_ray`` and ``_proves_failure`` check as ``null_space_verdict`` checks
+    one, and the estimate does not exist.  Optimum 0: the duals y of
+    W u >= 0 make W^T (1 + y) = 0, so lambda_i = 2^(E - e_i) (1 + y_i),
+    with e_i the scale exponent of row i and E the largest, has
+    V'^T lambda = 0.  On the zero cells where y_i is 0 that fixes
+    lambda_i = 2^(E - e_i); V'^T lambda = 0 is solved exactly for the
+    rest, and lambda > 0 proves that the estimate exists: lambda^T V' u = 0
+    leaves no u with V' u nonzero and >= 0 (Stiemke's lemma).
     """
+    sol = float_solve(form.v)
     if sol is None:
         return None
-    if sol.t > ACTIVE_TOL:
-        cells_of_param = [
-            [i for i, row in enumerate(problem.incidence) if row[j]]
-            for j in range(len(problem.theta_dagger))
-        ]
-        z = _primal_vertex(sol, cells_of_param, zero)
-        return True if _proves_existence(z, cells_of_param, zero) else None
-    w = _dual_vertex(problem.incidence, problem.matrix @ sol.w, zero)
-    return False if _proves_failure(w, problem.params_of_cell, zero) else None
+    if sol.value > 0.5:
+        active = [row for row, x in zip(form.v, sol.wu) if abs(x) <= ACTIVE_TOL]
+        w = _ray(form, active)
+        return False if _proves_failure(w, problem.params_of_cell, zero) else None
+    top = max(sol.exponents)
+    shifts = [top - e for e in sol.exponents]
+    pushed = [i for i, y in enumerate(sol.duals) if y > ACTIVE_TOL]
+    fixed = sorted(set(range(len(shifts))) - set(pushed))
+    columns = list(zip(*form.v))
+    lam = _solve_exact(
+        [[col[i] for i in pushed] for col in columns],
+        [-sum(col[i] << shifts[i] for i in fixed) for col in columns],
+        len(pushed),
+    )
+    return True if lam is not None and all(x > 0 for x in lam) else None
 
 
 # an ``ExistenceCache`` key: the model's parameters, which name the number
 # of lists, and the table's support
 Key = tuple[frozenset[int], frozenset[int]]
 
-# a pair's problem, the positions of its zero cells, and the verdict and
-# route of ``prove`` on it (None when the fast path settles the pair)
-Solved = tuple[ReducedProblem, list[int], tuple[bool | None, str] | None]
-
-
-def prove(problem: ReducedProblem, zero: Sequence[int]) -> tuple[bool | None, str]:
-    """The verdict of the exact routes and the route that reached it:
-    ``RANK`` or ``NULL_SPACE``, or None and ``CERTIFIED`` when both
-    decline and the program must decide."""
-    if proves_full_rank(problem, zero):
-        return True, RANK
-    verdict = null_space_verdict(problem, zero)
-    return (None, CERTIFIED) if verdict is None else (verdict, NULL_SPACE)
-
 
 def fr_check(
     model: ModelSpec,
     table: CountTable,
     tally: Counter | None = None,
-    solved: Solved | None = None,
+    problem: ReducedProblem | None = None,
 ) -> bool:
     """Whether the extended maximum likelihood estimate exists.
 
@@ -609,21 +546,18 @@ def fr_check(
     table where the reduction removes every cell cannot identify any
     parameter.
     Otherwise a full column rank of the positive cells' incidence rows
-    (``proves_full_rank``) proves existence, and failing that
-    ``null_space_verdict`` decides; when it declines, ``float_solve``
-    solves the pair's program and ``certify`` decides, and ``lp_max_s``
-    when it cannot.
+    (``proves_full_rank``) proves existence, and failing that the pair's
+    ``null_space_form`` is built once: ``null_space_verdict`` decides on
+    it, and when it declines, ``certify`` decides from HiGHS's answer on
+    the same form, and ``lp_max_s`` when it cannot.
 
-    ``solved`` passes the pair's reduction, the positions of its zero
-    cells and what ``prove`` said on it (None when the fast path settles
-    the pair), as ``_posed`` leaves them.  ``tally``, when given, counts
-    the route taken under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
-    ``CERTIFIED`` or ``FALLBACK``.
+    ``problem`` is the pair's reduction, made here when not given, and
+    ``tally``, when given, counts the route taken under its key.
     """
     if _full_support(table):
         verdict, route = True, FAST_PATH
     else:
-        verdict, route = _decide(model, table, solved)
+        verdict, route = _decide(problem or reduce_for_sparsity(model, table), table)
     if tally is not None:
         tally[route] += 1
     return verdict
@@ -634,29 +568,22 @@ def _full_support(table: CountTable) -> bool:
     return len(table.support) == (1 << table.t) - 1
 
 
-def _decide(
-    model: ModelSpec, table: CountTable, solved: Solved | None
-) -> tuple[bool, str]:
+def _decide(problem: ReducedProblem, table: CountTable) -> tuple[bool, str]:
     """``fr_check``'s verdict and route on a table with a zero cell."""
-    problem, zero, proved = solved or _posed(model, table)
+    zero = problem.zero_cells(table)
     if not problem.omega_dagger or not zero:
         return bool(problem.omega_dagger), FAST_PATH
-    verdict, route = proved
-    if verdict is None:
-        verdict = certify(problem, zero, float_solve(problem.matrix, zero))
-        if verdict is None:
-            status, s_star = lp_max_s(problem, table)
-            verdict, route = status == OPTIMAL and s_star > 0, FALLBACK
-    return verdict, route
-
-
-def _posed(model: ModelSpec, table: CountTable) -> Solved:
-    """The pair's reduction and the positions of its zero cells, with what
-    ``prove`` says on it unless the fast path settles it."""
-    problem = reduce_for_sparsity(model, table)
-    zero = problem.zero_cells(table)
-    proved = prove(problem, zero) if problem.omega_dagger and zero else None
-    return problem, zero, proved
+    if proves_full_rank(problem, zero):
+        return True, RANK
+    form = null_space_form(problem, zero)
+    verdict = null_space_verdict(problem, zero, form)
+    if verdict is not None:
+        return verdict, NULL_SPACE
+    verdict = certify(problem, zero, form)
+    if verdict is not None:
+        return verdict, CERTIFIED
+    status, s_star = lp_max_s(problem, table)
+    return status == OPTIMAL and s_star > 0, FALLBACK
 
 
 @dataclass
@@ -673,35 +600,28 @@ class ExistenceCache:
     ``CERTIFIED`` and ``FALLBACK``.
     """
 
-    verdicts: dict[Key, bool] = field(default_factory=dict)
+    verdicts: dict[Key, bool] = field(default_factory=dict, init=False)
     reductions: dict[Key, ReducedProblem] = field(default_factory=dict, init=False)
-    hits: int = 0
-    misses: int = 0
-    decided: Counter = field(default_factory=Counter)
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    decided: Counter = field(default_factory=Counter, init=False)
 
-    def check(
-        self,
-        model: ModelSpec,
-        table: CountTable,
-        solved: Solved | None = None,
-    ) -> bool:
-        """The cached verdict, or ``fr_check`` on a miss.  ``solved``, as in
-        ``fr_check``, holds the pair's reduction, its zero cells and what
-        ``prove`` said on it, and is posed here when not given; the
-        reduction is kept."""
+    def check(self, model: ModelSpec, table: CountTable) -> bool:
+        """The cached verdict, or ``fr_check`` on a miss.  A miss whose
+        table has a zero cell is reduced here, and ``fr_check`` decides
+        from that reduction, which is kept."""
         key = (model.params, table.support)
         cached = self.verdicts.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        if solved is None and not _full_support(table):
-            solved = _posed(model, table)
-        verdict = fr_check(model, table, self.decided, solved)
+        problem = None if _full_support(table) else reduce_for_sparsity(model, table)
+        verdict = fr_check(model, table, self.decided, problem)
         self.verdicts[key] = verdict
-        if solved is not None:
+        if problem is not None:
             # the fit reads the three fields only: the incidence arrays
-            # the routes built are let go with ``solved``
-            self.reductions[key] = replace(solved[0])
+            # the routes built are let go with ``problem``
+            self.reductions[key] = replace(problem)
         self.misses += 1
         return verdict
 

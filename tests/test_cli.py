@@ -104,8 +104,8 @@ class TestCli:
 
         checks = []
         check = ExistenceCache.check
-        monkeypatch.setattr(ExistenceCache, "check", lambda self, model, table, solved=None:
-                            checks.append(model) or check(self, model, table, solved))
+        monkeypatch.setattr(ExistenceCache, "check", lambda self, model, table:
+                            checks.append(model) or check(self, model, table))
         code, out, _ = run_cli(capsys, "fit", "--data", "fixture:table1_n4", "--model", "best")
         assert code == 0
         space = enumerate_models(4, 3)

@@ -33,7 +33,6 @@ from mseboot.existence import (
     NULL_SPACE,
     OPTIMAL,
     RANK,
-    FloatSolution,
     simplex_max,
 )
 
@@ -278,7 +277,8 @@ class TestCache:
     def test_decided_counts_every_miss(self, korea, korea_space, table1, monkeypatch):
         # without the null-space route, the program decides the pairs the
         # rank proof leaves
-        monkeypatch.setattr(existence, "null_space_verdict", lambda problem, zero: None)
+        monkeypatch.setattr(existence, "null_space_verdict",
+                            lambda problem, zero, form: None)
         cache = ExistenceCache()
         for table in [korea, *table1.values()]:
             space = korea_space if table.t == 3 else enumerate_models(4, 2)
@@ -317,16 +317,21 @@ def exact_verdict(model, table):
 
 def check_together(pairs):
     """``check_many`` on a fresh cache, with the number of ``float_solve``
-    calls it made.  The rank proof runs once for every miss that the fast
-    path does not settle, and the program once for every miss that the
-    program or the fallback decides."""
+    calls it made.  The rank proof on the positive cells runs once for
+    every miss that the fast path does not settle (the proof on the whole
+    design, with no zero cell, is not counted), and the program once for
+    every miss that the program or the fallback decides."""
     solves, proofs = [], []
     solve, prove = existence.float_solve, existence.proves_full_rank
+
+    def proving(problem, zero):
+        if zero:
+            proofs.append(1)
+        return prove(problem, zero)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(existence, "float_solve",
-                   lambda incidence, zero: solves.append(1) or solve(incidence, zero))
-        mp.setattr(existence, "proves_full_rank",
-                   lambda problem, zero: proofs.append(1) or prove(problem, zero))
+        mp.setattr(existence, "float_solve", lambda v: solves.append(1) or solve(v))
+        mp.setattr(existence, "proves_full_rank", proving)
         cache = ExistenceCache()
         verdicts = cache.check_many(pairs)
     assert len(proofs) == cache.misses - cache.decided[FAST_PATH]
@@ -368,6 +373,20 @@ def sparse_table(t, n_cells, seed):
     )
 
 
+def spoiled(sol):
+    """``float_solve``'s answer with the opposite optimum: every row at 0,
+    which names no ray, and no dual pushed, which leaves no exact lambda."""
+    n_rows = len(sol.wu)
+    return sol._replace(value=1.0 - sol.value, wu=np.zeros(n_rows), duals=np.zeros(n_rows))
+
+
+def null_space_verdict(problem, zero):
+    """``existence.null_space_verdict`` on the pair's null-space form."""
+    return existence.null_space_verdict(
+        problem, zero, existence.null_space_form(problem, zero)
+    )
+
+
 def all_pairs(t):
     return ModelSpec.from_generators(
         t, [(1 << a) | (1 << b) for a, b in itertools.combinations(range(t), 2)]
@@ -380,7 +399,8 @@ class TestCertifiedCheck:
     @pytest.fixture(autouse=True)
     def without_the_null_space_route(self, monkeypatch):
         # the program decides every pair the rank proof leaves
-        monkeypatch.setattr(existence, "null_space_verdict", lambda problem, zero: None)
+        monkeypatch.setattr(existence, "null_space_verdict",
+                            lambda problem, zero, form: None)
 
     @pytest.mark.parametrize("name", sorted(TABLE1))
     def test_table1_and_resample_supports(self, name):
@@ -428,13 +448,12 @@ class TestCertifiedCheck:
     @pytest.mark.parametrize("name, exists", [("n1", True), ("n2", False)])
     def test_wrong_float_solution_falls_back(self, monkeypatch, table1, abcd_model,
                                              name, exists):
-        # report the opposite verdict: a non-existence vector for a model
-        # whose estimate exists and a direction for one whose does not
-        def wrong(incidence, zero):
-            n_cells, n_params = incidence.shape
-            if exists:
-                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
-            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
+        # report the opposite verdict: a ray for a model whose estimate
+        # exists and none for one whose does not
+        solve = existence.float_solve
+
+        def wrong(v):
+            return spoiled(solve(v))
 
         lp_calls = []
         exact_lp = existence.lp_max_s
@@ -488,30 +507,25 @@ class TestCertifiedCheck:
         # verdict; only that pair falls back
         table = table1["n2"]
         models = enumerate_models(4, 3).models
-        # models differing only in parameters the reduction drops pose the
-        # same cells and parameters; the target's must be posed by it
-        # alone, and the rank proof must leave it to the float solve
-        problems = [reduce_for_sparsity(m, table) for m in models]
-        posed = [(p.omega_dagger, p.theta_dagger) for p in problems]
-        target, problem = next(
-            (m, p) for m, p in zip(models, problems)
-            if posed.count((p.omega_dagger, p.theta_dagger)) == 1
-            and p.omega_dagger and p.zero_cells(table)
-            and not existence.proves_full_rank(p, p.zero_cells(table))
-        )
-        target_zero = problem.zero_cells(table)
-        exists = exact_verdict(target, table)
+        # distinct models can pose the same program; the target's must be
+        # posed by it alone, and the rank proof must leave it to the float
+        # solve
+        programs = []
+        for m in models:
+            p = reduce_for_sparsity(m, table)
+            zero = p.zero_cells(table)
+            if p.omega_dagger and zero and not existence.proves_full_rank(p, zero):
+                programs.append((p, existence.null_space_form(p, zero).v))
+        posed = [v for _, v in programs]
+        problem, target_v = next((p, v) for p, v in programs if posed.count(v) == 1)
         solve = existence.float_solve
-        spoiled = []
+        target_solves = []
 
-        def one_wrong(incidence, zero):
-            if list(zero) != target_zero or not np.array_equal(incidence, problem.matrix):
-                return solve(incidence, zero)
-            spoiled.append(1)
-            n_cells, n_params = incidence.shape
-            if exists:
-                return FloatSolution(0.0, np.zeros(n_cells), np.ones(n_params))
-            return FloatSolution(0.5, np.ones(n_cells), np.zeros(n_params))
+        def one_wrong(v):
+            if v != target_v:
+                return solve(v)
+            target_solves.append(1)
+            return spoiled(solve(v))
 
         lp_calls = []
         exact_lp = existence.lp_max_s
@@ -522,7 +536,7 @@ class TestCertifiedCheck:
         cache = ExistenceCache()
         pairs = [(m, table) for m in models]
         assert cache.check_many(pairs) == [exact_verdict(m, table) for m in models]
-        assert spoiled == [1]
+        assert target_solves == [1]
         assert cache.decided[FALLBACK] == 1 and len(lp_calls) == 1
         assert lp_calls[0] == problem
         assert cache.decided[CERTIFIED] > 1
@@ -573,8 +587,8 @@ class TestProgramTraffic:
     """The pairs that reach HiGHS: all-pairs models on sparse tables with
     fewer positive cells than parameters, where the rank proof cannot
     hold and the null-space route declines.  The exact simplex needs
-    minutes per pair here, so the verdicts are the ones the block-stacked
-    solve gave before each pair got its own program."""
+    minutes per pair here, so the verdicts are the ones the programs on
+    the full cells x parameters form gave."""
 
     @pytest.mark.parametrize("t, n_cells, verdicts", [
         (9, 30, [True] * 14 + [False] + [True] * 26),
@@ -593,10 +607,10 @@ class TestProgramTraffic:
             finally:
                 checking.pop()
 
-        def counting(incidence, zero):
+        def counting(v):
             assert checking, "float_solve called outside fr_check"
             solves.append(1)
-            return solve(incidence, zero)
+            return solve(v)
 
         monkeypatch.setattr(existence, "fr_check", inside)
         monkeypatch.setattr(existence, "float_solve", counting)
@@ -607,12 +621,30 @@ class TestProgramTraffic:
         assert cache.decided == {CERTIFIED: len({r.support for r in tables})}
         assert len(solves) == cache.decided[CERTIFIED]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("t, n_cells", [(11, 50), (12, 60), (13, 70), (14, 80)])
+    def test_wide_all_pairs_are_certified(self, monkeypatch, t, n_cells, seed):
+        # null spaces far too wide to search, where the entries of V' reach
+        # 10^16 at t = 14: HiGHS must answer on the scaled rows and its
+        # answer must certify, as a pair left to the exact simplex would
+        # run for many minutes
+        def refuse(problem, table):
+            raise AssertionError("lp_max_s called")
+
+        monkeypatch.setattr(existence, "lp_max_s", refuse)
+        table = sparse_table(t, n_cells, seed)
+        tally = Counter()
+        start = time.perf_counter()
+        assert fr_check(all_pairs(t), table, tally)
+        assert time.perf_counter() - start < 3.0
+        assert tally == {CERTIFIED: 1}
+
 
 @pytest.fixture
 def no_program(monkeypatch):
     """``float_solve`` fails the test if any program is sent to it."""
-    def refuse(incidence, zero):
-        raise AssertionError(f"float_solve called on a {incidence.shape} program")
+    def refuse(v):
+        raise AssertionError(f"float_solve called on {len(v)} rows")
 
     monkeypatch.setattr(existence, "float_solve", refuse)
 
@@ -681,7 +713,7 @@ class TestNullSpaceRoute:
                             or existence.proves_full_rank(problem, zero)):
                         continue
                     before = len(certificates)
-                    verdict = existence.null_space_verdict(problem, zero)
+                    verdict = null_space_verdict(problem, zero)
                     assert verdict == exact_verdict(model, table), (
                         model.notation(), table.support
                     )
@@ -714,7 +746,7 @@ class TestNullSpaceRoute:
                 problem = reduce_for_sparsity(model, table)
                 zero = problem.zero_cells(table)
                 if problem.omega_dagger and zero and existence.proves_full_rank(problem, zero):
-                    assert existence.null_space_verdict(problem, zero) is True
+                    assert null_space_verdict(problem, zero) is True
                     proved += 1
         assert proved > 50
 
@@ -732,7 +764,7 @@ class TestNullSpaceRoute:
         # fewer positive cells than parameters leaves too many rays to try
         sparse = sparse_table(6, 15, seed=1)
         problem = reduce_for_sparsity(all_pairs(6), sparse)
-        assert existence.null_space_verdict(problem, problem.zero_cells(sparse)) is None
+        assert null_space_verdict(problem, problem.zero_cells(sparse)) is None
         assert assert_agrees([all_pairs(6)], [sparse]) == {CERTIFIED: 1}
         table = sparse_table(8, 30, seed=1)
         tally = Counter()

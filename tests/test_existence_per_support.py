@@ -10,9 +10,10 @@ first and modulo ``RANK_PRIME`` only when that falls short.
 call.  Everything is keyed by ``CountTable.support``.
 
 The oracles below are the code as it was before: ``prime_proves_full_rank``
-eliminates modulo the prime alone, and ``per_miss_check_many`` builds an
+eliminates modulo the prime alone, and ``per_miss_routes`` builds an
 indicator table, the reduction (by marginal count sums) and the zero
-cells (by ``table.count``) for every miss.
+cells (by ``table.count``) for every miss, and names the route that
+settles each (model, support) that way.
 
 Why the ``decided`` tallies cannot move: a GF(2) proof names an n x n
 minor of the 0/1 incidence matrix that is odd, hence a nonzero integer.
@@ -100,30 +101,32 @@ def marginal_reduction(model, table):
     return ReducedProblem(theta, omega, dead)
 
 
-def per_miss_check_many(cache, pairs):
-    """``check_many`` before the per-support work: every miss builds its own
-    indicator, reduction and zero cells, and the prime alone proves
-    rank.  Each pair the exact routes leave gets its own program."""
-    keys = [(model.params, table.support) for model, table in pairs]
-    posed = {}
-    for (model, table), key in zip(pairs, keys):
-        if key in cache.verdicts or key in posed or len(table.counts) == (1 << table.t) - 1:
+def per_miss_routes(pairs):
+    """The verdict and route of every distinct (model, support), in the
+    order first asked, found as before the per-support work: every miss
+    builds its own indicator, reduction and zero cells, and the prime
+    alone proves rank.  The verdict is None where the exact routes leave
+    the pair to the program."""
+    routes = {}
+    for model, table in pairs:
+        key = (model.params, table.support)
+        if key in routes:
+            continue
+        if len(table.counts) == (1 << table.t) - 1:
+            routes[key] = True, FAST_PATH
             continue
         indicator = CountTable.from_counts(table.t, {w: 1 for w in table.support})
         problem = marginal_reduction(model, indicator)
         zero = [i for i, w in enumerate(problem.omega_dagger) if indicator.count(w) == 0]
-        posed[key] = (problem, zero)
-    solved = {}
-    for key, (problem, zero) in posed.items():
-        proved = None
-        if problem.omega_dagger and zero:
-            if prime_proves_full_rank(problem, zero):
-                proved = True, RANK
-            else:
-                verdict = existence.null_space_verdict(problem, zero)
-                proved = (None, CERTIFIED) if verdict is None else (verdict, NULL_SPACE)
-        solved[key] = (problem, zero, proved)
-    return [cache.check(model, table, solved.get(key)) for (model, table), key in zip(pairs, keys)]
+        if not problem.omega_dagger or not zero:
+            routes[key] = bool(problem.omega_dagger), FAST_PATH
+        elif prime_proves_full_rank(problem, zero):
+            routes[key] = True, RANK
+        else:
+            form = existence.null_space_form(problem, zero)
+            verdict = existence.null_space_verdict(problem, zero, form)
+            routes[key] = (None, CERTIFIED) if verdict is None else (verdict, NULL_SPACE)
+    return routes
 
 
 def table1_tables():
@@ -154,16 +157,33 @@ CASES = ("seeded_sparse", "t5", "t6", "table1")
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_check_many_matches_the_per_miss_oracle(name):
+def test_check_many_matches_the_per_miss_oracle(monkeypatch, name):
     models, tables = case(name)
     pairs = [(m, t) for t in tables for m in models]
     assert max(len(m.params) for m in models) <= MAX_EXACT_PARAMS
     assert hadamard_bound(MAX_EXACT_PARAMS) < RANK_PRIME
-    new, old = ExistenceCache(), ExistenceCache()
-    assert new.check_many(pairs) == per_miss_check_many(old, pairs)
-    assert new.decided == old.decided
-    assert (new.hits, new.misses, new.verdicts) == (old.hits, old.misses, old.verdicts)
-    assert new.decided[RANK] > 0
+    # the route of every miss, read off the tally ``check`` hands over
+    routes = {}
+    check = existence.fr_check
+
+    def recording(model, table, tally, problem):
+        before = Counter(tally)
+        verdict = check(model, table, tally, problem)
+        (routes[(model.params, table.support)],) = tally - before
+        return verdict
+
+    monkeypatch.setattr(existence, "fr_check", recording)
+    cache = ExistenceCache()
+    verdicts = cache.check_many(pairs)
+    oracle = per_miss_routes(pairs)
+    assert routes == {key: route for key, (_, route) in oracle.items()}
+    assert cache.decided == Counter(routes.values())
+    assert list(cache.verdicts) == list(oracle)
+    assert all(cache.verdicts[key] == verdict
+               for key, (verdict, _) in oracle.items() if verdict is not None)
+    assert verdicts == [cache.verdicts[(m.params, t.support)] for m, t in pairs]
+    assert (cache.hits, cache.misses) == (len(pairs) - len(oracle), len(oracle))
+    assert cache.decided[RANK] > 0
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -184,16 +204,27 @@ def test_rank_proof_matches_the_prime_alone(name):
 
 def test_gf2_is_tried_first(monkeypatch):
     # every full rank over GF(2) is a rank verdict, and GF(2) alone proves
-    # most of them; the prime is left the rest
-    rank_mod_2 = existence._rank_mod_2
-    short = []
+    # most of them; the prime is left the rest.  Only the proofs on the
+    # positive cells count: the one on the whole design, with no zero
+    # cell, gives no verdict
+    rank_mod_2, prove = existence._rank_mod_2, existence.proves_full_rank
+    short, on_positive_cells = [], []
 
     def counting(contains):
         rank = rank_mod_2(contains)
-        short.append(rank < contains.shape[1])
+        if on_positive_cells[-1]:
+            short.append(rank < contains.shape[1])
         return rank
 
+    def proving(problem, zero):
+        on_positive_cells.append(bool(zero))
+        try:
+            return prove(problem, zero)
+        finally:
+            on_positive_cells.pop()
+
     monkeypatch.setattr(existence, "_rank_mod_2", counting)
+    monkeypatch.setattr(existence, "proves_full_rank", proving)
     models, tables = case("table1")
     tally = Counter()
     for table in tables:
@@ -250,7 +281,7 @@ def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
     def refuse(*args):
         raise AssertionError("lp_max_s called")
 
-    def no_program(incidence, zero):
+    def no_program(v):
         raise AssertionError("float_solve called")
 
     monkeypatch.setattr(existence, "lp_max_s", refuse)
