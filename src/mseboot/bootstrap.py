@@ -21,16 +21,16 @@ Determinism: replicate i draws its resample from its own generator,
 definition).  ``resamples`` computes that ``SeedSequence`` hash for all
 replicates in one array pass (``_seedseq``) and seeds each replicate's
 fresh ``PCG64`` from its row, so the draws are the same.  Resamples are
-drawn in replicate order, then grouped by ``CountTable.support``, and
-each model is checked and fitted once per group; the groups of all
-models are fitted together, one IRLS run per stack of equal design shape
-(``glm.fit_groups``).  Every replicate still gets exactly the estimate a
-fit of that table alone gives.  Jackknife tables are grouped the same
-way, and the goodness-of-fit rule fits its tables the same way, in
-slices of ``CHISQ_SLICE`` tables.  The greedy search
-does the same round by round: the searches of the original table, all
-replicates and all jackknife tables take one step together, and the
-models the round needs are checked and fitted once per (model, support).
+drawn in replicate order, and every (model, resample) pair is handed to
+one ``glm.fit_pairs`` call, which checks and fits each model once per
+support, one IRLS run per stack of equal design shape.  Every replicate
+still gets exactly the estimate a fit of that table alone gives.
+Jackknife tables are fitted the same way, and the goodness-of-fit rule
+fits its tables the same way, in slices of ``CHISQ_SLICE`` tables.  The
+greedy search does the same round by round: the searches of the
+original table, all replicates and all jackknife tables take one step
+together, and the (table, model) pairs the round needs go to one
+``fit_pairs`` call.
 
 The normal CDF and its inverse in the BCa endpoints come from
 ``_cephes``, which gives the doubles ``scipy.special.ndtr`` and
@@ -39,9 +39,10 @@ The normal CDF and its inverse in the BCa endpoints come from
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,12 +52,11 @@ from .core import CountTable, ModelSpec
 from .existence import ExistenceCache
 from .glm import (
     ChisqResult,
-    FitResult,
     FitSettings,
     NoModelFoundError,
     check_p_window,
     chisq_choice,
-    fit_groups,
+    fit_pairs,
 )
 from .modelspace import (
     ModelSpace,
@@ -339,32 +339,6 @@ def _intervals(
     return results
 
 
-def _group_fits(
-    models: Sequence[ModelSpec],
-    tables: Sequence[CountTable],
-    cache: ExistenceCache,
-    settings: FitSettings,
-) -> Iterator[tuple[tuple[list[int], int], list[FitResult]]]:
-    """((table indices, model index), their fits) for every (support, model)
-    group: supports in order of first use, models in order within each,
-    so each table meets its models in order.  A group whose MLE does not
-    exist has ``fr_failed`` fits.
-
-    Tables are grouped by ``CountTable.support``.  The existence verdict
-    and the reduction depend only on the support, so they are made once
-    per (model, support): one ``fit_groups`` call checks all groups and
-    fits those that pass, stacking the groups of equal design shape.
-    """
-    supports: dict[frozenset[int], list[int]] = {}
-    for i, table in enumerate(tables):
-        supports.setdefault(table.support, []).append(i)
-    pairs = [(rows, j) for rows in supports.values() for j in range(len(models))]
-    fitted = fit_groups(
-        [(models[j], [tables[i] for i in rows]) for rows, j in pairs], settings, cache
-    )
-    return zip(pairs, fitted)
-
-
 def _evaluate_models(
     models: Sequence[ModelSpec],
     tables: Sequence[CountTable],
@@ -375,11 +349,12 @@ def _evaluate_models(
     where not estimable."""
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
-    for (group, j), results in _group_fits(models, tables, cache, settings):
-        for i, res in zip(group, results):
-            if res.converged:
-                bics[i, j] = res.bic
-                ests[i, j] = res.population_estimate
+    fits = fit_pairs(((m, t) for t in tables for m in models), settings, cache)
+    for k, res in enumerate(fits):
+        if res.converged:
+            i, j = divmod(k, len(models))
+            bics[i, j] = res.bic
+            ests[i, j] = res.population_estimate
     return bics, ests
 
 
@@ -527,29 +502,19 @@ def _downhill_selected(
     """(model, BIC, estimate) of the best local BIC minimum over the starts,
     per table, or None.
 
-    The searches of all tables advance in lockstep.  Each round's models
-    are grouped by (model, support), and one ``fit_groups`` call checks
-    existence once per group, for all of the round's groups, and fits the
-    groups that pass.
+    The searches of all tables advance in lockstep, and one ``fit_pairs``
+    call checks and fits each round's (table, model) pairs, once per
+    (model, support).  A fit that is not converged has an infinite BIC.
     """
     estimates: list[dict[frozenset[int], float]] = [{} for _ in tables]
 
     def evaluate(pairs: list[tuple[int, ModelSpec]]) -> list[float]:
-        bics = [math.inf] * len(pairs)
-        groups: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-        for n, (i, model) in enumerate(pairs):
-            groups.setdefault((model.params, tables[i].support), []).append(n)
-        fitted = fit_groups(
-            [(pairs[rows[0]][1], [tables[pairs[n][0]] for n in rows])
-             for rows in groups.values()],
-            settings, cache,
-        )
-        for rows, results in zip(groups.values(), fitted):
-            model = pairs[rows[0]][1]
-            for n, res in zip(rows, results):
-                if res.converged:
-                    bics[n] = res.bic
-                    estimates[pairs[n][0]][model.params] = res.population_estimate
+        fits = fit_pairs([(model, tables[i]) for i, model in pairs], settings, cache)
+        bics = []
+        for (i, model), res in zip(pairs, fits):
+            if res.converged:
+                estimates[i][model.params] = res.population_estimate
+            bics.append(res.bic)
         return bics
 
     found = downhill_lockstep(len(tables), starts, l, evaluate)
@@ -577,8 +542,9 @@ def downhill_bootstrap(
     step per round, and the models a round needs are fitted once per
     (model, support) for every table sharing that support.  Each table's
     search reads only its own BICs, so the result is the one three
-    separate searches give.  Raises ``ModelSpaceError`` before any fit
-    when ``l`` is outside 1..t-1, and ``NoModelFoundError`` once the
+    separate searches give.  Raises ``ValueError`` before any fit when
+    ``starts`` is empty, ``ModelSpaceError`` before any fit when ``l``
+    is outside 1..t-1, and ``NoModelFoundError`` once the
     search ends when the original table has no model with finite BIC.
     """
     cache = _start(B, seed, cache)
@@ -586,6 +552,8 @@ def downhill_bootstrap(
         l = table.t - 1
     if starts is None:
         starts = [ModelSpec.null_model(table.t)]
+    elif not starts:
+        raise ValueError("need at least one starting model")
 
     reps = resamples(table, seed, B)
     jack_masks, jack_tables = zip(*jackknife_tables(table))
@@ -618,23 +586,22 @@ def chisq_bootstrap(
     and counted; the resulting interval therefore carries a validity
     caveat (the exclusions are reported, not imputed).  The original
     table, and the resamples and the jackknife tables in slices of
-    ``CHISQ_SLICE`` tables, are each selected on by one grouped check and
-    fit of the space (``_group_fits``), and ``glm.chisq_choice`` picks
-    each table's model from its fits.  A fit depends only on its table,
-    so the slicing does not change a bit of the result.
+    ``CHISQ_SLICE`` tables, are each selected on by one ``fit_pairs``
+    call over the space, and ``glm.chisq_choice`` picks each table's
+    model from its fits.  A fit depends only on its table, so the slicing
+    does not change a bit of the result.
     """
     cache = _start(B, seed, cache)
     check_p_window(p_lo, p_hi)
 
     def select(tables: Sequence[CountTable]) -> list[ChisqResult | None]:
-        fits: list[list[FitResult]] = [[] for _ in tables]
-        for (group, _), results in _group_fits(space.models, tables, cache, settings):
-            for i, res in zip(group, results):
-                fits[i].append(res)
+        fits = fit_pairs(((m, t) for t in tables for m in space.models), settings, cache)
         # each table's fits are let go once its choice is made: the Pearson
         # statistics build every fit's alpha and mu
-        fits.reverse()
-        return [chisq_choice(fits.pop(), t, p_lo, p_hi) for t in tables]
+        return [
+            chisq_choice(itertools.islice(fits, len(space)), t, p_lo, p_hi)
+            for t in tables
+        ]
 
     def estimates(tables: Sequence[CountTable]) -> list[float | None]:
         return [

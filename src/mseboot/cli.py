@@ -27,7 +27,7 @@ from .glm import (
     FitSettings,
     NoModelFoundError,
     fit,
-    fit_groups,
+    fit_pairs,
     lowest_bic,
 )
 from .io import FIXTURES, DataFormatError, dump_table, load_fixture, load_table
@@ -82,6 +82,18 @@ def _jsonable(value):
     return value
 
 
+def _write(rendered: str, out: str | None) -> None:
+    """``rendered`` to the ``--out`` path, or to stdout when there is none;
+    a path that cannot be written is a usage error (exit 2)."""
+    if not out:
+        sys.stdout.write(rendered)
+        return
+    try:
+        Path(out).write_text(rendered, encoding="utf-8")
+    except OSError as e:
+        raise CliError(f"cannot write --out {out}: {e.strerror or e}") from None
+
+
 def _emit(payload: dict, fmt: str, out: str | None, to_text, to_csv=None) -> None:
     if fmt == "json":
         rendered = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
@@ -89,10 +101,7 @@ def _emit(payload: dict, fmt: str, out: str | None, to_text, to_csv=None) -> Non
         rendered = to_csv(payload)
     else:
         rendered = to_text(payload)
-    if out:
-        Path(out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    _write(rendered, out)
 
 
 def _load_data(args) -> tuple[CountTable, list[str]]:
@@ -106,8 +115,11 @@ def _load_data(args) -> tuple[CountTable, list[str]]:
                 raise CliError(f"unknown fixture {name!r}", EXIT_DATA)
             return load_fixture(name, lists)
         return load_table(args.data, lists)
-    except FileNotFoundError:
-        raise CliError(f"data file not found: {args.data}", EXIT_DATA) from None
+    except OSError as e:
+        raise CliError(f"cannot read data file {args.data}: {e.strerror or e}",
+                       EXIT_DATA) from None
+    except UnicodeDecodeError as e:
+        raise CliError(f"data file {args.data} is not UTF-8: {e.reason}", EXIT_DATA) from None
     except DataFormatError as e:
         raise CliError(str(e), EXIT_DATA) from None
 
@@ -165,7 +177,7 @@ def cmd_fit(args) -> int:
         space = enumerate_models(table.t, l)
         # one check and fit per model: the failing ones are listed from
         # the same fits the BIC is taken from
-        fits = [res for [res] in fit_groups([(m, [table]) for m in space], settings)]
+        fits = list(fit_pairs([(m, table) for m in space], settings))
         fr_failures = [r.model.notation() for r in fits if r.status == STATUS_FR_FAILED]
         model, res = lowest_bic(fits)
     else:
@@ -363,11 +375,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_dump(args) -> int:
     table, names = _load_data(args)
-    rendered = dump_table(table, names)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
+    _write(dump_table(table, names), args.out)
     return EXIT_OK
 
 

@@ -48,7 +48,7 @@ checks during resampling are served from a cache keyed by the model and
 ``CountTable.support``.  The problem every route reads is the pair's
 ``sparsity.ReducedProblem``, posed once per (model, support) on the
 table it is asked about; the cache hands it to ``fr_check``, keeps it
-beside the verdict, and ``glm.fit_groups`` fits from it.  Every route
+beside the verdict, and ``glm.fit_pairs`` fits from it.  Every route
 runs inside ``fr_check``, so its time is part of the check that needed
 it.  ``ExistenceCache.check_many`` is a loop over ``check``.  SciPy's
 ``optimize`` module is imported by the first ``float_solve`` call, not
@@ -552,8 +552,10 @@ def fr_check(
     the same form, and ``lp_max_s`` when it cannot.
 
     ``problem`` is the pair's reduction, made here when not given, and
-    ``tally``, when given, counts the route taken under its key.
+    ``tally``, when given, counts the route taken under its key.  A model
+    on another number of lists than ``table`` raises ``ValueError``.
     """
+    check_lists(model, table)
     if _full_support(table):
         verdict, route = True, FAST_PATH
     else:
@@ -561,6 +563,15 @@ def fr_check(
     if tally is not None:
         tally[route] += 1
     return verdict
+
+
+def check_lists(model: ModelSpec, table: CountTable) -> None:
+    """Raise ``ValueError`` when ``model`` and ``table`` are on different
+    numbers of lists."""
+    if model.t != table.t:
+        raise ValueError(
+            f"model {model.notation()} is on {model.t} lists, the table on {table.t}"
+        )
 
 
 def _full_support(table: CountTable) -> bool:
@@ -609,7 +620,9 @@ class ExistenceCache:
     def check(self, model: ModelSpec, table: CountTable) -> bool:
         """The cached verdict, or ``fr_check`` on a miss.  A miss whose
         table has a zero cell is reduced here, and ``fr_check`` decides
-        from that reduction, which is kept."""
+        from that reduction, which is kept.  A model on another number
+        of lists than ``table`` raises ``ValueError``, on a hit too."""
+        check_lists(model, table)
         key = (model.params, table.support)
         cached = self.verdicts.get(key)
         if cached is not None:

@@ -6,18 +6,20 @@ recorded as -inf and the cells forced to zero by them are dropped before
 the numerical fit.  Estimates therefore live in [-inf, inf).
 
 The reduction (``sparsity.reduce_for_sparsity``) and the design depend
-only on the table's support, and so does existence.  ``fit_groups``
-validates its (model, group) problems, decides for all of them in one
-``ExistenceCache.check_many`` call whether the extended MLE exists, and
-solves only those where it does, from the reductions the cache keeps:
-each (model, support) is reduced once for the check and the fit.  The
-others get ``fr_failed`` results with no estimate.  ``fit``,
-``fit_group``, ``select_best_bic`` and ``select_by_chisq`` all fit
-through it.  Below it, ``solve_groups`` is the unchecked numeric engine:
-its problems come reduced, as (reduction, tables) pairs.
+only on the table's support, and so does existence.  ``fit_pairs`` is
+the one place that groups by it: it takes flat (model, table) pairs,
+groups them by ``(model.params, table.support)``, decides for all
+groups in one ``ExistenceCache.check_many`` call whether the extended
+MLE exists, and solves only those where it does, from the reductions
+the cache keeps: each (model, support) is reduced once for the check
+and the fit.  The others get ``fr_failed`` results with no estimate.
+``fit``, ``select_best_bic``, ``select_by_chisq`` and every bootstrap
+driver fit through it.  Below it, ``solve_groups`` is the unchecked
+numeric engine: its problems come reduced, as (reduction, tables
+sharing one support) pairs.
 
 Tables that share a support share the reduction and the design matrix,
-so one (model, group) problem fits one model to a whole group of them.
+so one such problem fits one model to a whole group of them.
 ``solve_groups`` takes many such problems at once and stacks those whose
 designs have the same shape (retained cells x estimable parameters),
 whatever their model or support, up to ``STACK_ELEMENTS`` design
@@ -71,7 +73,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .core import CountTable, ModelSpec
-from .existence import ExistenceCache
+from .existence import ExistenceCache, check_lists
 # nothing here reduces: ``reduce_for_sparsity`` stays importable from this
 # module because ``bench/trace_spans.py`` wraps it by this name
 from .sparsity import ReducedProblem, design_matrix, reduce_for_sparsity  # noqa: F401
@@ -635,18 +637,16 @@ def _runs(posed: dict[int, _Posed]) -> Iterator[tuple[tuple, Generator]]:
 
 def solve_groups(
     problems: Sequence[tuple[ReducedProblem, Sequence[CountTable]]],
-    rows: dict | None = None,
 ) -> list[GroupSolution]:
     """IRLS on every table of each (reduction, tables sharing one support)
     problem, with one IRLS run per stack of equal design shape; solution i
     is problem i's, row k of it table k's.
 
     A problem's reduction is its model's on its tables' support
-    (``existence.ExistenceCache.reduction``).  ``rows`` holds the groups'
-    ``_group_rows`` entries when the caller has validated and converted
-    them, as ``fit_groups`` has; when it is None each group is validated
-    here.  Each distinct design is built and rank-checked once per call.
-    The groups whose
+    (``existence.ExistenceCache.reduction``).  Each group is validated
+    and its counts converted once per call, however many models it is
+    posed with (``_group_rows``), and each distinct design is built and
+    rank-checked once per call.  The groups whose
     designs have the same (retained cells, estimable parameters) shape
     are then stacked, one design and one count vector per table, up to
     ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
@@ -662,8 +662,7 @@ def solve_groups(
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
-    if rows is None:
-        rows = {}
+    rows: dict = {}
     designs: dict = {}
     for k, (red, tables) in enumerate(problems):
         p = _pose(red, tables, rows, designs)
@@ -709,9 +708,9 @@ def fit(
     ``fr_failed`` result with no estimate when the extended MLE does not
     exist on ``table``.
 
-    This is the one-table case of ``fit_group``, which checks existence
-    on a fresh ``ExistenceCache``; ``fit_groups`` and the two selectors
-    check it the same way.  ``solved`` is only for a row of a
+    This is the one-pair case of ``fit_pairs``, which checks existence
+    on a fresh ``ExistenceCache``; the two selectors check it the same
+    way.  ``solved`` is only for a row of a
     ``solve_groups`` solution that already holds ``table``, at the given
     index: the result is then read from that row, unchecked, instead of
     solving again.  The row's scalars come from
@@ -721,7 +720,7 @@ def fit(
     floor and reported as non-convergence.
     """
     if solved is None:
-        return fit_group(model, [table], settings)[0]
+        return next(fit_pairs([(model, table)], settings))
     solution, i = solved
     flags, change, first_deviance, deviance, nll, intercept = solution.scalars
     if flags[i] is not None:
@@ -744,59 +743,68 @@ def fit(
     )
 
 
-def fit_groups(
-    problems: Sequence[tuple[ModelSpec, Sequence[CountTable]]],
+def fit_pairs(
+    pairs: Iterable[tuple[ModelSpec, CountTable]],
     settings: FitSettings = FitSettings(),
     cache: ExistenceCache | None = None,
-) -> Iterator[list[FitResult]]:
-    """``fit`` on every table of every (model, tables sharing one support)
-    problem, in order, one problem's list of results at a time.
+) -> Iterator[FitResult]:
+    """``fit`` on every (model, table) pair, one result per pair in order.
 
-    When the first list is asked for, every group is validated and its
-    counts converted, once per group (``_group_rows``), then existence is
-    decided for all problems in one ``check_many`` call on ``cache`` (a
-    fresh ``ExistenceCache`` when it is None), on each group's first
-    table: the verdict depends only on the support.  A problem whose
-    extended MLE does not exist gets a ``fr_failed`` result per table,
-    with no estimate.  The others are solved by one ``solve_groups`` call,
-    which reuses the converted counts and the reductions the cache keeps
-    (``ExistenceCache.reduction``), in one IRLS run per stack of equal
-    design shape.  Each of their tables' results is still made by a call
-    to ``fit``, so anything wrapping ``fit`` sees one call per table, made as
-    its list is taken; each call reads its row from the group's scalars,
-    converted once (``GroupSolution.scalars``), and leaves ``alpha`` and
-    ``mu`` to be built if they are read.
+    When the first result is asked for, the pairs are grouped by
+    ``(model.params, table.support)`` in order of first occurrence: the
+    existence verdict, the reduction and the design depend only on that
+    key.  A result's ``model`` is the first of its group, equal to its
+    pair's.  Every pair is validated first: a model on another number of
+    lists than its table, or an all-zero table, raises ``ValueError``.
+    Existence is decided for all groups in one ``check_many`` call on
+    ``cache`` (a fresh ``ExistenceCache`` when it is None), on each
+    group's first table.  A pair whose extended MLE does not exist gets
+    a ``fr_failed`` result with no estimate.  The other groups are solved
+    by one ``solve_groups`` call, from the reductions the cache keeps
+    (``ExistenceCache.reduction``), one row per pair.  Each of their
+    results is still made by a call to ``fit``, so anything wrapping
+    ``fit`` sees one call per pair, made as its result is taken; each
+    call reads its row from the group's scalars, converted once
+    (``GroupSolution.scalars``), and leaves ``alpha`` and ``mu`` to be
+    built if they are read.
     """
-    problems = list(problems)
-    rows: dict = {}
-    for _, tables in problems:
-        _group_rows(tables, rows)
+    # each key's group index, each group's model and tables, and each
+    # pair's group; the list count is part of the key, so validating a
+    # group's first pair validates the group
+    keys: dict[tuple[frozenset[int], int, frozenset[int]], int] = {}
+    groups: list[tuple[ModelSpec, list[CountTable]]] = []
+    order: list[int] = []
+    for model, table in pairs:
+        key = (model.params, table.t, table.support)
+        g = keys.get(key)
+        if g is None:
+            check_lists(model, table)
+            if not table.counts:
+                raise ValueError("cannot fit an empty table")
+            g = keys[key] = len(groups)
+            groups.append((model, []))
+        groups[g][1].append(table)
+        order.append(g)
     if cache is None:
         cache = ExistenceCache()
-    exists = cache.check_many([(model, tables[0]) for model, tables in problems])
-    solving = [
+    exists = cache.check_many([(model, tables[0]) for model, tables in groups])
+    solved = iter(solve_groups([
         (cache.reduction(model, tables[0]), tables)
-        for (model, tables), ok in zip(problems, exists) if ok
-    ]
-    solutions = iter(solve_groups(solving, rows))
-    for (model, tables), ok in zip(problems, exists):
-        if not ok:
-            yield [FitResult(model, STATUS_FR_FAILED) for _ in tables]
-            continue
-        solution = next(solutions)
-        yield [fit(model, t, settings, (solution, i)) for i, t in enumerate(tables)]
-
-
-def fit_group(
-    model: ModelSpec,
-    tables: Sequence[CountTable],
-    settings: FitSettings = FitSettings(),
-    cache: ExistenceCache | None = None,
-) -> list[FitResult]:
-    """``fit`` on every table of a group sharing one support, with a single
-    existence check and a single IRLS run for the whole group: the
-    one-problem case of ``fit_groups``."""
-    return next(fit_groups([(model, tables)], settings, cache))
+        for (model, tables), ok in zip(groups, exists) if ok
+    ]))
+    solutions = [next(solved) if ok else None for ok in exists]
+    # the rows of each group taken so far: a group's pairs are its rows,
+    # in order
+    taken = [0] * len(groups)
+    for g in order:
+        model, tables = groups[g]
+        i = taken[g]
+        taken[g] = i + 1
+        solution = solutions[g]
+        if solution is None:
+            yield FitResult(model, STATUS_FR_FAILED)
+        else:
+            yield fit(model, tables[i], settings, (solution, i))
 
 
 def select_best_bic(
@@ -807,14 +815,13 @@ def select_best_bic(
 ) -> tuple[ModelSpec, FitResult]:
     """Fit every candidate and return the BIC minimizer.
 
-    The candidates are checked and fitted together by one ``fit_groups``
+    The candidates are checked and fitted together by one ``fit_pairs``
     call on ``cache``; those failing the existence check or the fit get
     an infinite BIC.  ``lowest_bic`` picks among the fits: ties go to the
     earliest candidate in the given (canonical) order, and nothing
     attaining a finite BIC raises NoModelFoundError.
     """
-    fits = fit_groups([(m, [table]) for m in candidates], settings, cache)
-    return lowest_bic(res for [res] in fits)
+    return lowest_bic(fit_pairs([(m, table) for m in candidates], settings, cache))
 
 
 def lowest_bic(fits: Iterable[FitResult]) -> tuple[ModelSpec, FitResult]:
@@ -907,5 +914,5 @@ def select_by_chisq(
     all.
     """
     check_p_window(p_lo, p_hi)
-    fits = fit_groups([(m, [table]) for m in candidates], settings, cache)
-    return chisq_choice((res for [res] in fits), table, p_lo, p_hi)
+    fits = fit_pairs([(m, table) for m in candidates], settings, cache)
+    return chisq_choice(fits, table, p_lo, p_hi)

@@ -74,6 +74,12 @@ def reduced(problems):
             for model, tables in problems]
 
 
+def pairs_of(problems):
+    """The (model, table) pairs of (model, tables) problems, problem by
+    problem, as ``glm.fit_pairs`` takes them."""
+    return [(model, t) for model, tables in problems for t in tables]
+
+
 def unchecked_fits(problems):
     """Each (model, tables sharing one support) problem's fits with no
     existence check, as lists of ``FitResult``: the IRLS engine's own

@@ -3,7 +3,7 @@
 This is the sequential greedy search and ``bootstrap._downhill_estimate``
 as they stood before the searches of many tables advanced together
 (``modelspace.downhill_lockstep``): one table at a time, one start after
-another, every model fitted alone by ``fit_group`` on a one-table group,
+another, every model fitted alone by ``fit_pairs`` on a one-pair list,
 which checks existence first.  It is kept unchanged on purpose but for
 that call; the lockstep search must select the same model with the same
 BIC and estimate, and fit the same (table, model) pairs.
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from mseboot.core import CountTable, ModelSpec
 from mseboot.existence import ExistenceCache
-from mseboot.glm import FitResult, FitSettings, fit_group
+from mseboot.glm import FitResult, FitSettings, fit_pairs
 from mseboot.modelspace import neighbors
 
 
@@ -81,7 +81,7 @@ def oracle_downhill_estimate(
     fits: dict[frozenset[int], FitResult] = {}
 
     def bic_of(model: ModelSpec) -> float:
-        [res] = fit_group(model, [table], settings, cache)
+        [res] = fit_pairs([(model, table)], settings, cache)
         fits[model.params] = res
         if fitted is not None and res.status != "fr_failed":
             fitted.add(model.params)

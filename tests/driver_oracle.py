@@ -2,7 +2,7 @@
 
 These are ``restricted_bootstrap``, ``ntop_sweep``, ``chisq_bootstrap``
 and ``diagnostics`` as they stood when each driver had its own body: the
-original table fitted through ``fit_candidates`` (now one ``fit_groups``
+original table fitted through ``fit_candidates`` (now one ``fit_pairs``
 call, which checks existence first as the callers of ``fit_candidates``
 did), the restricted
 bootstrap selecting per replicate by ``argmin`` over its own evaluation
@@ -37,7 +37,7 @@ from mseboot.glm import (
     ChisqResult,
     FitSettings,
     NoModelFoundError,
-    fit_groups,
+    fit_pairs,
     pearson_chisq,
 )
 from mseboot.modelspace import ModelSpace, bic_ranks, rank_order
@@ -53,15 +53,14 @@ def _support_groups(tables):
 def _evaluate_models(models, tables, cache, settings):
     bics = np.full((len(tables), len(models)), np.inf)
     ests = np.full((len(tables), len(models)), np.nan)
-    pairs = [(rows, j) for rows in _support_groups(tables) for j in range(len(models))]
-    fitted = fit_groups(
-        [(models[j], [tables[i] for i in rows]) for rows, j in pairs], settings, cache
-    )
-    for (rows, j), results in zip(pairs, fitted):
-        for i, res in zip(rows, results):
-            if res.converged:
-                bics[i, j] = res.bic
-                ests[i, j] = res.population_estimate
+    # (table, model) indices, support group by support group
+    order = [(i, j) for rows in _support_groups(tables) for j in range(len(models))
+             for i in rows]
+    fitted = fit_pairs([(models[j], tables[i]) for i, j in order], settings, cache)
+    for (i, j), res in zip(order, fitted):
+        if res.converged:
+            bics[i, j] = res.bic
+            ests[i, j] = res.population_estimate
     return bics, ests
 
 
@@ -73,7 +72,7 @@ def _select_from_eval(bics, ests):
 
 
 def original_fits(table, space, cache, settings):
-    fits = [r for [r] in fit_groups([(m, [table]) for m in space], settings, cache)]
+    fits = list(fit_pairs([(m, table) for m in space], settings, cache))
     bics = np.array([f.bic for f in fits])
     ests = np.array(
         [f.population_estimate if f.converged else np.nan for f in fits]
@@ -204,7 +203,7 @@ def _select_by_chisq(candidates, table, p_lo, p_hi, cache, settings):
     from scipy import special
 
     best = None
-    for [res] in fit_groups([(m, [table]) for m in candidates], settings, cache):
+    for res in fit_pairs([(m, table) for m in candidates], settings, cache):
         if not res.converged:
             continue
         stat, df = pearson_chisq(res, table)

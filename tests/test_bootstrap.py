@@ -314,6 +314,13 @@ class TestDownhillBootstrap:
             downhill_bootstrap(table, l=l, B=2, seed=1)
         assert calls == []
 
+    def test_no_starts_rejected_before_any_fit(self, korea, monkeypatch):
+        calls = []
+        monkeypatch.setattr(glm, "fit", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="at least one starting model"):
+            downhill_bootstrap(korea, B=2, seed=1, starts=[])
+        assert calls == []
+
     def test_extra_starts_never_worse_on_original(self, korea):
         from mseboot import random_order2_starts
 
@@ -394,13 +401,14 @@ class TestChisqBootstrap:
         space = enumerate_models(4, 2)
         B, jack = 40, len(table.counts)
         held = []
-        fit_groups = bootstrap.fit_groups
+        fit_pairs = bootstrap.fit_pairs
 
-        def recording(problems, settings, cache):
-            held.append(len({id(t) for _, tables in problems for t in tables}))
-            return fit_groups(problems, settings, cache)
+        def recording(pairs, settings, cache):
+            pairs = list(pairs)
+            held.append(len({id(t) for _, t in pairs}))
+            return fit_pairs(pairs, settings, cache)
 
-        monkeypatch.setattr(bootstrap, "fit_groups", recording)
+        monkeypatch.setattr(bootstrap, "fit_pairs", recording)
         monkeypatch.setattr(bootstrap, "CHISQ_SLICE", B + jack)
         unsliced = chisq_bootstrap(table, space, B=B, seed=1)
         assert held == [1, B, jack]

@@ -211,6 +211,33 @@ class TestCli:
         assert code == 4
         assert json.loads(err)["error"] == 4
 
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["bootstrap", "--reps", "5"], ["dump"],
+    ])
+    @pytest.mark.parametrize("data", ["directory", "not UTF-8"])
+    def test_unreadable_data_exits_4(self, capsys, tmp_path, command, data):
+        if data == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "d.csv"
+            path.write_bytes("A,B,count\n1,0,3\n0,1,2\n1,1,1\n".encode("utf-16"))
+        code, out, err = run_cli(capsys, *command, "--data", str(path))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == 4 and str(path) in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["bootstrap", "--reps", "5"], ["dump"],
+    ])
+    def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path, command):
+        out_path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(
+            capsys, *command, "--data", "fixture:korea", "--out", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        error = json.loads(err.splitlines()[-1])
+        assert error["error"] == 2 and str(out_path) in error["message"]
+        assert not out_path.parent.exists()
+
     def test_duplicate_list_names_exit_4(self, capsys, tmp_path):
         # two lists read from column A would record every case on both
         path = tmp_path / "d.csv"

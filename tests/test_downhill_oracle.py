@@ -139,7 +139,7 @@ def test_one_table_search_calls_the_fitter_as_the_oracle_does():
     def fitter(key):
         def bic(model):
             calls[key].append(model.params)
-            return glm.fit_group(model, [table], cache=cache)[0].bic
+            return next(glm.fit_pairs([(model, table)], cache=cache)).bic
         return bic
 
     start = ModelSpec.null_model(4)

@@ -42,7 +42,6 @@ import pytest
 
 from mseboot import CountTable, ExistenceCache, ModelSpec, enumerate_models, fit, glm
 from mseboot import existence
-from mseboot.bootstrap import _group_fits
 from mseboot.core import canonical_key
 from mseboot.existence import (
     CERTIFIED,
@@ -403,7 +402,7 @@ def built_directly(kind):
 
 
 @pytest.mark.parametrize("kind", ["zero listed", "out of order"])
-def test_a_table_built_directly_shares_its_twins_key(kind):
+def test_a_table_built_directly_shares_its_twins_key(kind, monkeypatch):
     direct, twin = built_directly(kind), CountTable.from_counts(3, TWIN)
     assert tuple(direct.counts.items()) == tuple(twin.counts.items())
     models = enumerate_models(3, 2).models
@@ -415,11 +414,14 @@ def test_a_table_built_directly_shares_its_twins_key(kind):
     assert set(cache.verdicts) == set(cache.reductions) == {
         (m.params, twin.support) for m in models
     }
-    # and one group per model, holding both tables
-    fitted = _group_fits(models, [direct, twin], cache, glm.FitSettings())
-    assert [(group, j) for (group, j), _ in fitted] == [
-        ([0, 1], j) for j in range(len(models))
-    ]
+    # and one group per model, holding both tables: ``fit_pairs`` checks
+    # each model once, on the first table of its group
+    checked = []
+    real = ExistenceCache.check_many
+    monkeypatch.setattr(ExistenceCache, "check_many",
+                        lambda self, pairs: checked.append(pairs) or real(self, pairs))
+    list(glm.fit_pairs([(m, t) for t in (direct, twin) for m in models], cache=cache))
+    assert checked == [[(m, direct) for m in models]]
     assert cache.misses == len(models)
 
 
@@ -429,14 +431,14 @@ def test_a_table_built_directly_fits_as_its_twin(monkeypatch, kind):
     real = glm.solve_groups
     solved = []
 
-    def recording(problems, rows=None):
-        solutions = real(problems, rows)
+    def recording(problems):
+        solutions = real(problems)
         solved.extend(zip(problems, solutions))
         return solutions
 
     monkeypatch.setattr(glm, "solve_groups", recording)
     models = enumerate_models(3, 2).models
-    list(glm.fit_groups([(m, [direct, twin]) for m in models]))
+    list(glm.fit_pairs([(m, t) for m in models for t in (direct, twin)]))
     assert 0 < len(solved) < len(models)
     for (red, group), together in solved:
         assert group == [direct, twin]

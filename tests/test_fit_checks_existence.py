@@ -2,8 +2,8 @@
 
 Unchecked, the IRLS reports ``converged`` on most pairs whose MLE does not
 exist, with estimates up to 6e13 on the bundled sparse tables.  ``fit``,
-``fit_group``, ``fit_groups`` and the two selectors must return no
-estimate for such a pair, and the bootstrap drivers must never solve one.
+``fit_pairs`` and the two selectors must return no estimate for such a
+pair, and the bootstrap drivers must never solve one.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from mseboot import (
     select_by_chisq,
 )
 from mseboot import glm
-from mseboot.glm import STATUS_FR_FAILED, fit_group, fit_groups
+from mseboot.glm import STATUS_FR_FAILED, fit_pairs
 
 from conftest import TABLE1, random_table, unchecked_fits
 
@@ -64,24 +64,22 @@ def test_fit_and_fit_group_give_no_estimate(no_mle_pairs):
     assert len(pairs) == expected
     for model, table in pairs:
         assert_no_estimate(fit(model, table))
-        [res] = fit_group(model, [table])
+        [res] = fit_pairs([(model, table)])
         assert_no_estimate(res)
 
 
 def test_fit_groups_gives_no_estimate(no_mle_pairs):
     _, pairs = no_mle_pairs
-    # each problem twice over, on a table and its double, which shares its
+    # each pair twice over, on a table and its double, which shares its
     # support and so its verdict
-    problems = [
-        (m, [t, CountTable.from_counts(4, {w: 2 * n for w, n in t.counts.items()})])
-        for m, t in pairs
+    doubled = [
+        (m, u) for m, t in pairs
+        for u in (t, CountTable.from_counts(4, {w: 2 * n for w, n in t.counts.items()}))
     ]
-    results = list(fit_groups(problems))
-    assert len(results) == len(problems)
-    for got in results:
-        assert len(got) == 2
-        for res in got:
-            assert_no_estimate(res)
+    results = list(fit_pairs(doubled))
+    assert len(results) == len(doubled) == 2 * len(pairs)
+    for res in results:
+        assert_no_estimate(res)
 
 
 def test_fit_groups_equals_the_engine_where_the_mle_exists():
@@ -91,9 +89,9 @@ def test_fit_groups_equals_the_engine_where_the_mle_exists():
 
     tables = table1_tables() + seeded_sparse_tables()[:6]
     problems = [(m, [t]) for t in tables for m in SPACE.models[::4]]
-    checked = list(fit_groups(problems))
+    checked = list(fit_pairs((m, t) for m, [t] in problems))
     failed = 0
-    for (model, [table]), [got], [raw] in zip(
+    for (model, [table]), got, [raw] in zip(
         problems, checked, unchecked_fits(problems)
     ):
         if fr_check(model, table):
@@ -125,14 +123,16 @@ def test_one_fit_groups_call_makes_one_check_many_call(monkeypatch):
 
     monkeypatch.setattr(ExistenceCache, "check_many", counting)
     table = table1_tables()[3]
-    problems = [(m, [table]) for m in SPACE.models + SPACE.models[:10]]
+    models = SPACE.models + SPACE.models[:10]
     cache = ExistenceCache()
-    results = list(fit_groups(problems, cache=cache))
-    assert calls == [len(problems)]
-    assert cache.hits + cache.misses == len(problems)
-    assert cache.misses == len(SPACE)
-    assert any(r.status == STATUS_FR_FAILED for [r] in results)
-    assert any(r.converged for [r] in results)
+    results = list(fit_pairs([(m, table) for m in models], cache=cache))
+    assert len(results) == len(models)
+    # a duplicate pair shares its model's check
+    assert calls == [len(SPACE)]
+    assert (cache.hits, cache.misses) == (0, len(SPACE))
+    assert any(r.status == STATUS_FR_FAILED for r in results)
+    assert any(r.converged for r in results)
+    assert results[len(SPACE):] == results[:10]
 
 
 def test_bootstrap_drivers_solve_only_problems_whose_mle_exists(monkeypatch):
@@ -147,14 +147,14 @@ def test_bootstrap_drivers_solve_only_problems_whose_mle_exists(monkeypatch):
     real = glm.solve_groups
     solved = []
 
-    def checked_solve(problems, rows=None):
+    def checked_solve(problems):
         for red, tables in problems:
             # a reduction keeps every parameter of its model, estimable or dead
             params = frozenset(red.theta_dagger) | red.minus_infinity_params
             model = ModelSpec(tables[0].t, params)
             assert exists(model, tables[0]), model.notation()
             solved.append(len(tables))
-        return real(problems, rows)
+        return real(problems)
 
     monkeypatch.setattr(glm, "solve_groups", checked_solve)
     table = CountTable.from_counts(4, TABLE1["n4"])

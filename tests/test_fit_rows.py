@@ -273,9 +273,9 @@ def counted(monkeypatch):
         seen["fits"] += 1
         return real_fit(model, table, settings, solved)
 
-    def counting_solve(problems, rows=None):
+    def counting_solve(problems):
         seen["rows"] += sum(len(tables) for _, tables in problems)
-        return real_solve(problems, rows)
+        return real_solve(problems)
 
     monkeypatch.setattr(glm, "fit", counting_fit)
     monkeypatch.setattr(glm, "solve_groups", counting_solve)

@@ -12,6 +12,7 @@ from mseboot import (
     NoModelFoundError,
     enumerate_models,
     fit,
+    fr_check,
     reduce_for_sparsity,
     select_best_bic,
     select_by_chisq,
@@ -248,24 +249,27 @@ class TestFit:
 
     def test_group_must_share_one_support(self, korea, monkeypatch):
         from mseboot import ExistenceCache
-        from mseboot.glm import fit_group, fit_groups
 
+        model = ModelSpec.null_model(3)
         shrunk = CountTable.from_counts(3, {**korea.counts, 0b001: 0})
+        # the engine still refuses a group of mixed supports; fit_pairs
+        # groups by support itself, so mixed pairs are each fitted as alone
         with pytest.raises(ValueError):
-            fit_group(ModelSpec.null_model(3), [korea, shrunk])
-        with pytest.raises(ValueError):
-            fit_group(ModelSpec.null_model(3), [])
+            glm.solve_groups([(reduce_for_sparsity(model, korea), [korea, shrunk])])
+        assert list(glm.fit_pairs([(model, korea), (model, shrunk)])) == [
+            fit(model, korea), fit(model, shrunk)
+        ]
+        assert list(glm.fit_pairs([])) == []
 
-        # every group is validated before existence is checked for any
+        # every pair is validated before existence is checked for any
         def no_check(self, pairs):
             raise AssertionError("existence checked before validation")
 
         monkeypatch.setattr(ExistenceCache, "check_many", no_check)
         empty = CountTable.from_counts(3, {1: 0, 2: 0})
-        for bad in ([korea, shrunk], [], [empty]):
-            problems = [(ModelSpec.null_model(3), [korea]), (ModelSpec.null_model(3), bad)]
+        for bad in [(model, empty), (ModelSpec.null_model(4), korea)]:
             with pytest.raises(ValueError):
-                next(fit_groups(problems))
+                next(glm.fit_pairs([(model, korea), bad]))
 
     @pytest.mark.parametrize("entry", ["fit_groups", "fit_group", "solve_groups", "solve_group"])
     @pytest.mark.parametrize("bad", ["empty group", "mixed supports", "all-zero table"])
@@ -277,33 +281,42 @@ class TestFit:
         }[bad]
         model = ModelSpec.null_model(3)
         red = reduce_for_sparsity(model, korea)
-        call = {
-            "fit_groups": lambda: next(glm.fit_groups([(model, [korea]), (model, group)])),
-            "fit_group": lambda: glm.fit_group(model, group),
-            "solve_groups": lambda: glm.solve_groups([(red, [korea]), (red, group)]),
-            # the bad group as the only problem
-            "solve_group": lambda: glm.solve_groups([(red, group)]),
-        }[entry]
-        with pytest.raises(ValueError):
-            call()
+        if entry.startswith("solve"):
+            # the bad group after a good one, or as the only problem
+            problems = [(red, [korea])] if entry == "solve_groups" else []
+            with pytest.raises(ValueError):
+                glm.solve_groups(problems + [(red, group)])
+            return
+        # fit_pairs takes the group's tables as pairs, after a good pair
+        # ("fit_groups") or alone ("fit_group"), and groups them by support
+        # itself: only the all-zero table is a bad pair
+        tables = ([korea] if entry == "fit_groups" else []) + group
+        pairs = [(model, t) for t in tables]
+        if bad == "all-zero table":
+            with pytest.raises(ValueError):
+                next(glm.fit_pairs(pairs))
+        else:
+            assert list(glm.fit_pairs(pairs)) == [fit(model, t) for t in tables]
 
     def test_fit_groups_validates_each_group_once(self, table1, monkeypatch):
         from mseboot.bootstrap import replicate_rng, resample
 
-        by_support = {}
-        for i in range(40):
-            r = resample(table1["n2"], replicate_rng(3, i))
-            by_support.setdefault(tuple(r.counts), []).append(r)
-        groups = list(by_support.values())
-        # groups failing the existence check for every model are validated too
-        problems = [(m, g) for m in enumerate_models(4, 2).models[::3] for g in groups]
+        tables = [resample(table1["n2"], replicate_rng(3, i)) for i in range(40)]
+        models = enumerate_models(4, 2).models[::3]
         validated = []
         real = glm._support_cells
         monkeypatch.setattr(glm, "_support_cells",
-                            lambda tables: validated.append(id(tables)) or real(tables))
-        results = list(glm.fit_groups(problems))
-        assert sorted(validated) == sorted(map(id, groups))
-        assert any(r.converged for group in results for r in group)
+                            lambda tables: validated.append(tables[0].support)
+                            or real(tables))
+        results = list(glm.fit_pairs([(m, t) for t in tables for m in models]))
+        # the engine validates each support's tables once, however many
+        # models are solved on them; a support every model fails is not
+        # solved, so not validated there
+        assert len(set(validated)) == len(validated) > 1
+        assert set(validated) == {
+            t.support for t in tables if any(fr_check(m, t) for m in models)
+        }
+        assert any(r.converged for r in results)
 
 
 class TestBic:

@@ -28,10 +28,10 @@ from numpy.linalg import _umath_linalg
 from mseboot import CountTable, ModelSpec, existence, glm
 from mseboot.bootstrap import replicate_rng, resample
 from mseboot.core import canonical_key
-from mseboot.glm import fit_groups, solve_groups
+from mseboot.glm import fit_pairs, solve_groups
 from mseboot.sparsity import canonical_cells, design_matrix
 
-from conftest import KOREA_COUNTS, least_squares_rows, reduced
+from conftest import KOREA_COUNTS, least_squares_rows, pairs_of, reduced
 from test_stacked_irls import mixed_problems
 
 FIELDS = ("beta", "mu", "deviance", "neg_log_likelihood", "first_deviance", "change")
@@ -288,7 +288,7 @@ def test_traced_functions_run_on_the_calling_thread(
 ):
     """The benchmark's spans assume one thread: ``fit``, the reduction and
     the design are the calling thread's, and the pool runs only
-    ``_solve`` (checked by ``submitted``).  ``fit_groups`` fits from the
+    ``_solve`` (checked by ``submitted``).  ``fit_pairs`` fits from the
     reductions its existence cache makes, so the reduction is wrapped
     where ``existence`` calls it."""
     monkeypatch.setattr(glm, "_cpu_count", lambda: 2)
@@ -300,7 +300,7 @@ def test_traced_functions_run_on_the_calling_thread(
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapped)
-    for _ in fit_groups(mixed_problems()):
+    for _ in fit_pairs(pairs_of(mixed_problems())):
         pass
     assert {name for name, _ in seen} == {"fit", "reduce_for_sparsity", "design_matrix"}
     assert {thread for _, thread in seen} == {threading.get_ident()}
@@ -424,6 +424,6 @@ def test_one_cpu_makes_no_pool(monkeypatch, fresh_pool):
     group = [resample(korea, replicate_rng(3, i)) for i in range(400)]
     group = [t for t in group if len(t.counts) == 6]
     assert len(group) * 7 * 4 >= glm.POOL_ELEMENTS
-    fits = glm.fit_group(ModelSpec.null_model(3), group)
+    fits = list(glm.fit_pairs((ModelSpec.null_model(3), t) for t in group))
     assert all(f.converged for f in fits)
     assert glm._pool is None

@@ -20,9 +20,9 @@ import irls_oracle
 from mseboot import CountTable, ModelSpec, enumerate_models, fr_check
 from mseboot import glm, sparsity
 from mseboot.bootstrap import replicate_rng, resample
-from mseboot.glm import FitSettings, ReducedProblem, fit_groups, solve_groups
+from mseboot.glm import FitSettings, ReducedProblem, fit_pairs, solve_groups
 
-from conftest import KOREA_COUNTS, random_table, reduced, unchecked_fits
+from conftest import KOREA_COUNTS, pairs_of, random_table, reduced, unchecked_fits
 from irls_oracle import oracle_fit
 
 # its reduction is emptied by ``emptied_reduction``, as no valid table
@@ -236,25 +236,26 @@ def test_fit_is_called_per_table_as_each_list_is_taken(monkeypatch):
         calls.append(model)
         return real_fit(model, table, settings, solved)
 
-    def counting_solve(problems, rows=None):
+    def counting_solve(problems):
         solves.append(len(problems))
-        return real_solve(problems, rows)
+        return real_solve(problems)
 
     monkeypatch.setattr(glm, "fit", counting_fit)
     monkeypatch.setattr(glm, "solve_groups", counting_solve)
-    fitted = fit_groups(problems)
+    pairs = pairs_of(problems)
+    fitted = fit_pairs(pairs)
     assert calls == [] and solves == []
-    exists = [fr_check(m, g[0]) for m, g in problems]
+    exists = [fr_check(m, t) for m, t in pairs]
     assert not all(exists)
-    for (model, group), ok in zip(problems, exists):
+    for (model, _), ok in zip(pairs, exists):
         before = len(calls)
         next(fitted)
-        # a problem with no MLE is neither solved nor fitted
-        assert calls[before:] == ([model] * len(group) if ok else [])
-    # one solve for the whole batch, not one per group
-    assert solves == [sum(exists)]
+        # a pair with no MLE is neither solved nor fitted
+        assert calls[before:] == ([model] if ok else [])
+    # one solve for the whole batch, one problem per (model, support)
+    assert solves == [sum(fr_check(m, g[0]) for m, g in problems)]
 
 
 def test_empty_batch():
     assert solve_groups([]) == []
-    assert list(fit_groups([])) == []
+    assert list(fit_pairs([])) == []
