@@ -15,6 +15,11 @@ an ``IntervalResult``.  Restricting selection to the top n models of the
 original data's ranking is column n of the sweep over n: ``_ranked``
 fits the top models once and reads off the columns it is asked for,
 all of them for ``ntop_sweep`` and one for ``restricted_bootstrap``.
+``ntop_sweep`` fits them in two passes per batch of tables: the first
+fits every model with no proper supermodel ranked before it, and the
+second only the pairs that a first-pass supermodel's BIC does not prove
+are never a restricted selection (``_skipped``), so the answer is the
+one fitting every pair gives.  ``restricted_bootstrap`` fits every pair.
 
 Determinism: replicate i draws its resample from its own generator,
 ``PCG64(SeedSequence([seed, i]))`` (``replicate_rng`` is the reference
@@ -57,6 +62,7 @@ from .glm import (
     check_p_window,
     chisq_choice,
     fit_pairs,
+    log_sample_size,
 )
 from .modelspace import (
     ModelSpace,
@@ -344,18 +350,94 @@ def _evaluate_models(
     tables: Sequence[CountTable],
     cache: ExistenceCache,
     settings: FitSettings,
+    bounded: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(BIC, population estimate) arrays of shape (tables, models); inf/nan
-    where not estimable."""
-    bics = np.full((len(tables), len(models)), np.inf)
-    ests = np.full((len(tables), len(models)), np.nan)
-    fits = fit_pairs(((m, t) for t in tables for m in models), settings, cache)
-    for k, res in enumerate(fits):
-        if res.converged:
-            i, j = divmod(k, len(models))
-            bics[i, j] = res.bic
-            ests[i, j] = res.population_estimate
+    where not estimable.
+
+    With ``bounded`` the pairs are fitted in two passes: first the columns
+    ``_two_passes`` picks, then every other pair that ``_skipped`` does
+    not prove is no record of its row (``_record_fills``).  A skipped pair
+    reads inf/nan too, and leaves every record, and so the record fills,
+    as fitting it would.
+    """
+    n = len(models)
+    bics = np.full((len(tables), n), np.inf)
+    ests = np.full((len(tables), n), np.nan)
+    flat_bics, flat_ests = bics.reshape(-1), ests.reshape(-1)
+
+    def fit_cells(cells: Sequence[int]) -> None:
+        # cell k is (table k // n, model k % n), in table-major order
+        fits = fit_pairs(((models[k % n], tables[k // n]) for k in cells), settings, cache)
+        for k, res in zip(cells, fits):
+            if res.converged:
+                flat_bics[k] = res.bic
+                flat_ests[k] = res.population_estimate
+
+    if not bounded:
+        fit_cells(range(bics.size))
+        return bics, ests
+    first, bounds = _two_passes(models)
+    todo = np.zeros(bics.shape, dtype=bool)
+    todo[:, first] = True
+    fit_cells(np.flatnonzero(todo).tolist())
+    penalties = np.outer(
+        [log_sample_size(t, settings) for t in tables], [len(m.params) for m in models]
+    )
+    todo = ~todo & ~_skipped(bics, penalties, bounds)
+    fit_cells(np.flatnonzero(todo).tolist())
     return bics, ests
+
+
+def _two_passes(
+    models: Sequence[ModelSpec],
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The columns a bounded evaluation fits first, and the (j, k) pairs
+    where column j is not one of them and column k is one, ranked before
+    or after j, whose model is a proper supermodel of model j.
+
+    The first pass holds columns 0 and 1 and every column with no proper
+    supermodel before it.  A supermodel before column 1 could only be
+    column 0, whose bound on column 1 lies below column 0's own BIC, so
+    bounding columns 0 and 1 would never skip them.  Every other column
+    has an earliest supermodel, which is in the first pass, as a
+    supermodel of it would be one of the column's too.
+    """
+    first = [
+        j for j, m in enumerate(models)
+        if j < 2 or not any(m.params < sup.params for sup in models[:j])
+    ]
+    firsts = set(first)
+    bounds = [
+        (j, k)
+        for j, m in enumerate(models) if j not in firsts
+        for k in first if m.params < models[k].params
+    ]
+    return first, bounds
+
+
+def _skipped(
+    bics: np.ndarray, penalties: np.ndarray, bounds: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Where a first-pass fit proves (table i, column j) is no record.
+
+    ``bics`` holds the first pass's BICs (inf elsewhere) and ``penalties``
+    each pair's BIC penalty.  When model j's parameters are a subset of
+    model k's, on the same table j's negative log-likelihood is at least
+    k's, so BIC_j >= BIC_k - penalty_k + penalty_j (Furnival & Wilson
+    1974, *Regressions by leaps and bounds*).  The pair is skipped when
+    that bound, for some converged k of ``bounds``, lies above the least
+    first-pass BIC before column j by more than 1e-9 max(1, |least BIC|,
+    |BIC_k|), a margin for the IRLS tolerance and rounding: column j then
+    cannot lie below every column before it.
+    """
+    least_before = np.minimum.accumulate(bics, axis=1)
+    skip = np.zeros(bics.shape, dtype=bool)
+    for j, k in bounds:
+        least, bic_k = least_before[:, j - 1], bics[:, k]
+        margin = 1e-9 * np.maximum(1.0, np.maximum(np.abs(least), np.abs(bic_k)))
+        skip[:, j] |= bic_k - penalties[:, k] + penalties[:, j] > least + margin
+    return skip
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +447,13 @@ def _evaluate_models(
 
 @dataclass(frozen=True)
 class SweepState:
-    """Per-replicate model evaluations for the restriction-size sweep."""
+    """Per-replicate model evaluations for the restriction-size sweep.
+
+    ``bic_array`` and ``estimate_array`` read inf and NaN where the model
+    is not estimable, and also where the sweep skipped the fit because a
+    supermodel's bound proves it is no restricted selection of that
+    replicate; ``filled_estimates`` is the same either way.
+    """
 
     bic_array: np.ndarray  # (B, n_top_high)
     estimate_array: np.ndarray
@@ -401,6 +489,7 @@ def _ranked(
     method: str,
     settings: FitSettings,
     cache: ExistenceCache | None,
+    bounded: bool = False,
 ) -> tuple[SweepState, list[IntervalResult]]:
     """The bootstrap with each replicate's selection restricted to the top
     n models of the original data's ranking, for each n in ``sizes``
@@ -422,12 +511,12 @@ def _ranked(
     top_models = [space.models[i] for i in ordering[: max(sizes)]]
 
     bic_array, est_array = _evaluate_models(
-        top_models, resamples(table, seed, B), cache, settings
+        top_models, resamples(table, seed, B), cache, settings, bounded
     )
     filled_boot = _record_fills(bic_array, est_array)
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     filled_jack = _record_fills(
-        *_evaluate_models(top_models, jack_tables, cache, settings)
+        *_evaluate_models(top_models, jack_tables, cache, settings, bounded)
     )
 
     # NaN marks an excluded replicate, as None does
@@ -482,7 +571,8 @@ def ntop_sweep(
     n_high = len(space) if n_top_high is None else min(n_top_high, len(space))
     sizes = range(1, n_high + 1)
     state, results = _ranked(
-        table, space, B, sizes, levels, seed, degree, "sweep", settings, cache
+        table, space, B, sizes, levels, seed, degree, "sweep", settings, cache,
+        bounded=True,
     )
     return state, dict(zip(sizes, results))
 

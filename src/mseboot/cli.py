@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -92,6 +94,17 @@ def _write(rendered: str, out: str | None) -> None:
         Path(out).write_text(rendered, encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot write --out {out}: {e.strerror or e}") from None
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path whose directory does not exist (exit 2),
+    as ``_write`` would, before any data is read or any model fitted."""
+    if not out:
+        return
+    parent = Path(out).parent
+    if not parent.is_dir():
+        error = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise CliError(f"cannot write --out {out}: {os.strerror(error)}")
 
 
 def _emit(payload: dict, fmt: str, out: str | None, to_text, to_csv=None) -> None:
@@ -474,6 +487,7 @@ def main(argv: list[str] | None = None) -> int:
     # triggers
     gc.freeze()
     try:
+        _check_out(args.out)
         return args.func(args)
     except CliError as e:
         json.dump({"error": e.code, "message": str(e)}, sys.stderr)

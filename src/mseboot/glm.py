@@ -219,6 +219,18 @@ def _neg_log_likelihood(
     return sums[:, -1] if sums.shape[1] else np.zeros(len(sums))
 
 
+def log_sample_size(table: CountTable, settings: FitSettings) -> float:
+    """The BIC penalty of one model parameter on ``table``: the log of its
+    cases (``"case"``) or of its 2^t - 1 observable cells (``"capture"``)."""
+    if settings.sample_size == "case":
+        size = table.n_total
+    elif settings.sample_size == "capture":
+        size = (1 << table.t) - 1
+    else:
+        raise ValueError(f"unknown sample size convention {settings.sample_size!r}")
+    return math.log(size)
+
+
 def _bic(
     model: ModelSpec,
     table: CountTable,
@@ -227,13 +239,7 @@ def _bic(
 ) -> float:
     """Parameter-count penalty, over every model parameter, plus twice the
     negative log-likelihood."""
-    if settings.sample_size == "case":
-        size = table.n_total
-    elif settings.sample_size == "capture":
-        size = (1 << table.t) - 1
-    else:
-        raise ValueError(f"unknown sample size convention {settings.sample_size!r}")
-    return len(model.params) * math.log(size) + 2.0 * neg_log_likelihood
+    return len(model.params) * log_sample_size(table, settings) + 2.0 * neg_log_likelihood
 
 
 # numpy's stacked dgelsd: one LAPACK solve per row, with the tolerance

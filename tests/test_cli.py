@@ -238,6 +238,33 @@ class TestCli:
         assert error["error"] == 2 and str(out_path) in error["message"]
         assert not out_path.parent.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["enumerate", "3"],
+        ["fit", "--data", "fixture:korea"],
+        ["bootstrap", "--data", "fixture:korea", "--sweep"],
+        ["diagnose", "--data", "fixture:korea"],
+        ["dump", "--data", "fixture:korea"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_out_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, command, parent
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("data read or model fitted before --out was checked")
+
+        monkeypatch.setattr(glm, "fit", refuse)
+        monkeypatch.setattr(cli, "_load_data", refuse)
+        monkeypatch.setattr(cli, "enumerate_models", refuse)
+        if parent == "file":
+            (tmp_path / "file").write_text("")
+        out_path = tmp_path / parent / "out.txt"
+        code, out, err = run_cli(capsys, *command, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        reason = "Not a directory" if parent == "file" else "No such file or directory"
+        assert json.loads(err) == {
+            "error": 2, "message": f"cannot write --out {out_path}: {reason}",
+        }
+
     def test_duplicate_list_names_exit_4(self, capsys, tmp_path):
         # two lists read from column A would record every case on both
         path = tmp_path / "d.csv"
