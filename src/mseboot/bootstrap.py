@@ -15,11 +15,18 @@ an ``IntervalResult``.  Restricting selection to the top n models of the
 original data's ranking is column n of the sweep over n: ``_ranked``
 fits the top models once and reads off the columns it is asked for,
 all of them for ``ntop_sweep`` and one for ``restricted_bootstrap``.
-``ntop_sweep`` fits them in two passes per batch of tables: the first
-fits every model with no proper supermodel ranked before it, and the
-second only the pairs that a first-pass supermodel's BIC does not prove
-are never a restricted selection (``_skipped``), so the answer is the
-one fitting every pair gives.  ``restricted_bootstrap`` fits every pair.
+Both fit them in two passes per batch of tables (``_two_passes``), and
+the second pass fits only the pairs that a first-pass supermodel's BIC
+does not prove are never selected (``_skipped``), so the answer is the
+one fitting every pair gives.  The sweep keeps every record of a row,
+so its first pass fits every model with no proper supermodel ranked
+before it.  ``restricted_bootstrap`` keeps only the row's BIC minimum,
+so its first pass fits column 0 and every model with no proper
+supermodel among the top models, and a pair is skipped when it lies
+strictly above any fitted BIC of its row.  On a full space whose one
+maximal model has no MLE on a table, as on Korea's, only column 0
+bounds anything there, and never below its own BIC, so every pair of
+that table is fitted.
 
 Determinism: replicate i draws its resample from its own generator,
 ``PCG64(SeedSequence([seed, i]))`` (``replicate_rng`` is the reference
@@ -350,16 +357,19 @@ def _evaluate_models(
     tables: Sequence[CountTable],
     cache: ExistenceCache,
     settings: FitSettings,
-    bounded: bool = False,
+    keep: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(BIC, population estimate) arrays of shape (tables, models); inf/nan
     where not estimable.
 
-    With ``bounded`` the pairs are fitted in two passes: first the columns
-    ``_two_passes`` picks, then every other pair that ``_skipped`` does
-    not prove is no record of its row (``_record_fills``).  A skipped pair
-    reads inf/nan too, and leaves every record, and so the record fills,
-    as fitting it would.
+    ``keep`` names what each row must keep: None fits every pair,
+    ``"records"`` (the sweep) keeps every record of the row and so its
+    record fills (``_record_fills``), and ``"minimum"`` (a restriction to
+    one size) keeps the row's BIC minimum, the last column of its record
+    fills.  With a rule the pairs are fitted in two passes: first the
+    columns ``_two_passes`` picks, then every other pair that ``_skipped``
+    does not prove is never kept.  A skipped pair reads inf/nan too, and
+    what the row keeps is what fitting it would give.
     """
     n = len(models)
     bics = np.full((len(tables), n), np.inf)
@@ -374,38 +384,44 @@ def _evaluate_models(
                 flat_bics[k] = res.bic
                 flat_ests[k] = res.population_estimate
 
-    if not bounded:
+    if keep is None:
         fit_cells(range(bics.size))
         return bics, ests
-    first, bounds = _two_passes(models)
+    first, bounds = _two_passes(models, keep)
     todo = np.zeros(bics.shape, dtype=bool)
     todo[:, first] = True
     fit_cells(np.flatnonzero(todo).tolist())
     penalties = np.outer(
         [log_sample_size(t, settings) for t in tables], [len(m.params) for m in models]
     )
-    todo = ~todo & ~_skipped(bics, penalties, bounds)
+    todo = ~todo & ~_skipped(bics, penalties, bounds, keep)
     fit_cells(np.flatnonzero(todo).tolist())
     return bics, ests
 
 
 def _two_passes(
-    models: Sequence[ModelSpec],
+    models: Sequence[ModelSpec], keep: str
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """The columns a bounded evaluation fits first, and the (j, k) pairs
     where column j is not one of them and column k is one, ranked before
     or after j, whose model is a proper supermodel of model j.
 
-    The first pass holds columns 0 and 1 and every column with no proper
-    supermodel before it.  A supermodel before column 1 could only be
-    column 0, whose bound on column 1 lies below column 0's own BIC, so
-    bounding columns 0 and 1 would never skip them.  Every other column
-    has an earliest supermodel, which is in the first pass, as a
-    supermodel of it would be one of the column's too.
+    To keep the records, the first pass holds columns 0 and 1 and every
+    column with no proper supermodel before it.  A supermodel before
+    column 1 could only be column 0, whose bound on column 1 lies below
+    column 0's own BIC, so bounding columns 0 and 1 would never skip
+    them.  To keep the minimum, it holds column 0, the original data's
+    best and so the likeliest least BIC of a row, and every column with
+    no proper supermodel among ``models``.  Either way every other column
+    has an earliest (or a maximal) supermodel, which is in the first
+    pass, as a supermodel of it would be one of the column's too.
     """
+    records = keep == "records"
+    lead = 2 if records else 1
     first = [
         j for j, m in enumerate(models)
-        if j < 2 or not any(m.params < sup.params for sup in models[:j])
+        if j < lead
+        or not any(m.params < sup.params for sup in (models[:j] if records else models))
     ]
     firsts = set(first)
     bounds = [
@@ -417,26 +433,37 @@ def _two_passes(
 
 
 def _skipped(
-    bics: np.ndarray, penalties: np.ndarray, bounds: Sequence[tuple[int, int]]
+    bics: np.ndarray,
+    penalties: np.ndarray,
+    bounds: Sequence[tuple[int, int]],
+    keep: str,
 ) -> np.ndarray:
-    """Where a first-pass fit proves (table i, column j) is no record.
+    """Where a first-pass fit proves (table i, column j) is never kept.
 
     ``bics`` holds the first pass's BICs (inf elsewhere) and ``penalties``
     each pair's BIC penalty.  When model j's parameters are a subset of
     model k's, on the same table j's negative log-likelihood is at least
     k's, so BIC_j >= BIC_k - penalty_k + penalty_j (Furnival & Wilson
-    1974, *Regressions by leaps and bounds*).  The pair is skipped when
-    that bound, for some converged k of ``bounds``, lies above the least
-    first-pass BIC before column j by more than 1e-9 max(1, |least BIC|,
-    |BIC_k|), a margin for the IRLS tolerance and rounding: column j then
-    cannot lie below every column before it.
+    1974, *Regressions by leaps and bounds*).  Only a converged k, whose
+    BIC is finite, bounds anything.  The pair is skipped when that bound,
+    for some k of ``bounds``, lies above a least first-pass BIC by more
+    than 1e-9 max(1, |least BIC|, |BIC_k|), a margin for the IRLS
+    tolerance and rounding.  To keep the records the least is taken
+    before column j, which then cannot lie below every column before it;
+    to keep the minimum it is taken over the whole row, and column j then
+    lies strictly above a fitted BIC of its row.
     """
-    least_before = np.minimum.accumulate(bics, axis=1)
+    if keep == "records":
+        least = np.full(bics.shape, np.inf)
+        least[:, 1:] = np.minimum.accumulate(bics, axis=1)[:, :-1]
+    else:
+        least = np.broadcast_to(bics.min(axis=1, keepdims=True), bics.shape)
     skip = np.zeros(bics.shape, dtype=bool)
     for j, k in bounds:
-        least, bic_k = least_before[:, j - 1], bics[:, k]
-        margin = 1e-9 * np.maximum(1.0, np.maximum(np.abs(least), np.abs(bic_k)))
-        skip[:, j] |= bic_k - penalties[:, k] + penalties[:, j] > least + margin
+        bic_k = bics[:, k]
+        margin = 1e-9 * np.maximum(1.0, np.maximum(np.abs(least[:, j]), np.abs(bic_k)))
+        above = bic_k - penalties[:, k] + penalties[:, j] > least[:, j] + margin
+        skip[:, j] |= np.isfinite(bic_k) & above
     return skip
 
 
@@ -489,16 +516,17 @@ def _ranked(
     method: str,
     settings: FitSettings,
     cache: ExistenceCache | None,
-    bounded: bool = False,
+    keep: str,
 ) -> tuple[SweepState, list[IntervalResult]]:
     """The bootstrap with each replicate's selection restricted to the top
     n models of the original data's ranking, for each n in ``sizes``
     (none above the size of the space).
 
     The space is fitted on the original table, and the top ``max(sizes)``
-    models on every resample and every jackknife table.  The restriction
-    to the top n reads column n of the record fills, and BCa runs only
-    for the sizes asked for.
+    models on every resample and every jackknife table, skipping the
+    pairs that cannot change what ``keep`` names (``_evaluate_models``).
+    The restriction to the top n reads column n of the record fills, and
+    BCa runs only for the sizes asked for.
     """
     cache = _start(B, seed, cache)
     if min(sizes, default=0) < 1:
@@ -511,12 +539,12 @@ def _ranked(
     top_models = [space.models[i] for i in ordering[: max(sizes)]]
 
     bic_array, est_array = _evaluate_models(
-        top_models, resamples(table, seed, B), cache, settings, bounded
+        top_models, resamples(table, seed, B), cache, settings, keep
     )
     filled_boot = _record_fills(bic_array, est_array)
     jack_masks, jack_tables = zip(*jackknife_tables(table))
     filled_jack = _record_fills(
-        *_evaluate_models(top_models, jack_tables, cache, settings, bounded)
+        *_evaluate_models(top_models, jack_tables, cache, settings, keep)
     )
 
     # NaN marks an excluded replicate, as None does
@@ -549,7 +577,8 @@ def restricted_bootstrap(
     n_top = len(space) if n_top is None else min(n_top, len(space))
     method = "degree2" if degree == 2 else "bic"
     _, (result,) = _ranked(
-        table, space, B, [n_top], levels, seed, degree, method, settings, cache
+        table, space, B, [n_top], levels, seed, degree, method, settings, cache,
+        keep="minimum",
     )
     return result
 
@@ -572,7 +601,7 @@ def ntop_sweep(
     sizes = range(1, n_high + 1)
     state, results = _ranked(
         table, space, B, sizes, levels, seed, degree, "sweep", settings, cache,
-        bounded=True,
+        keep="records",
     )
     return state, dict(zip(sizes, results))
 

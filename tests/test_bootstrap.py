@@ -493,17 +493,24 @@ class TestExistenceLookups:
         assert calls["fr_check"] == cache.misses == sum(cache.decided.values())
         assert cache.misses > 0 and cache.hits > 0
 
-    def test_restricted(self, korea, korea_space, calls):
-        cache, n_top, B = ExistenceCache(), 5, 20
-        restricted_bootstrap(korea, korea_space, B=B, n_top=n_top, seed=3, cache=cache)
-        reps = [resample(korea, replicate_rng(3, i)) for i in range(B)]
-        jack = [t for _, t in jackknife_tables(korea)]
-        # the space once on the original table, then the top models once
-        # per support of the resamples and of the jackknife tables
-        supports = len({t.support for t in reps}) + len(
-            {t.support for t in jack}
-        )
-        self.assert_counted(calls, cache, len(korea_space) + n_top * supports)
+    def test_restricted(self, korea, korea_space, calls, monkeypatch):
+        handed = []
+        fit_pairs = bootstrap.fit_pairs
+
+        def recording(pairs, *args):
+            pairs = list(pairs)
+            handed.append({(m.params, t.support) for m, t in pairs})
+            return fit_pairs(pairs, *args)
+
+        monkeypatch.setattr(bootstrap, "fit_pairs", recording)
+        cache = ExistenceCache()
+        restricted_bootstrap(korea, korea_space, B=20, n_top=5, seed=3, cache=cache)
+        # the space on the original table, then two passes over the top
+        # models for the resamples and two for the jackknife tables; the
+        # second pass hands over only the pairs the bound does not skip,
+        # and each call looks each of its (model, support) pairs up once
+        assert len(handed) == 5
+        self.assert_counted(calls, cache, sum(map(len, handed)))
 
     def test_chisq(self, korea, korea_space, calls):
         cache, B = ExistenceCache(), 20

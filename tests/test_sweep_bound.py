@@ -6,9 +6,12 @@ first-pass supermodel's BIC proves the pair is no record of its row
 compare it with ``driver_oracle.oracle_ntop_sweep``, which fits every
 pair: the intervals and the filled estimates must be equal, and every
 pair the sweep skipped must lie strictly above the least BIC before it
-in the oracle's arrays.  They also pin the rule itself on exact numbers,
-the saving on Korea, and that ``restricted_bootstrap`` still fits every
-pair.
+in the oracle's arrays.  They also pin the rule itself on exact numbers
+and the saving on Korea.  ``restricted_bootstrap`` bounds its pairs by
+the row minimum instead (``tests/test_restricted_bound.py``), but on
+Korea's full space it still fits every pair that passes existence: the
+one maximal model, ``[12,13,23]``, has no MLE on any Korea support, and
+column 0 never bounds a pair below its own BIC.
 """
 
 import numpy as np
@@ -127,7 +130,11 @@ def test_korea_sweep_fits_at_most_55_percent_of_the_pairs(monkeypatch):
 
 def test_restricted_bootstrap_fits_every_pair_that_passes_existence(monkeypatch):
     # one fit per (table, model whose MLE exists), the premise of the
-    # benchmark's phase attribution test: the bound is the sweep's alone
+    # benchmark's phase attribution test.  The row-minimum bound skips
+    # nothing here: the first pass holds column 0 and the one maximal
+    # model, [12,13,23], which has no MLE on any Korea support, and
+    # column 0 bounds its submodels only below its own BIC, the least
+    # first-pass BIC of the row
     space = enumerate_models(3, 2)
     calls = counted_fits(monkeypatch)
     restricted_bootstrap(KOREA, space, B=20, seed=3)
@@ -144,15 +151,15 @@ def test_two_passes_bounds_each_later_column_by_its_first_pass_supermodels():
     ranked = models("[13,23]", "[12]", "[1,23]", "[2,13]", "[1,2,3]", "[12,13]")
     # [1,23], [2,13] and [1,2,3] have a supermodel before them; [12,13]
     # has none, and bounds the two of its submodels before it as well
-    assert _two_passes(ranked) == (
+    assert _two_passes(ranked, "records") == (
         [0, 1, 5], [(2, 0), (3, 0), (3, 5), (4, 0), (4, 1), (4, 5)]
     )
     # column 1 is fitted first even below column 0
-    assert _two_passes(models("[13,23]", "[1,23]", "[1,2,3]")) == (
+    assert _two_passes(models("[13,23]", "[1,23]", "[1,2,3]"), "records") == (
         [0, 1], [(2, 0), (2, 1)]
     )
     # no column below another: everything in the first pass
-    assert _two_passes(models("[12]", "[13]", "[23]", "[12,13,23]")) == (
+    assert _two_passes(models("[12]", "[13]", "[23]", "[12,13,23]"), "records") == (
         [0, 1, 2, 3], []
     )
 
@@ -160,7 +167,7 @@ def test_two_passes_bounds_each_later_column_by_its_first_pass_supermodels():
 def skips(bic_0, bic_1, penalties=(6.0, 4.0, 5.0)):
     """Whether column 2, a submodel of column 0, is skipped on one row."""
     bics = np.array([[bic_0, bic_1, np.inf]])
-    return bool(_skipped(bics, np.array([penalties]), [(2, 0)])[0, 2])
+    return bool(_skipped(bics, np.array([penalties]), [(2, 0)], "records")[0, 2])
 
 
 def test_skip_rule_on_exact_numbers():
@@ -185,12 +192,12 @@ def test_nothing_is_skipped_while_no_column_before_it_is_finite():
     # before it converged
     bics = np.array([[np.inf, np.inf, np.inf, 100.0]])
     penalties = np.array([[1.0, 1.0, 5.0, 6.0]])
-    assert not _skipped(bics, penalties, [(2, 3)]).any()
+    assert not _skipped(bics, penalties, [(2, 3)], "records").any()
 
 
 def test_skip_uses_only_the_bounds_given():
     # column 1 would prove column 2 no record, but it is not a supermodel
     bics = np.array([[50.0, 100.0, np.inf]])
     penalties = np.array([[1.0, 6.0, 0.5]])
-    assert not _skipped(bics, penalties, [(2, 0)]).any()
-    assert _skipped(bics, penalties, [(2, 1)])[0, 2]
+    assert not _skipped(bics, penalties, [(2, 0)], "records").any()
+    assert _skipped(bics, penalties, [(2, 1)], "records")[0, 2]
