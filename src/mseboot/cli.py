@@ -414,8 +414,8 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 
 WORKERS_HELP = (
     "accepted so that existing command lines still work; has no effect "
-    "(IRLS fits overlap their least-squares solves across every CPU of the "
-    "affinity mask, which taskset limits; output is the same for any CPU count)"
+    "(IRLS stacks run whole on a pool of one thread per CPU of the affinity "
+    "mask, which taskset limits; output is the same for any CPU count)"
 )
 
 

@@ -31,19 +31,14 @@ matrix-vector product; numpy's stacked ``lstsq`` kernel makes the solves
 of all rows in one call per iteration.  Normal equations would be faster
 and would change the last bits of the estimates.
 
-The IRLS run is a generator that yields each iteration's least-squares
-request, and ``_pipeline`` keeps a few runs in flight at once: one more
-than the CPUs the process may use (its affinity mask,
-``os.sched_getaffinity``, which ``taskset`` limits), each with at most
-one request.  A thread pool of CPUs - 1 threads, made on first use,
-solves whole requests of at least ``POOL_ELEMENTS`` elements while the
-calling thread takes the elementwise step of another run, as the kernel
-releases the GIL.  When no run's request is solved, the calling thread
-solves one no pool thread has started.  The pool runs nothing but the
-kernel, so the reduction, the design and ``fit`` stay on the calling
-thread.  A row's solve does not depend on the other rows of its request,
-so the output is the same for any CPU count, bit for bit; on one CPU one
-run is in flight, every request is solved inline and no pool is made.
+Each stack is one task on a thread pool of one thread per CPU the
+process may use (its affinity mask, ``os.sched_getaffinity``, which
+``taskset`` limits), made on first use.  A task builds its stacked
+design and runs IRLS on it; numpy's kernels release the GIL, so stacks
+iterate side by side.  The pool runs nothing else: the reduction, the
+design, the BIC sums and ``fit`` stay on the calling thread.  A row's
+solve does not depend on the other rows of its stack, so the output is
+the same for any CPU count, bit for bit.
 
 ``fit`` with a ``solved`` row turns that row into a ``FitResult``.  It
 reads the row's scalars from lists its group converts once, and a
@@ -67,7 +62,7 @@ import os
 from concurrent import futures
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -247,11 +242,6 @@ def _bic(
 _LSTSQ = _umath_linalg.lstsq
 _RCOND = np.finfo(np.float64).eps
 
-# fewest design elements (rows x cells x parameters) of a least-squares
-# request that goes to the pool; a smaller one is solved by the calling
-# thread, as handing it to another thread costs more than it saves
-POOL_ELEMENTS = 2_000
-
 # (process id, pool): a forked child inherits the pool without its
 # threads, so it makes its own
 _pool: tuple[int, futures.ThreadPoolExecutor] | None = None
@@ -265,135 +255,32 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _window(cpus: int) -> int:
-    """IRLS runs in flight at once on ``cpus`` CPUs: one solving on each
-    pool thread, one the calling thread steps and one whose request waits
-    for the first CPU to come free.  On one CPU a second run would only
-    hold memory."""
-    return 1 if cpus < 2 else cpus + 1
-
-
 def _executor() -> futures.ThreadPoolExecutor:
-    """The pool of CPUs - 1 threads that solves least-squares requests,
-    made on first use.
+    """The pool of one thread per CPU that runs IRLS stacks, made on first
+    use.
 
     Threads that race here may each make a pool; the one not kept is
-    collected once its requests are solved, and its threads exit.
+    collected once its stacks are done, and its threads exit.
     """
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), futures.ThreadPoolExecutor(max(_cpu_count() - 1, 1)))
+        _pool = (os.getpid(), futures.ThreadPoolExecutor(_cpu_count()))
     return _pool[1]
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_LSTSQ`` on rows ``b`` of shape (rows, cells, 1)."""
+    """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows:
+    ``_LSTSQ`` on each row.  Raises ``ValueError`` when an entry is not
+    finite and ``LinAlgError`` when a row's SVD does not converge."""
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     # a row whose SVD does not converge comes back as NaN, and
     # ``np.errstate`` holds only in the thread that enters it
     with np.errstate(invalid="ignore"):
-        return _LSTSQ(A, b, _RCOND)[0][:, :, 0]
-
-
-class _Request:
-    """One least-squares request ``A[k] x = b[k]`` for every k: kept for
-    the calling thread, or handed whole to ``pool`` when one is given."""
-
-    def __init__(
-        self, A: np.ndarray, b: np.ndarray, pool: futures.Executor | None = None
-    ) -> None:
-        self.A, self.b, self.x = A, b, None
-        self.future = None if pool is None else pool.submit(_solve, A, b)
-
-    def done(self) -> bool:
-        return self.x is not None or (self.future is not None and self.future.done())
-
-    def solve_here(self) -> bool:
-        """Solve the rows on this thread, unless they are solved or a pool
-        thread has started them."""
-        if self.x is None and (self.future is None or self.future.cancel()):
-            self.x = _solve(self.A, self.b)
-            return True
-        return False
-
-    def result(self) -> np.ndarray:
-        """The solution rows, or a ``LinAlgError`` when a row's SVD did not
-        converge."""
-        x = self.x if self.x is not None else self.future.result()
-        if np.isnan(x).any():
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        return x
-
-
-def _post(A: np.ndarray, b: np.ndarray, cpus: int) -> _Request:
-    """The request ``A[k] x = b[k]`` for every k, whole: the pool's when
-    there is a second CPU and it has at least ``POOL_ELEMENTS`` elements,
-    otherwise the calling thread's."""
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    pool = _executor() if cpus > 1 and A.size >= POOL_ELEMENTS else None
-    return _Request(A, b[:, :, None], pool)
-
-
-def _pipeline(
-    runs: Iterable[tuple[object, Generator]]
-) -> Iterator[tuple[object, object]]:
-    """Drive IRLS runs and yield each one's tag and return value as it
-    finishes.
-
-    ``runs`` gives (tag, generator) pairs; a generator yields least-squares
-    requests ``(A, b)``, is sent the solution rows of each, and returns its
-    result.  Up to ``_window`` runs are in flight, each with at most one
-    request, and the next pair is taken from ``runs`` only when one
-    finishes.  The calling thread steps the first run whose request is
-    solved and posts its next request (``_post``).  While none is solved
-    it solves a request no pool thread has started, the newest run's
-    (the pool takes the oldest first), and when there is none it waits
-    for the pool.  The pool runs nothing but ``_solve``.  A row's solve
-    does not depend on the other rows of its request, so every row is the
-    same for any CPU count and whichever thread solves it, bit for bit.
-    An error is raised only once every request handed to the pool is
-    done with its arrays.
-    """
-    cpus = _cpu_count()
-    runs = iter(runs)
-    # [tag, generator, its request in flight (None when it has none)]
-    flight: list[list] = []
-    try:
-        while True:
-            while len(flight) < _window(cpus):
-                run = next(runs, None)
-                if run is None:
-                    break
-                flight.append([*run, None])
-            if not flight:
-                return
-            run = next((r for r in flight if r[2] is None or r[2].done()), None)
-            if run is None:
-                if not any(r[2].solve_here() for r in reversed(flight)):
-                    futures.wait(
-                        [r[2].future for r in flight if not r[2].done()],
-                        return_when=futures.FIRST_COMPLETED,
-                    )
-                continue
-            solution = None if run[2] is None else run[2].result()
-            # the solved request is let go before the next one is made
-            run[2] = None
-            try:
-                A, b = run[1].send(solution)
-            except StopIteration as stop:
-                flight.remove(run)
-                yield run[0], stop.value
-                continue
-            run[2] = _post(A, b, cpus)
-            # the request holds the arrays; this frame must not keep them
-            # while suspended at the yield above
-            del A, b
-    finally:
-        pending = [r[2].future for r in flight
-                   if r[2] is not None and r[2].future is not None]
-        for f in pending:
-            f.cancel()
-        futures.wait(pending)
+        x = _LSTSQ(A, b[:, :, None], _RCOND)[0][:, :, 0]
+    if np.isnan(x).any():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x
 
 
 @dataclass(frozen=True)
@@ -556,15 +443,26 @@ def _stacks(posed: dict[int, _Posed]) -> Iterator[list[tuple[int, int, int]]]:
         yield stack
 
 
-def _irls(
-    X: np.ndarray, Y: np.ndarray
-) -> Generator[tuple[np.ndarray, np.ndarray], np.ndarray, tuple]:
+def _stacked(posed: dict[int, _Posed], stack: list[tuple[int, int, int]]) -> tuple:
+    """A stack's stacked design, each piece's group design repeated once
+    per row, and its count rows: the input of ``_irls``."""
+    pieces = [(posed[k], lo, hi) for k, lo, hi in stack]
+    # filled in place: a concatenation of broadcast views may come out in
+    # another memory layout
+    X = np.empty((sum(hi - lo for _, lo, hi in pieces), *pieces[0][0].X.shape))
+    end = 0
+    for p, lo, hi in pieces:
+        X[end:end + hi - lo] = p.X
+        end += hi - lo
+    return X, np.concatenate([p.Y[lo:hi] for p, lo, hi in pieces])
+
+
+def _irls(X: np.ndarray, Y: np.ndarray) -> tuple:
     """IRLS on every row of a stack: row k fits counts ``Y[k]`` with design
     ``X[k]``.
 
-    A generator: each iteration yields its weighted least-squares request
-    ``(A, b)`` and is sent the solution rows of ``A[k] x = b[k]``
-    (``_pipeline`` drives it).  ``X`` must be C-contiguous: numpy's
+    Each iteration solves the weighted least squares of all rows still
+    iterating in one ``_solve`` call.  ``X`` must be C-contiguous: numpy's
     ``matmul`` takes another path on another layout, and that path moves
     the fitted means in the last bit.  Returns the fields of
     ``GroupSolution`` after ``reduced``, for all rows, without
@@ -583,19 +481,14 @@ def _irls(
     flags: list[str | None] = ["max_iterations"] * rows
     idx = np.arange(rows)
     x, y, m, prev = X, Y, Y + 0.5, None
-    # every request's weighted design goes to the front of one buffer: a
-    # request is solved before the next is made, and a request the calling
-    # thread took back from the pool, which stays queued until a pool
-    # thread reaches it, then holds a view of the buffer, not an array
+    # every iteration's weighted design goes to the front of one buffer
     weighted = np.empty_like(X)
-    # x drops rows as they leave; the whole design need not be kept
-    del X
     for _ in range(MAX_ITER):
         if not idx.size:
             break
         z = np.log(m) + (y - m) / m
         sw = np.sqrt(m)
-        step = yield np.multiply(x, sw[:, :, None], out=weighted[:len(x)]), z * sw
+        step = _solve(np.multiply(x, sw[:, :, None], out=weighted[:len(x)]), z * sw)
         diverged = step.min(axis=1) < ALPHA_FLOOR
         if diverged.any():
             for r in idx[diverged]:
@@ -622,25 +515,6 @@ def _irls(
     return flags, beta, mu, dev, first_dev, change
 
 
-def _runs(posed: dict[int, _Posed]) -> Iterator[tuple[tuple, Generator]]:
-    """One IRLS run per stack, in ``_stacks`` order, tagged with its pieces
-    and counts; each stacked design is built as its run is taken."""
-    for stack in _stacks(posed):
-        pieces = [(posed[k], lo, hi) for k, lo, hi in stack]
-        # filled in place: a concatenation of broadcast views may come out
-        # in another memory layout
-        X = np.empty((sum(hi - lo for _, lo, hi in pieces), *pieces[0][0].X.shape))
-        end = 0
-        for p, lo, hi in pieces:
-            X[end:end + hi - lo] = p.X
-            end += hi - lo
-        Y = np.concatenate([p.Y[lo:hi] for p, lo, hi in pieces])
-        run = _irls(X, Y)
-        # only the run holds the design while it is in flight
-        del X
-        yield (stack, Y), run
-
-
 def solve_groups(
     problems: Sequence[tuple[ReducedProblem, Sequence[CountTable]]],
 ) -> list[GroupSolution]:
@@ -656,15 +530,16 @@ def solve_groups(
     designs have the same (retained cells, estimable parameters) shape
     are then stacked, one design and one count vector per table, up to
     ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
-    pieces of rows), and iterated together; ``_pipeline``
-    keeps a few stacks in flight at once, so one stack's step overlaps
-    another's least squares.  Every row is still its own ``dgelsd`` solve
-    and its own matrix-vector product, so each solution equals the one
-    the problem gets alone, and each row the one its table gets alone,
-    bit for bit.  Rows leave the iteration as they converge or diverge,
-    and the BIC sums of the settled rows are computed together at the
-    end, bit for bit as the scalar loop adds them (``math.log``, and a
-    left-to-right sum over the cells).
+    pieces of rows), and iterated together.  Each stack is one task on
+    the pool (``_executor``), which builds its stacked design and runs
+    ``_irls``; an error in any stack is raised here.  Every row is still
+    its own ``dgelsd`` solve and its own matrix-vector product, so each
+    solution equals the one the problem gets alone, and each row the one
+    its table gets alone, bit for bit.  Rows leave the iteration as they
+    converge or diverge, and the BIC sums of the settled rows are computed
+    together on the calling thread as each stack's task returns, bit for
+    bit as the scalar loop adds them (``math.log``, and a left-to-right
+    sum over the cells).
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
@@ -676,11 +551,17 @@ def solve_groups(
             solutions[k] = p
         else:
             posed[k] = p
-    # (first row, flags, GroupSolution arrays after ``reduced``) of each
-    # piece of each group, as the stacks holding them finish
+
+    def run_stack(stack: list[tuple[int, int, int]]) -> tuple:
+        X, Y = _stacked(posed, stack)
+        return Y, _irls(X, Y)
+
+    stacks = list(_stacks(posed))
+    # (flags, GroupSolution arrays after ``reduced``) of each piece of each
+    # group, in row order, as ``_stacks`` yields a group's pieces
     pieces: dict[int, list] = {k: [] for k in posed}
-    runs = _pipeline(_runs(posed))
-    for (stack, Y), (flags, beta, mu, dev, first_dev, change) in runs:
+    done = _executor().map(run_stack, stacks)
+    for stack, (Y, (flags, beta, mu, dev, first_dev, change)) in zip(stacks, done):
         nll = np.full(len(Y), np.nan)
         settled = np.array([f is None for f in flags])
         log_factorials = [posed[k].log_factorials[lo:hi] for k, lo, hi in stack]
@@ -690,15 +571,15 @@ def solve_groups(
         start = 0
         for k, lo, hi in stack:
             end = start + hi - lo
-            pieces[k].append((lo, flags[start:end], *(
+            pieces[k].append((flags[start:end], *(
                 a[start:end] for a in (beta, mu, dev, nll, first_dev, change)
             )))
             start = end
     for k, p in posed.items():
-        parts = sorted(pieces[k], key=lambda part: part[0])
-        fields = zip(*(part[2:] for part in parts))
+        parts = pieces[k]
+        fields = zip(*(part[1:] for part in parts))
         solutions[k] = GroupSolution(
-            p.reduced, tuple(f for part in parts for f in part[1]),
+            p.reduced, tuple(f for part in parts for f in part[0]),
             *(a[0] if len(a) == 1 else np.concatenate(a) for a in fields),
         )
     return solutions

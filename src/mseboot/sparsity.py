@@ -41,10 +41,10 @@ class ReducedProblem:
     ``omega_dagger`` are the retained cells in canonical order,
     ``theta_dagger`` the estimable parameters and
     ``minus_infinity_params`` those fixed at -inf.  ``contains[i, j]`` is
-    True when parameter j is contained in retained cell i; ``matrix`` and
-    ``incidence`` are the same array as floats and as integer tuples, and
-    ``params_of_cell`` lists the parameters each cell contains.  Each of
-    these four is made when first read.  Problems compare equal when
+    True when parameter j is contained in retained cell i; ``incidence``
+    is the same array as integer tuples, and ``params_of_cell`` lists the
+    parameters each cell contains.  Each of these three is made when first
+    read.  Problems compare equal when
     their three fields are.
     """
 
@@ -55,10 +55,6 @@ class ReducedProblem:
     @cached_property
     def contains(self) -> np.ndarray:
         return containment(self.omega_dagger, self.theta_dagger)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.contains.astype(float)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:

@@ -97,12 +97,5 @@ def unchecked_fits(problems):
 
 def least_squares_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution of ``A[k] x = b[k]`` for every k, as rows:
-    one request driven through ``glm._pipeline`` on its own.  On two or
-    more CPUs a request of at least ``glm.POOL_ELEMENTS`` elements is
-    handed whole to the pool, and this thread takes it back unless a pool
-    thread has started it."""
-    def request():
-        return (yield A, b)
-
-    [(_, x)] = glm._pipeline([(None, request())])
-    return x
+    the solve each IRLS iteration makes (``glm._solve``)."""
+    return glm._solve(A, b)

@@ -80,24 +80,33 @@ def emptied_reduction(monkeypatch):
 @pytest.fixture
 def stacks(monkeypatch):
     """Every stack ``solve_groups`` iterates: (pieces of groups, elements,
-    design shapes, whether the stacked design was C-contiguous)."""
+    design shapes, whether the stacked design was C-contiguous).
+
+    ``_stacks`` yields every stack before any is iterated, and the pool
+    builds their designs in any order, so each design is paired with its
+    entry by the stack it is built for."""
     seen = []
-    real_stacks, real_irls = glm._stacks, glm._irls
+    entries = {}
+    real_stacks, real_stacked = glm._stacks, glm._stacked
 
     def recording_stacks(posed):
         for stack in real_stacks(posed):
             designs = [posed[k].X for k, _, _ in stack]
             size = sum((hi - lo) * posed[k].X.size for k, lo, hi in stack)
             seen.append([len(stack), size, {X.shape for X in designs}, None])
+            # the stack is kept with its entry, so its id is not reused
+            entries[id(stack)] = stack, seen[-1]
             yield stack
 
-    def recording_irls(X, Y):
-        assert X.shape[0] == len(Y) and seen[-1][1] == X.size
-        seen[-1][3] = X.flags.c_contiguous
-        return real_irls(X, Y)
+    def recording_stacked(posed, stack):
+        X, Y = real_stacked(posed, stack)
+        entry = entries.pop(id(stack))[1]
+        assert X.shape[0] == len(Y) and entry[1] == X.size
+        entry[3] = X.flags.c_contiguous
+        return X, Y
 
     monkeypatch.setattr(glm, "_stacks", recording_stacks)
-    monkeypatch.setattr(glm, "_irls", recording_irls)
+    monkeypatch.setattr(glm, "_stacked", recording_stacked)
     return seen
 
 
@@ -200,8 +209,8 @@ table = CountTable.from_counts(t, counts)
 model = ModelSpec.from_generators(
     t, [(1 << i) | (1 << j) for i in range(t) for j in range(i + 1, t)])
 red = reduce_for_sparsity(model, table)
-# two rows are cut across both threads, so both have solved before the
-# peak is read
+# a first, small batch starts the pool and warms numpy before the peak
+# is read
 glm.solve_groups([(red, [table] * 2)])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 solution = glm.solve_groups([(red, [table] * 120)])[0]
