@@ -532,14 +532,15 @@ def solve_groups(
     ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
     pieces of rows), and iterated together.  Each stack is one task on
     the pool (``_executor``), which builds its stacked design and runs
-    ``_irls``; an error in any stack is raised here.  Every row is still
-    its own ``dgelsd`` solve and its own matrix-vector product, so each
-    solution equals the one the problem gets alone, and each row the one
-    its table gets alone, bit for bit.  Rows leave the iteration as they
-    converge or diverge, and the BIC sums of the settled rows are computed
-    together on the calling thread as each stack's task returns, bit for
-    bit as the scalar loop adds them (``math.log``, and a left-to-right
-    sum over the cells).
+    ``_irls``; an error in any stack is raised here once the stacks
+    already running have finished, and the queued ones are cancelled.
+    Every row is still its own ``dgelsd`` solve and its own matrix-vector
+    product, so each solution equals the one the problem gets alone, and
+    each row the one its table gets alone, bit for bit.  Rows leave the
+    iteration as they converge or diverge, and the BIC sums of the settled
+    rows are computed together on the calling thread as each stack's task
+    returns, bit for bit as the scalar loop adds them (``math.log``, and a
+    left-to-right sum over the cells).
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
@@ -560,21 +561,30 @@ def solve_groups(
     # (flags, GroupSolution arrays after ``reduced``) of each piece of each
     # group, in row order, as ``_stacks`` yields a group's pieces
     pieces: dict[int, list] = {k: [] for k in posed}
-    done = _executor().map(run_stack, stacks)
-    for stack, (Y, (flags, beta, mu, dev, first_dev, change)) in zip(stacks, done):
-        nll = np.full(len(Y), np.nan)
-        settled = np.array([f is None for f in flags])
-        log_factorials = [posed[k].log_factorials[lo:hi] for k, lo, hi in stack]
-        nll[settled] = _neg_log_likelihood(
-            Y[settled], mu[settled], np.concatenate(log_factorials)[settled]
-        )
-        start = 0
-        for k, lo, hi in stack:
-            end = start + hi - lo
-            pieces[k].append((flags[start:end], *(
-                a[start:end] for a in (beta, mu, dev, nll, first_dev, change)
-            )))
-            start = end
+    pool = _executor()
+    tasks = [pool.submit(run_stack, stack) for stack in stacks]
+    try:
+        for stack, task in zip(stacks, tasks):
+            Y, (flags, beta, mu, dev, first_dev, change) = task.result()
+            nll = np.full(len(Y), np.nan)
+            settled = np.array([f is None for f in flags])
+            log_factorials = [posed[k].log_factorials[lo:hi] for k, lo, hi in stack]
+            nll[settled] = _neg_log_likelihood(
+                Y[settled], mu[settled], np.concatenate(log_factorials)[settled]
+            )
+            start = 0
+            for k, lo, hi in stack:
+                end = start + hi - lo
+                pieces[k].append((flags[start:end], *(
+                    a[start:end] for a in (beta, mu, dev, nll, first_dev, change)
+                )))
+                start = end
+    finally:
+        # on an error, queued stacks are dropped and running ones finish
+        # before it is raised, so no task of this call outlives it
+        for task in tasks:
+            task.cancel()
+        futures.wait(tasks)
     for k, p in posed.items():
         parts = pieces[k]
         fields = zip(*(part[1:] for part in parts))
