@@ -415,7 +415,8 @@ def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
 WORKERS_HELP = (
     "accepted so that existing command lines still work; has no effect "
     "(IRLS stacks run whole on a pool of one thread per CPU of the affinity "
-    "mask, which taskset limits; output is the same for any CPU count)"
+    "mask, which taskset limits, each thread pinned to its own CPU; output "
+    "is the same for any CPU count)"
 )
 
 

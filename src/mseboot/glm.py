@@ -33,12 +33,16 @@ and would change the last bits of the estimates.
 
 Each stack is one task on a thread pool of one thread per CPU the
 process may use (its affinity mask, ``os.sched_getaffinity``, which
-``taskset`` limits), made on first use.  A task builds its stacked
-design and runs IRLS on it; numpy's kernels release the GIL, so stacks
-iterate side by side.  The pool runs nothing else: the reduction, the
-design, the BIC sums and ``fit`` stay on the calling thread.  A row's
-solve does not depend on the other rows of its stack, so the output is
-the same for any CPU count, bit for bit.
+``taskset`` limits), made on first use.  Each pool thread pins itself
+to its own CPU of that mask, so the threads do not take turns on one CPU
+while another idles; the calling thread stays unpinned.  On more than
+one CPU a call's stacks are also cut to an even share of its design
+elements, so that no one stack holds most of it.  A task builds its
+stacked design and runs IRLS on it; numpy's kernels release the GIL, so
+stacks iterate side by side.  The pool runs nothing else: the
+reduction, the design, the BIC sums and ``fit`` stay on the calling
+thread.  A row's solve does not depend on the other rows of its stack,
+so the output is the same for any CPU count and any cut, bit for bit.
 
 ``fit`` with a ``solved`` row turns that row into a ``FitResult``.  It
 reads the row's scalars from lists its group converts once, and a
@@ -57,6 +61,7 @@ right, which neither ``np.sum`` (pairwise) nor Python 3.12's ``sum``
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent import futures
@@ -242,9 +247,9 @@ def _bic(
 _LSTSQ = _umath_linalg.lstsq
 _RCOND = np.finfo(np.float64).eps
 
-# (process id, pool): a forked child inherits the pool without its
-# threads, so it makes its own
-_pool: tuple[int, futures.ThreadPoolExecutor] | None = None
+# (process id, pool, its thread count): a forked child inherits the pool
+# without its threads, so it makes its own
+_pool: tuple[int, futures.ThreadPoolExecutor, int] | None = None
 
 
 def _cpu_count() -> int:
@@ -255,17 +260,46 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _executor() -> futures.ThreadPoolExecutor:
+def _pin(mask: tuple[int, ...], order: Iterator[int]) -> None:
+    """Pool thread initializer: pin this thread alone to the next CPU of
+    ``mask``, round robin.  A thread the system refuses stays unpinned;
+    an initializer that raised would break the whole pool."""
+    # ``next`` on an ``itertools.count`` is one call into C, so two
+    # threads starting at once take different numbers
+    cpu = mask[next(order) % len(mask)]
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
+
+
+def _executor() -> tuple[futures.ThreadPoolExecutor, int]:
     """The pool of one thread per CPU that runs IRLS stacks, made on first
-    use.
+    use, and its thread count.
+
+    The affinity mask is read when the pool is made and kept with it: each
+    pool thread pins itself to one CPU of it (``_pin``), round robin in the
+    mask's own CPU ids, where ``os.sched_setaffinity`` exists.  On Linux
+    that call sets the calling thread's mask only, so the thread that
+    calls ``solve_groups``, and every other thread, stays unpinned.  The
+    thread count, which also sets the cut (``_stacks``), is the pool's
+    from then on, whatever the calling thread's mask becomes.
 
     Threads that race here may each make a pool; the one not kept is
     collected once its stacks are done, and its threads exit.
     """
     global _pool
     if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), futures.ThreadPoolExecutor(_cpu_count()))
-    return _pool[1]
+        threads = _cpu_count()
+        if hasattr(os, "sched_setaffinity"):
+            mask = tuple(sorted(os.sched_getaffinity(0)))
+            pool = futures.ThreadPoolExecutor(
+                threads, initializer=_pin, initargs=(mask, itertools.count())
+            )
+        else:
+            pool = futures.ThreadPoolExecutor(threads)
+        _pool = (os.getpid(), pool, threads)
+    return _pool[1], _pool[2]
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -419,16 +453,30 @@ def _pose(
     return _Posed(red, X, Y, posed_log_factorials)
 
 
-def _stacks(posed: dict[int, _Posed]) -> Iterator[list[tuple[int, int, int]]]:
+def _stacks(
+    posed: dict[int, _Posed], cpus: int
+) -> Iterator[list[tuple[int, int, int]]]:
     """The pieces of groups each IRLS run takes, as (key, first row, end
-    row): pieces of one design shape, up to ``STACK_ELEMENTS`` elements in
-    all.  A group larger than that is cut into pieces of as many rows as
-    fit, and a row larger than that alone is a stack of its own."""
+    row): pieces of one design shape, up to the call's limit of elements
+    in all.  A group larger than the limit is cut into pieces of as many
+    rows as fit, and a row larger than it alone is a stack of its own.
+
+    The limit is ``STACK_ELEMENTS`` on one CPU.  On ``cpus`` > 1 it is
+    also at most an even share of the call's design elements, one
+    (2 x ``cpus``)-th rounded up, so that every pool thread gets work and
+    no one stack holds most of the call while the other threads wait; but
+    never below ``STACK_ELEMENTS // 16``, as a smaller stack pays its
+    per-iteration Python steps for too few solves.
+    """
+    limit = STACK_ELEMENTS
+    if cpus > 1:
+        total = sum(len(p.Y) * p.X.size for p in posed.values())
+        limit = min(limit, max(STACK_ELEMENTS // 16, -(-total // (2 * cpus))))
     by_shape: dict[tuple[int, int], list[int]] = {}
     for k, p in posed.items():
         by_shape.setdefault(p.X.shape, []).append(k)
     for (cells, params), keys in by_shape.items():
-        most = max(STACK_ELEMENTS // (cells * params), 1)
+        most = max(limit // (cells * params), 1)
         stack: list[tuple[int, int, int]] = []
         size = 0
         for k in keys:
@@ -529,11 +577,13 @@ def solve_groups(
     rank-checked once per call.  The groups whose
     designs have the same (retained cells, estimable parameters) shape
     are then stacked, one design and one count vector per table, up to
-    ``STACK_ELEMENTS`` elements a stack (a larger group is cut into
-    pieces of rows), and iterated together.  Each stack is one task on
-    the pool (``_executor``), which builds its stacked design and runs
-    ``_irls``; an error in any stack is raised here once the stacks
-    already running have finished, and the queued ones are cancelled.
+    ``STACK_ELEMENTS`` elements a stack, and on a pool of several
+    threads up to an even share of the call (``_stacks``; a larger group
+    is cut into pieces of rows), and iterated together.  Each stack is
+    one task on the pool (``_executor``), whose threads are pinned one
+    to a CPU; the task builds its stacked design and runs ``_irls``.  An
+    error in any stack is raised here once the stacks already running
+    have finished, and the queued ones are cancelled.
     Every row is still its own ``dgelsd`` solve and its own matrix-vector
     product, so each solution equals the one the problem gets alone, and
     each row the one its table gets alone, bit for bit.  Rows leave the
@@ -557,11 +607,11 @@ def solve_groups(
         X, Y = _stacked(posed, stack)
         return Y, _irls(X, Y)
 
-    stacks = list(_stacks(posed))
+    pool, cpus = _executor()
+    stacks = list(_stacks(posed, cpus))
     # (flags, GroupSolution arrays after ``reduced``) of each piece of each
     # group, in row order, as ``_stacks`` yields a group's pieces
     pieces: dict[int, list] = {k: [] for k in posed}
-    pool = _executor()
     tasks = [pool.submit(run_stack, stack) for stack in stacks]
     try:
         for stack, task in zip(stacks, tasks):

@@ -48,11 +48,18 @@ def submitted(monkeypatch):
     real = glm._executor
 
     class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
         def submit(self, fn, *args):
-            seen.append(real().submit(fn, *args))
+            seen.append(self.pool.submit(fn, *args))
             return seen[-1]
 
-    monkeypatch.setattr(glm, "_executor", Recording)
+    def recording_executor():
+        pool, threads = real()
+        return Recording(pool), threads
+
+    monkeypatch.setattr(glm, "_executor", recording_executor)
     return seen
 
 
@@ -193,7 +200,7 @@ def test_nan_row_solved_by_the_pool_raises_linalg_error_without_warning(
     monkeypatch.setattr(glm, "_LSTSQ", lstsq_failing_on_marked_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        task = glm._executor().submit(glm._solve, A, b)
+        task = glm._executor()[0].submit(glm._solve, A, b)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             task.result()
     assert len(threads) == 1 and threads[0] != threading.get_ident()

@@ -89,8 +89,8 @@ def stacks(monkeypatch):
     entries = {}
     real_stacks, real_stacked = glm._stacks, glm._stacked
 
-    def recording_stacks(posed):
-        for stack in real_stacks(posed):
+    def recording_stacks(posed, cpus):
+        for stack in real_stacks(posed, cpus):
             designs = [posed[k].X for k, _, _ in stack]
             size = sum((hi - lo) * posed[k].X.size for k, lo, hi in stack)
             seen.append([len(stack), size, {X.shape for X in designs}, None])
