@@ -12,8 +12,9 @@ nonzero and of one sign on the zero cells.
 ``fr_check`` tries five routes in order, and ``tally`` and
 ``ExistenceCache.decided`` count the one that decided under its key:
 
-1. ``FAST_PATH``: every retained cell is positive, so the data vector
-   itself is such an x; or the reduction leaves no cell at all.
+1. ``FAST_PATH``: every retained cell is positive, as on every full
+   support, so the data vector itself is such an x; or the reduction
+   leaves no cell at all.
 2. ``RANK``: the incidence rows of the positive cells have full column
    rank, proved exactly by elimination over GF(2), on rows packed into
    Python ints, and when that comes up short by elimination modulo the
@@ -47,12 +48,12 @@ Since the verdict depends only on which cells are positive, repeated
 checks during resampling are served from a cache keyed by the model and
 ``CountTable.support``.  The problem every route reads is the pair's
 ``sparsity.ReducedProblem``, posed once per (model, support) on the
-table it is asked about; the cache hands it to ``fr_check``, keeps it
-beside the verdict, and ``glm.fit_pairs`` fits from it.  Every route
-runs inside ``fr_check``, so its time is part of the check that needed
-it.  ``ExistenceCache.check_many`` is a loop over ``check``.  SciPy's
-``optimize`` module is imported by the first ``float_solve`` call, not
-with this module.
+table it is asked about, full supports included; the cache hands it to
+``fr_check``, keeps it beside the verdict, and ``glm.fit_pairs`` fits
+from it.  Every route runs inside ``fr_check``, so its time is part of
+the check that needed it.  ``ExistenceCache.check_many`` is a loop over
+``check``.  SciPy's ``optimize`` module is imported by the first
+``float_solve`` call, not with this module.
 """
 
 from __future__ import annotations
@@ -538,13 +539,13 @@ def fr_check(
     tally: Counter | None = None,
     problem: ReducedProblem | None = None,
 ) -> bool:
-    """Whether the extended maximum likelihood estimate exists.
+    """Whether the extended maximum likelihood estimate exists, decided
+    from the pair's reduction.
 
-    Fast path: when every retained cell has a positive count the data
-    vector itself is a feasible point with positive slack; a table with
-    every cell positive is decided so before any problem is built.  A
-    table where the reduction removes every cell cannot identify any
-    parameter.
+    Fast path: when every retained cell has a positive count, as on a
+    full support, the data vector itself is a feasible point with
+    positive slack.  A table where the reduction removes every cell
+    cannot identify any parameter.
     Otherwise a full column rank of the positive cells' incidence rows
     (``proves_full_rank``) proves existence, and failing that the pair's
     ``null_space_form`` is built once: ``null_space_verdict`` decides on
@@ -556,10 +557,7 @@ def fr_check(
     on another number of lists than ``table`` raises ``ValueError``.
     """
     check_lists(model, table)
-    if _full_support(table):
-        verdict, route = True, FAST_PATH
-    else:
-        verdict, route = _decide(problem or reduce_for_sparsity(model, table), table)
+    verdict, route = _decide(problem or reduce_for_sparsity(model, table), table)
     if tally is not None:
         tally[route] += 1
     return verdict
@@ -574,13 +572,9 @@ def check_lists(model: ModelSpec, table: CountTable) -> None:
         )
 
 
-def _full_support(table: CountTable) -> bool:
-    """Every cell of ``table`` is positive, hence every retained one."""
-    return len(table.support) == (1 << table.t) - 1
-
-
 def _decide(problem: ReducedProblem, table: CountTable) -> tuple[bool, str]:
-    """``fr_check``'s verdict and route on a table with a zero cell."""
+    """``fr_check``'s verdict and route on ``table``, reduced to
+    ``problem``."""
     zero = problem.zero_cells(table)
     if not problem.omega_dagger or not zero:
         return bool(problem.omega_dagger), FAST_PATH
@@ -604,7 +598,7 @@ class ExistenceCache:
     A key is ``(model.params, table.support)``, as the verdict depends
     only on which cells are positive.  ``reductions`` holds, under the
     same keys, the ``ReducedProblem`` of every pair the cache has
-    reduced, so each (model, support) is reduced once for the check and
+    checked, so each (model, support) is reduced once for the check and
     the fit.
     ``hits`` and ``misses`` count lookups; ``decided`` counts how the
     misses were settled, under ``FAST_PATH``, ``RANK``, ``NULL_SPACE``,
@@ -618,35 +612,27 @@ class ExistenceCache:
     decided: Counter = field(default_factory=Counter, init=False)
 
     def check(self, model: ModelSpec, table: CountTable) -> bool:
-        """The cached verdict, or ``fr_check`` on a miss.  A miss whose
-        table has a zero cell is reduced here, and ``fr_check`` decides
-        from that reduction, which is kept.  A model on another number
-        of lists than ``table`` raises ``ValueError``, on a hit too."""
+        """The cached verdict, or on a miss ``fr_check`` on the pair's
+        reduction, made here and kept.  A model on another number of
+        lists than ``table`` raises ``ValueError``, on a hit too."""
         check_lists(model, table)
         key = (model.params, table.support)
         cached = self.verdicts.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        problem = None if _full_support(table) else reduce_for_sparsity(model, table)
-        verdict = fr_check(model, table, self.decided, problem)
-        self.verdicts[key] = verdict
-        if problem is not None:
-            # the fit reads the three fields only: the incidence arrays
-            # the routes built are let go with ``problem``
-            self.reductions[key] = replace(problem)
+        problem = reduce_for_sparsity(model, table)
+        verdict = self.verdicts[key] = fr_check(model, table, self.decided, problem)
+        # the fit reads the three fields only: the incidence arrays the
+        # routes built are let go with ``problem``
+        self.reductions[key] = replace(problem)
         self.misses += 1
         return verdict
 
     def reduction(self, model: ModelSpec, table: CountTable) -> ReducedProblem:
-        """The reduction of (model, ``table``'s support): the one a check
-        made, or one made now and kept, as for a full support, which the
-        fast path decides without reducing."""
-        key = (model.params, table.support)
-        red = self.reductions.get(key)
-        if red is None:
-            red = self.reductions[key] = reduce_for_sparsity(model, table)
-        return red
+        """The reduction ``check`` made for (model, ``table``'s support);
+        ``KeyError`` for a pair never checked."""
+        return self.reductions[(model.params, table.support)]
 
     def check_many(
         self, pairs: Sequence[tuple[ModelSpec, CountTable]]

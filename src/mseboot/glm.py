@@ -323,11 +323,16 @@ class GroupSolution:
     table i.
 
     ``flags[i]`` is None when the deviance of row i settled, otherwise the
-    reason its iteration stopped.  ``beta``, ``mu`` and ``deviance`` hold
-    the final iterate of the settled rows and ``neg_log_likelihood`` the
-    sum their BIC is made of (NaN elsewhere); ``change`` is each row's
-    last deviance change.  The arrays are read-only: a ``FitResult`` reads
-    its row after ``fit`` returns.
+    reason its iteration stopped.  For a settled row, ``beta``, ``mu``
+    and ``deviance`` hold the final iterate and ``neg_log_likelihood``
+    the sum its BIC is made of.  A row that was iterated but did not
+    settle keeps the starting values: ``beta`` and ``mu`` 0, ``deviance``
+    inf, ``neg_log_likelihood`` NaN.  A group stopped before iterating
+    (``parameter_redundant``, ``no_cells_left``) has no columns in
+    ``beta`` and ``mu`` and NaN in the rest.  ``first_deviance`` is the
+    deviance after a row's first step and ``change`` its last deviance
+    change, each NaN until the row has one.  The arrays are read-only: a
+    ``FitResult`` reads its row after ``fit`` returns.
     """
 
     reduced: ReducedProblem
@@ -590,7 +595,8 @@ def solve_groups(
     iteration as they converge or diverge, and the BIC sums of the settled
     rows are computed together on the calling thread as each stack's task
     returns, bit for bit as the scalar loop adds them (``math.log``, and a
-    left-to-right sum over the cells).
+    left-to-right sum over the cells); each piece's rows are then copied
+    into its group's solution arrays, which are made once per group.
     """
     solutions: list[GroupSolution | None] = [None] * len(problems)
     posed: dict[int, _Posed] = {}
@@ -609,9 +615,11 @@ def solve_groups(
 
     pool, cpus = _executor()
     stacks = list(_stacks(posed, cpus))
-    # (flags, GroupSolution arrays after ``reduced``) of each piece of each
-    # group, in row order, as ``_stacks`` yields a group's pieces
-    pieces: dict[int, list] = {k: [] for k in posed}
+    # each posed group's flags and GroupSolution arrays after ``reduced``,
+    # filled row by row as its stacks return
+    filled = {k: ([None] * len(p.Y), np.empty((len(p.Y), p.X.shape[1])),
+                  np.empty(p.Y.shape), *(np.empty(len(p.Y)) for _ in range(4)))
+              for k, p in posed.items()}
     tasks = [pool.submit(run_stack, stack) for stack in stacks]
     try:
         for stack, task in zip(stacks, tasks):
@@ -625,9 +633,8 @@ def solve_groups(
             start = 0
             for k, lo, hi in stack:
                 end = start + hi - lo
-                pieces[k].append((flags[start:end], *(
-                    a[start:end] for a in (beta, mu, dev, nll, first_dev, change)
-                )))
+                for a, b in zip(filled[k], (flags, beta, mu, dev, nll, first_dev, change)):
+                    a[lo:hi] = b[start:end]
                 start = end
     finally:
         # on an error, queued stacks are dropped and running ones finish
@@ -635,13 +642,8 @@ def solve_groups(
         for task in tasks:
             task.cancel()
         futures.wait(tasks)
-    for k, p in posed.items():
-        parts = pieces[k]
-        fields = zip(*(part[1:] for part in parts))
-        solutions[k] = GroupSolution(
-            p.reduced, tuple(f for part in parts for f in part[0]),
-            *(a[0] if len(a) == 1 else np.concatenate(a) for a in fields),
-        )
+    for k, (flags, *arrays) in filled.items():
+        solutions[k] = GroupSolution(posed[k].reduced, tuple(flags), *arrays)
     return solutions
 
 
@@ -716,11 +718,11 @@ def fit_pairs(
     built if they are read.
     """
     # each key's group index, each group's model and tables, and each
-    # pair's group; the list count is part of the key, so validating a
-    # group's first pair validates the group
+    # pair's group and its row in it; the list count is part of the key,
+    # so validating a group's first pair validates the group
     keys: dict[tuple[frozenset[int], int, frozenset[int]], int] = {}
     groups: list[tuple[ModelSpec, list[CountTable]]] = []
-    order: list[int] = []
+    order: list[tuple[int, int]] = []
     for model, table in pairs:
         key = (model.params, table.t, table.support)
         g = keys.get(key)
@@ -730,8 +732,9 @@ def fit_pairs(
                 raise ValueError("cannot fit an empty table")
             g = keys[key] = len(groups)
             groups.append((model, []))
-        groups[g][1].append(table)
-        order.append(g)
+        tables = groups[g][1]
+        order.append((g, len(tables)))
+        tables.append(table)
     if cache is None:
         cache = ExistenceCache()
     exists = cache.check_many([(model, tables[0]) for model, tables in groups])
@@ -740,13 +743,8 @@ def fit_pairs(
         for (model, tables), ok in zip(groups, exists) if ok
     ]))
     solutions = [next(solved) if ok else None for ok in exists]
-    # the rows of each group taken so far: a group's pairs are its rows,
-    # in order
-    taken = [0] * len(groups)
-    for g in order:
+    for g, i in order:
         model, tables = groups[g]
-        i = taken[g]
-        taken[g] = i + 1
         solution = solutions[g]
         if solution is None:
             yield FitResult(model, STATUS_FR_FAILED)

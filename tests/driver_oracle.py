@@ -9,7 +9,9 @@ bootstrap selecting per replicate by ``argmin`` over its own evaluation
 arrays, chisq checking and selecting one table at a time, and every
 driver building its own ``IntervalResult``.  They are kept unchanged on
 purpose but for those calls; the shared driver must give equal results,
-and the same ``SweepState`` arrays.
+and the same ``SweepState`` arrays.  ``assert_sweep_matches_the_oracle``
+compares ``ntop_sweep`` with its oracle, the pairs its supermodel bound
+skips apart.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from mseboot.bootstrap import (
     DEFAULT_B,
@@ -29,6 +32,7 @@ from mseboot.bootstrap import (
     bca_components,
     bca_interval,
     jackknife_tables,
+    ntop_sweep,
     resamples,
 )
 from mseboot.core import CountTable
@@ -197,6 +201,35 @@ def oracle_ntop_sweep(
             flags=comps.flags,
         )
     return state, results
+
+
+def assert_sweep_matches_the_oracle(table, space, degree, sample_size, **kwargs):
+    """``ntop_sweep`` gives the oracle's results and filled estimates, fits
+    every pair it does not skip to the oracle's bits, and skips only
+    pairs that are no record.  Both run on one cache.  Returns the number
+    of skipped pairs."""
+    kwargs.update(degree=degree, settings=FitSettings(sample_size=sample_size))
+    cache = ExistenceCache()
+    try:
+        want_state, want = oracle_ntop_sweep(table, space, cache=cache, **kwargs)
+    except NoModelFoundError:
+        with pytest.raises(NoModelFoundError):
+            ntop_sweep(table, space, cache=cache, **kwargs)
+        return 0
+    state, got = ntop_sweep(table, space, cache=cache, **kwargs)
+    assert got == want
+    assert np.array_equal(state.filled_estimates, want_state.filled_estimates,
+                          equal_nan=True)
+    skipped = np.isinf(state.bic_array) & np.isfinite(want_state.bic_array)
+    for field in ("bic_array", "estimate_array"):
+        assert np.array_equal(getattr(state, field)[~skipped],
+                              getattr(want_state, field)[~skipped], equal_nan=True)
+    assert np.isnan(state.estimate_array[skipped]).all()
+    rows, cols = np.nonzero(skipped)
+    least_before = np.minimum.accumulate(want_state.bic_array, axis=1)
+    assert (cols >= 2).all()
+    assert (want_state.bic_array[rows, cols] > least_before[rows, cols - 1]).all()
+    return len(rows)
 
 
 def _select_by_chisq(candidates, table, p_lo, p_hi, cache, settings):

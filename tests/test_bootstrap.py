@@ -37,9 +37,9 @@ from mseboot.modelspace import ModelSpaceError
 
 from conftest import KOREA_COUNTS, TABLE1, random_table
 from driver_oracle import (
+    assert_sweep_matches_the_oracle,
     oracle_chisq_bootstrap,
     oracle_diagnostics,
-    oracle_ntop_sweep,
     oracle_restricted_bootstrap,
 )
 
@@ -562,25 +562,11 @@ class TestOneDriver:
     @pytest.mark.parametrize("degree", [1, 2])
     def test_sweep(self, name, B, n_top_high, degree):
         table, space = self.table(name)
-        kwargs = dict(B=B, n_top_high=n_top_high, seed=7, degree=degree)
-        want_state, want = oracle_ntop_sweep(table, space, **kwargs)
-        state, got = ntop_sweep(table, space, **kwargs)
-        assert got == want
-        assert np.array_equal(
-            state.filled_estimates, want_state.filled_estimates, equal_nan=True
-        )
         # the sweep skips pairs its supermodel bound proves are no record:
         # they read inf, and every other pair holds the oracle's fit
-        skipped = np.isinf(state.bic_array) & np.isfinite(want_state.bic_array)
-        for field in ("bic_array", "estimate_array"):
-            assert np.array_equal(
-                getattr(state, field)[~skipped], getattr(want_state, field)[~skipped],
-                equal_nan=True,
-            )
-        rows, cols = np.nonzero(skipped)
-        least_before = np.minimum.accumulate(want_state.bic_array, axis=1)
-        assert (cols > 0).all()
-        assert (want_state.bic_array[rows, cols] > least_before[rows, cols - 1]).all()
+        assert_sweep_matches_the_oracle(
+            table, space, degree, "case", B=B, n_top_high=n_top_high, seed=7
+        )
 
     @pytest.mark.parametrize("case", ["korea", "sparse"])
     def test_chisq(self, case):

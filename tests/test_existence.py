@@ -289,7 +289,7 @@ class TestCache:
         assert cache.decided[FALLBACK] == 0
 
 
-    def test_full_support_decided_before_any_build(self, monkeypatch):
+    def test_full_support_fast_path_reduces_once_per_miss(self, monkeypatch):
         table = random_table(np.random.default_rng(6), 6)
         assert len(table.support) == 63
         models = enumerate_models(6, 2).models[::100]
@@ -298,11 +298,14 @@ class TestCache:
         monkeypatch.setattr(existence, "reduce_for_sparsity",
                             lambda model, table: builds.append(model) or build(model, table))
         cache = ExistenceCache()
-        assert cache.check_many([(m, table) for m in models]) == [True] * len(models)
+        # each model twice: its second check is a hit and builds nothing
+        pairs = [(m, table) for m in models * 2]
+        assert cache.check_many(pairs) == [True] * len(pairs)
         assert cache.decided == {FAST_PATH: len(models)}
+        assert builds == list(models) and cache.misses == len(models)
         tally = Counter()
         assert fr_check(models[0], table, tally) and tally == {FAST_PATH: 1}
-        assert builds == []
+        assert builds == [*models, models[0]]
 
 
 @functools.cache

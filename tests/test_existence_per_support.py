@@ -275,6 +275,38 @@ def test_one_reduction_per_distinct_pair(monkeypatch):
     assert len(reduced) == len(pairs)
 
 
+def test_every_checked_pair_keeps_the_reduction_its_fit_reads(monkeypatch):
+    rng = np.random.default_rng(34)
+    full = [random_table(rng, 4) for _ in range(2)]
+    sparse = table1_tables()
+    assert all(len(t.support) == 15 for t in full)
+    assert all(len(t.support) < 15 for t in sparse)
+    models = enumerate_models(4, 3).models
+    pairs = [(m, t) for t in full + sparse for m in models]
+    cache = ExistenceCache()
+    verdicts = cache.check_many(pairs)
+    assert all(verdicts[:2 * len(models)]) and not all(verdicts)
+    assert set(cache.reductions) == set(cache.verdicts)
+    # the fit of the same pairs on the same cache reads the reductions the
+    # checks made, and makes none
+    made = []
+    for module in (existence, glm):
+        real = module.reduce_for_sparsity
+        monkeypatch.setattr(
+            module, "reduce_for_sparsity",
+            lambda model, table, real=real: made.append(model) or real(model, table),
+        )
+    fits = list(glm.fit_pairs(pairs, cache=cache))
+    assert made == []
+    assert [f.model for f in fits] == [m for m, _ in pairs]
+    assert all(f.converged for f in fits[:2 * len(models)])
+    # a pair no check has seen has no reduction
+    with pytest.raises(KeyError):
+        cache.reduction(models[0], CountTable.from_counts(4, {1: 3, 2: 4}))
+    with pytest.raises(KeyError):
+        ExistenceCache().reduction(models[0], full[0])
+
+
 def test_rank_and_null_space_routes_sum_no_margins(monkeypatch):
     # ``lp_max_s`` is the only code that sums the margins nu
     def refuse(*args):
@@ -350,7 +382,7 @@ def test_a_listed_zero_count_is_outside_the_support():
     direct = CountTable(3, ZERO_LISTED)
     clean = CountTable.from_counts(3, ZERO_LISTED)
     assert direct.support == clean.support == frozenset({1, 2, 4, 5, 6, 7})
-    assert not existence._full_support(direct)
+    assert len(direct.support) < (1 << direct.t) - 1
     model = ModelSpec.from_notation("[12,13,23]", 3)
     assert fr_check(model, direct) is fr_check(model, clean) is False
     cache = ExistenceCache()

@@ -27,11 +27,10 @@ from mseboot.bootstrap import (
     resamples,
     restricted_bootstrap,
 )
-from mseboot.existence import ExistenceCache, fr_check
-from mseboot.glm import FitSettings, NoModelFoundError
+from mseboot.existence import fr_check
 
 from conftest import KOREA_COUNTS, TABLE1, random_table
-from driver_oracle import oracle_ntop_sweep
+from driver_oracle import assert_sweep_matches_the_oracle, oracle_ntop_sweep
 
 KOREA = CountTable.from_counts(3, KOREA_COUNTS)
 
@@ -42,37 +41,9 @@ SETTINGS = [
 ]
 
 
-def assert_matches_the_oracle(table, space, degree, sample_size, **kwargs):
-    """The sweep gives the oracle's results and filled estimates, fits
-    every pair it does not skip to the oracle's bits, and skips only
-    pairs that are no record.  Returns the number of skipped pairs."""
-    kwargs.update(degree=degree, settings=FitSettings(sample_size=sample_size))
-    cache = ExistenceCache()
-    try:
-        want_state, want = oracle_ntop_sweep(table, space, cache=cache, **kwargs)
-    except NoModelFoundError:
-        with pytest.raises(NoModelFoundError):
-            ntop_sweep(table, space, cache=cache, **kwargs)
-        return 0
-    state, got = ntop_sweep(table, space, cache=cache, **kwargs)
-    assert got == want
-    assert np.array_equal(state.filled_estimates, want_state.filled_estimates,
-                          equal_nan=True)
-    skipped = np.isinf(state.bic_array) & np.isfinite(want_state.bic_array)
-    for field in ("bic_array", "estimate_array"):
-        assert np.array_equal(getattr(state, field)[~skipped],
-                              getattr(want_state, field)[~skipped], equal_nan=True)
-    assert np.isnan(state.estimate_array[skipped]).all()
-    rows, cols = np.nonzero(skipped)
-    least_before = np.minimum.accumulate(want_state.bic_array, axis=1)
-    assert (cols >= 2).all()
-    assert (want_state.bic_array[rows, cols] > least_before[rows, cols - 1]).all()
-    return len(rows)
-
-
 @pytest.mark.parametrize("degree, sample_size", SETTINGS)
 def test_korea_matches_the_unpruned_sweep(degree, sample_size):
-    skipped = assert_matches_the_oracle(
+    skipped = assert_sweep_matches_the_oracle(
         KOREA, enumerate_models(3, 2), degree, sample_size, B=200, seed=5
     )
     assert skipped > 0
@@ -82,7 +53,7 @@ def test_korea_matches_the_unpruned_sweep(degree, sample_size):
 @pytest.mark.parametrize("name", sorted(TABLE1))
 def test_table1_full_space_matches_the_unpruned_sweep(name, degree, sample_size):
     table = CountTable.from_counts(4, TABLE1[name])
-    skipped = assert_matches_the_oracle(
+    skipped = assert_sweep_matches_the_oracle(
         table, enumerate_models(4, 3), degree, sample_size, B=25, seed=3
     )
     assert skipped > 0
@@ -104,7 +75,7 @@ def test_sparse_random_tables_match_the_unpruned_sweep(index):
     # list count meets every setting
     table, space, kwargs = sparse_case(index)
     degree, sample_size = SETTINGS[index % len(SETTINGS)].values
-    assert_matches_the_oracle(table, space, degree, sample_size, **kwargs)
+    assert_sweep_matches_the_oracle(table, space, degree, sample_size, **kwargs)
 
 
 def counted_fits(monkeypatch):
